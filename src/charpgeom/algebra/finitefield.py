@@ -30,51 +30,76 @@ def _is_prime(n):
     return True
 
 
-# -- dense univariate arithmetic over F_p on plain int lists (modulus search) --
+# -- dense univariate arithmetic over F_p on plain int lists ------------------
+#
+# Coefficient lists run low to high, with entries in 0..p-1 and no trailing
+# zeros; [] is the zero polynomial.  Sums of products are accumulated
+# unreduced and reduced mod p once per output coefficient.  The modulus
+# search below and UPoly's prime-field path share these routines.
 
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
-def _pmulmod(a, b, mod, p):
+def _padd(a, b, p):
+    """a + b mod p."""
+    return _ptrim([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+def _psub(a, b, p):
+    """a - b mod p."""
+    return _ptrim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+def _pmul(a, b, p):
+    """a * b mod p."""
     if not a or not b:
         return []
     res = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                res[i + j] = (res[i + j] + ca * cb) % p
-    return _pmod(res, mod, p)
+            for j, cb in enumerate(b, i):
+                res[j] += ca * cb
+    return [c % p for c in res]
+
+def _pdivmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b; b must be nonzero."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    r = list(a)
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r[k] % p
+        if c:
+            f = c * inv % p
+            q[k - db] = f
+            s = k - db
+            for i in range(db):
+                r[s + i] -= f * b[i]
+    return q, _ptrim([c % p for c in r[:db]])
 
 def _pmod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and _ptrim(a):
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % p
-        for i, c in enumerate(mod):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        _ptrim(a)
-    return a
+    return _pdivmod(a, mod, p)[1]
 
 def _ppowmod(a, e, mod, p):
     result = [1]
     base = _pmod(a, mod, p)
     while e:
         if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
+            result = _pmod(_pmul(result, base, p), mod, p)
+        base = _pmod(_pmul(base, base, p), mod, p)
         e >>= 1
     return result
 
 def _pgcd(a, b, p):
+    """Monic gcd; [] when both inputs are zero."""
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [c * inv % p for c in b]
-        a, b = bm, _pmod(a, bm, p)
+        a, b = b, _pmod(a, b, p)
+    if a and a[-1] != 1:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
     return a
 
 def _is_irreducible(f, p):
@@ -87,15 +112,14 @@ def _is_irreducible(f, p):
     xq = x
     for _ in range(m):
         xq = _ppowmod(xq, p, f, p)
-    if _ptrim([(c - d) % p for c, d in itertools.zip_longest(xq, x, fillvalue=0)]):
+    if _psub(xq, x, p):
         return False
     # gcd(x^(p^(m/l)) - x, f) == 1 for every prime l | m
     for l in set(_prime_factors(m)):
         xq = x
         for _ in range(m // l):
             xq = _ppowmod(xq, p, f, p)
-        diff = [(c - d) % p for c, d in itertools.zip_longest(xq, x, fillvalue=0)]
-        g = _pgcd(list(f), _ptrim(diff), p)
+        g = _pgcd(f, _psub(xq, x, p), p)
         if len(g) != 1:
             return False
     return True
@@ -123,6 +147,10 @@ def _find_modulus(p, m):
     raise AssertionError("no irreducible polynomial found (impossible)")
 
 
+# Largest p for which FiniteField keeps a table of its p elements.
+PRIME_TABLE_MAX = 1 << 16
+
+
 @functools.lru_cache(maxsize=None)
 def FF(p, m=1):
     """Cached constructor for F_{p^m} with the deterministic default modulus."""
@@ -147,8 +175,16 @@ class FiniteField:
             raise ValueError("modulus must be monic of degree m")
         if m > 1 and not _is_irreducible(list(self.modulus), p):
             raise ValueError("modulus is reducible")
-        self.zero = FFElement(self, (0,) * m)
-        self.one = FFElement(self, (1,) + (0,) * (m - 1))
+        # over F_p, the canonical element of each residue 0..p-1: prime-field
+        # kernels that compute on ints map their results back through it
+        # (None for extension fields and for p beyond the table bound)
+        self.prime_elements = None
+        if m == 1 and p <= PRIME_TABLE_MAX:
+            self.prime_elements = tuple(FFElement(self, (c,)) for c in range(p))
+            self.zero, self.one = self.prime_elements[:2]
+        else:
+            self.zero = FFElement(self, (0,) * m)
+            self.one = FFElement(self, (1,) + (0,) * (m - 1))
         self._generator = None
         self._nonresidue = None
 
@@ -171,6 +207,8 @@ class FiniteField:
                 raise ValueError(f"element of {value.field} used in {self}")
             return value
         if isinstance(value, int):
+            if self.prime_elements is not None:
+                return self.prime_elements[value % self.p]
             return FFElement(self, (value % self.p,) + (0,) * (self.m - 1))
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.m:
@@ -377,7 +415,8 @@ class FFElement:
 
     def __eq__(self, other):
         if isinstance(other, FFElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return ((self.field is other.field or self.field == other.field)
+                    and self.coeffs == other.coeffs)
         if isinstance(other, int):
             return self == self.field.elem(other)
         return NotImplemented
@@ -393,6 +432,8 @@ class FFElement:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.field.elem(other)
+        elif other.field is not self.field and other.field != self.field:
+            raise _mixed(self, other)
         return FFElement(self.field, self.field._add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
@@ -400,6 +441,8 @@ class FFElement:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.field.elem(other)
+        elif other.field is not self.field and other.field != self.field:
+            raise _mixed(self, other)
         return FFElement(self.field, self.field._sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
@@ -411,6 +454,8 @@ class FFElement:
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.field.elem(other)
+        elif other.field is not self.field and other.field != self.field:
+            raise _mixed(self, other)
         return FFElement(self.field, self.field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -418,6 +463,8 @@ class FFElement:
     def __truediv__(self, other):
         if isinstance(other, int):
             other = self.field.elem(other)
+        elif other.field is not self.field and other.field != self.field:
+            raise _mixed(self, other)
         return FFElement(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
 
     def __rtruediv__(self, other):
@@ -437,6 +484,10 @@ class FFElement:
             base = base * base
             e >>= 1
         return result
+
+
+def _mixed(a, b):
+    return ValueError(f"element of {b.field!r} used with one of {a.field!r}")
 
 
 def pth_root(a):

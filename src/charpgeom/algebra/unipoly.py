@@ -13,9 +13,35 @@ Characteristic-p specifics that live here:
 * `squarefree_decomposition`: the char-p algorithm (Yun loop on the part with
   multiplicity prime to p, then recurse on the p-th root of the remainder),
   used for exact branch-place counts in the Hurwitz bookkeeping.
+
+Representation notes: `coeffs` is always a tuple of FFElements, since
+callers read it.  Over a prime field (one with a table of its p elements,
+`FiniteField.prime_elements`), sums, differences, products, divmod and gcd
+convert it to residues mod p, run the dense int-list routines of
+`finitefield` (shared with the modulus search) and map the result back
+through that table; over extension fields the loops run on the elements
+themselves.  `gcd` returns 1 at once when either
+input is a nonzero constant, the common case of a RatFunc with denominator
+1.  Coefficients from another field are rejected with ValueError, since the
+int path would otherwise read their residues as if they were this field's.
 """
 
-from .finitefield import pth_root
+from .finitefield import pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
+
+
+def _ints(poly):
+    """Residues of a polynomial over F_p, low to high."""
+    return [c.coeffs[0] for c in poly.coeffs]
+
+
+def _from_ints(field, ints):
+    """The UPoly over F_p with these residues in 0..p-1 (trailing zeros
+    allowed); the elements come from the field's table, unchecked."""
+    poly = object.__new__(UPoly)
+    poly.field = field
+    elems = field.prime_elements
+    poly.coeffs = tuple([elems[c] for c in _ptrim(ints)])
+    return poly
 
 
 class UPoly:
@@ -24,10 +50,14 @@ class UPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        self.field = field
         cs = list(coeffs)
+        for c in cs:
+            cf = getattr(c, "field", None)
+            if cf is not field and cf != field:
+                raise ValueError(f"coefficient {c!r} is not an element of {field!r}")
         while cs and not cs[-1]:
             cs.pop()
+        self.field = field
         self.coeffs = tuple(cs)
 
     @classmethod
@@ -61,7 +91,8 @@ class UPoly:
         return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
 
     def __eq__(self, other):
-        return (isinstance(other, UPoly) and self.field == other.field
+        return (isinstance(other, UPoly)
+                and (self.field is other.field or self.field == other.field)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -72,6 +103,8 @@ class UPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if self.field.prime_elements is not None:
+            return _from_ints(self.field, _padd(_ints(self), _ints(other), self.field.p))
         n = max(len(self.coeffs), len(other.coeffs))
         return UPoly(self.field, [self[i] + other[i] for i in range(n)])
 
@@ -79,6 +112,8 @@ class UPoly:
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if self.field.prime_elements is not None:
+            return _from_ints(self.field, _psub(_ints(self), _ints(other), self.field.p))
         n = max(len(self.coeffs), len(other.coeffs))
         return UPoly(self.field, [self[i] - other[i] for i in range(n)])
 
@@ -92,6 +127,8 @@ class UPoly:
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
             return UPoly(self.field)
+        if self.field.prime_elements is not None:
+            return _from_ints(self.field, _pmul(_ints(self), _ints(other), self.field.p))
         zero = self.field.zero
         res = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ca in enumerate(self.coeffs):
@@ -114,6 +151,9 @@ class UPoly:
 
     def _coerce(self, other):
         if isinstance(other, UPoly):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError(f"polynomial over {other.field!r} used with "
+                                 f"one over {self.field!r}")
             return other
         return UPoly(self.field, [self.field.elem(other)])
 
@@ -126,8 +166,12 @@ class UPoly:
         return self.scale(self.leading().inverse())
 
     def divmod(self, other):
+        other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if self.field.prime_elements is not None:
+            q, r = _pdivmod(_ints(self), _ints(other), self.field.p)
+            return _from_ints(self.field, q), _from_ints(self.field, r)
         rem = list(self.coeffs)
         q = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
         inv = other.leading().inverse()
@@ -142,14 +186,18 @@ class UPoly:
         return UPoly(self.field, q), UPoly(self.field, rem)
 
     def __floordiv__(self, other):
-        return self.divmod(self._coerce(other))[0]
+        return self.divmod(other)[0]
 
     def __mod__(self, other):
-        return self.divmod(self._coerce(other))[1]
+        return self.divmod(other)[1]
 
     def gcd(self, other):
         """Monic gcd; gcd with 0 is the monic associate of the other input."""
         a, b = self, self._coerce(other)
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:   # a nonzero constant
+            return UPoly(self.field, [self.field.one])
+        if self.field.prime_elements is not None:
+            return _from_ints(self.field, _pgcd(_ints(a), _ints(b), self.field.p))
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a

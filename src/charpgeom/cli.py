@@ -4,8 +4,10 @@ Every subcommand runs a scenario from the registry and emits a versioned
 report, either human-readable text or a stable structured (JSON) form.  A
 report consists of the scenario id, its parameters and seed, the computed
 outputs, and a list of named assertions with pass/fail; the process exit
-code is 0 exactly when every assertion passed.  Reports are byte-identical
-for identical (params, seed): no timestamps, no unordered containers.
+code is 0 exactly when every assertion passed, 1 when one failed, and 2 when
+the arguments are rejected (one line on stderr, e.g. `--M 0` or `--jobs 0`).
+Reports are byte-identical for identical (params, seed): no timestamps, no
+unordered containers.
 
 Subcommands: height, northcott-demo, cover, normalform, desing, adjunction,
 isotriviality, vojta-demo.  Shared flags: --p --m --n --d --seed --out
@@ -442,6 +444,8 @@ def _scenario_vojta(params, seed):
     d = params.get("d", 1)
     n = params.get("n", 5)
     m_max = params.get("M", 10)
+    if m_max < 1:
+        raise ValueError(f"vojta-demo needs M >= 1, got {m_max}")
     fld = FF(p, params.get("m", 1))
     bundle = covers.make_vojta_bundle(p, d, n, fld,
                                       seed=params.get("bundle_seed", 1))
@@ -490,6 +494,8 @@ def run_scenario(name, params=None, seed=0, jobs=1):
     if name not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     params = dict(params or {})
     fn = _SCENARIOS[name]
     if name == "northcott-demo":
@@ -503,8 +509,25 @@ def run_scenario(name, params=None, seed=0, jobs=1):
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Invalid input exits with 2 and a one-line message, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charpgeom",
         description="exact positive-characteristic geometry scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -517,7 +540,7 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None,
                         help="write the report to this path")
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_positive_int, default=1)
     common.add_argument("--format", dest="fmt", default="text",
                         choices=["text", "json-like-structured"])
     sub.add_parser("height", parents=[common]).add_argument(
@@ -538,7 +561,7 @@ def _build_parser():
     adj.add_argument("--k", type=int, default=None, help="number of blow-ups")
     sub.add_parser("isotriviality", parents=[common])
     vd = sub.add_parser("vojta-demo", parents=[common])
-    vd.add_argument("--M", dest="M", type=int, default=None,
+    vd.add_argument("--M", dest="M", type=_positive_int, default=None,
                     help="maximum section degree")
     vd.add_argument("--bundle-seed", dest="bundle_seed", type=int, default=None)
     return parser

@@ -123,3 +123,28 @@ def test_cli_cover_scenario():
         code = main(["cover", "--p", "3", "--N", "1", "--seed", "2"])
     assert code == 0
     assert "result: PASS" in buf.getvalue()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["vojta-demo", "--M", "0"], "--M"),
+    (["vojta-demo", "--M", "-3"], "--M"),
+    (["vojta-demo", "--M", "ten"], "--M"),
+    (["vojta-demo", "--jobs", "0"], "--jobs"),
+    (["northcott-demo", "--jobs", "-1"], "--jobs"),
+])
+def test_cli_rejects_invalid_counts(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"charpgeom {argv[0]}: error: argument {flag}:")
+
+
+def test_scenario_entry_rejects_invalid_counts():
+    with pytest.raises(ValueError, match="M >= 1"):
+        run_scenario("vojta-demo", {"M": 0})
+    with pytest.raises(ValueError, match="jobs"):
+        run_scenario("northcott-demo", {"p": 3}, jobs=0)

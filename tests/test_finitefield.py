@@ -136,3 +136,33 @@ def test_text_encoding_round_trip():
         text = fld.format_element(a)
         assert fld.parse_element(text) == a
     assert FF(7).format_element(FF(7).elem(4)) == "4"
+
+
+def test_mixed_field_arithmetic_raises():
+    a, b = FF(3).elem(2), FF(5).elem(4)
+    for op in (lambda x, y: x + y, lambda x, y: x - y,
+               lambda x, y: x * y, lambda x, y: x / y):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    with pytest.raises(ValueError):
+        FF(3, 2).one + FF(3).one
+    assert a != b and FF(3).one != FF(3, 2).one
+
+
+def test_equal_fields_mix_freely():
+    # a field built directly equals the cached one; their elements combine
+    other = FiniteField(5)
+    assert other is not FF(5) and other == FF(5)
+    assert other.elem(3) + FF(5).elem(4) == FF(5).elem(2)
+    assert other.elem(3) * FF(5).elem(4) == other.elem(2)
+
+
+def test_prime_field_element_table():
+    for p in (3, 7, 13):
+        fld = FF(p)
+        assert [c.coeffs for c in fld.prime_elements] == [(c,) for c in range(p)]
+        assert fld.zero is fld.prime_elements[0] and fld.one is fld.prime_elements[1]
+        assert fld.elem(-1) is fld.prime_elements[p - 1]
+    assert FF(3, 2).prime_elements is None

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
 
@@ -172,3 +174,37 @@ def test_ratfunc_field_domain_wrapper():
     assert dom.one == RatFunc(UPoly.const(fld, 1))
     assert dom.elem(3) == RatFunc(UPoly.const(fld, 3))
     assert dom.p == 5
+
+
+def test_mixed_field_polynomials_raise():
+    f3, f5 = FF(3), FF(5)
+    with pytest.raises(ValueError):
+        UPoly(f3, [f3.one, f5.one])
+    with pytest.raises(ValueError):
+        UPoly(f3, [1, 2])
+    a = UPoly(f3, [f3.zero, f3.one])
+    b = UPoly(f5, [f5.one, f5.one])
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x.divmod(y), lambda x, y: x.gcd(y)):
+        with pytest.raises(ValueError):
+            op(a, b)
+    c = UPoly(FF(3, 2), [FF(3, 2).one, FF(3, 2).one])
+    with pytest.raises(ValueError):
+        a * c
+
+
+def test_mixed_field_gcd_raises_at_once():
+    # used to loop forever: divmod left a remainder of full degree
+    with pytest.raises(ValueError):
+        UPoly(FF(3), [FF(3).zero, FF(3).one]).gcd(
+            UPoly(FF(3), [FF(5).one, FF(5).one]))
+
+
+def test_gcd_with_a_nonzero_constant_is_one():
+    for fld in (FF(5), FF(3, 2)):
+        one, c = UPoly.const(fld, 1), UPoly.const(fld, 2)
+        f = UPoly.x(fld) ** 3 + UPoly.x(fld)
+        for a, b in ((f, c), (c, f), (UPoly(fld), c), (c, UPoly(fld)), (c, c)):
+            assert a.gcd(b) == one
+        assert f.gcd(UPoly(fld)) == f.monic()
+        assert UPoly(fld).gcd(UPoly(fld)).is_zero()
