@@ -19,6 +19,16 @@ GOLDEN = {
     "vojta-demo.json": ["vojta-demo", "--p", "3", "--d", "1", "--n", "5",
                         "--M", "10", "--seed", "0"],
     "height.json": ["height"],
+    "northcott-demo.json": ["northcott-demo", "--p", "3"],
+    "cover.json": ["cover", "--p", "3", "--N", "1", "--d", "1", "--n", "1",
+                   "--seed", "2"],
+    "normalform.json": ["normalform", "--p", "5", "--poly",
+                        "x1^2 + 3*x1 + x2^2 + x2 + 2", "--point", "1,2",
+                        "--r", "4"],
+    "desing.json": ["desing", "--p", "13", "--n", "3"],
+    "adjunction.json": ["adjunction", "--p", "3", "--d", "1", "--n", "5",
+                        "--k", "4"],
+    "isotriviality.json": ["isotriviality", "--p", "5"],
 }
 
 
