@@ -19,7 +19,7 @@ import functools
 import itertools
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     f = 2
@@ -161,7 +161,7 @@ class FiniteField:
     """The field F_{p^m}, p an odd prime, in a fixed polynomial basis."""
 
     def __init__(self, p, m=1, modulus=None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if p == 2:
             raise ValueError("characteristic 2 is not supported")

@@ -19,7 +19,7 @@ from .multipoly import MultiPoly
 
 _BITS = 6
 _MASK = (1 << _BITS) - 1
-_MAX_ORDER = 1 << (_BITS - 1)
+MAX_ORDER = 1 << (_BITS - 1)
 
 _DEG_CACHE = {}
 
@@ -56,8 +56,8 @@ class Jet:
     __slots__ = ("domain", "n", "order", "terms", "_int")
 
     def __init__(self, domain, n, order, terms=None, _raw=None):
-        if order < 1 or order > _MAX_ORDER:
-            raise ValueError(f"jet order must be in 1..{_MAX_ORDER}")
+        if order < 1 or order > MAX_ORDER:
+            raise ValueError(f"jet order must be in 1..{MAX_ORDER}")
         self.domain = domain
         self.n = n
         self.order = order

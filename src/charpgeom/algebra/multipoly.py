@@ -12,7 +12,10 @@ deliberately avoided: every identity the covering and blow-up machinery needs
 decided exactly by cross-multiplication.
 """
 
+import itertools
 import re
+
+from .linalg import det
 
 
 class MultiPoly:
@@ -289,20 +292,29 @@ class MultiPoly:
 
 
 _TERM_FACTOR = re.compile(r"^([a-zA-Z]\w*)(?:\^(\d+))?$")
+_TERMS = re.compile(r"-?[^+-]+(?:[+-][^+-]+)*")
+
+
+def split_terms(text):
+    """(negative, term) pairs of a polynomial text, split at `+` and `-`.
+
+    Raises ValueError on an empty term (`t^2+`, `t++1`, `+t`); a leading
+    `-` is allowed."""
+    text = text.replace(" ", "")
+    if not _TERMS.fullmatch(text):
+        raise ValueError(f"empty term in {text!r}")
+    return [(sign == "-", raw)
+            for sign, raw in re.findall(r"([+-]?)([^+-]+)", text)]
 
 
 def parse_poly(text, domain, names):
-    """Parse the canonical `c*x1^a1*...` encoding (and `-` as a convenience)."""
+    """Parse the canonical `c*x1^a1*...` encoding (and `-` as a convenience).
+
+    Raises ValueError on an empty term (see `split_terms`)."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    text = text.replace("-", "+-").replace(" ", "")
     acc = MultiPoly(domain, n)
-    for raw in text.split("+"):
-        if not raw:
-            continue
-        neg = raw.startswith("-")
-        if neg:
-            raw = raw[1:]
+    for neg, raw in split_terms(text):
         coeff = domain.one
         exps = [0] * n
         for factor in raw.split("*"):
@@ -324,13 +336,24 @@ def _parse_coeff(text, domain):
     return base.elem(int(text))
 
 
-def hessian_at(f, point):
-    """Symmetric matrix of second partials at the point, plus nondegeneracy.
+def monomials_of_degree(nvars, deg):
+    """Exponent tuples of the degree-`deg` monomials in `nvars` variables,
+    by stars and bars, in increasing lexicographic order."""
+    for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
+        exps = []
+        prev = -1
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(deg + nvars - 2 - prev)
+        yield tuple(exps)
+
+
+def hessian_matrix(f):
+    """Symmetric matrix of the second partials of f, as polynomials.
 
     Rejects characteristic 2 (the quadratic-form normalization downstream
-    divides by 2).  Returns (matrix, nondegenerate) where nondegenerate means
-    the determinant is nonzero.
-    """
+    divides by 2)."""
     if f.domain.p == 2:
         raise ValueError("Hessians are not supported in characteristic 2")
     n = f.n
@@ -338,38 +361,17 @@ def hessian_at(f, point):
     mat = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = grads[i].derivative(j).evaluate(point)
-            mat[i][j] = v
-            mat[j][i] = v
+            mat[i][j] = mat[j][i] = grads[i].derivative(j)
+    return mat
+
+
+def hessian_at(f, point):
+    """Symmetric matrix of second partials at the point, plus nondegeneracy.
+
+    Returns (matrix, nondegenerate) where nondegenerate means the
+    determinant is nonzero; rejects characteristic 2."""
+    mat = [[h.evaluate(point) for h in row] for row in hessian_matrix(f)]
     return mat, bool(det(mat, f.domain))
-
-
-def det(mat, domain):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    zero = domain.zero
-    sign = domain.one
-    acc = domain.one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            return zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        acc = acc * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if a[r][col] != zero:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-    return sign * acc
 
 
 class RatExpr:

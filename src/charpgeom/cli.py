@@ -5,25 +5,25 @@ report, either human-readable text or a stable structured (JSON) form.  A
 report consists of the scenario id, its parameters and seed, the computed
 outputs, and a list of named assertions with pass/fail; the process exit
 code is 0 exactly when every assertion passed, 1 when one failed, and 2 when
-the arguments are rejected (one line on stderr, e.g. `--M 0` or `--jobs 0`).
+the arguments are rejected (one line on stderr, e.g. `--M 0` or `--p 4`).
 Reports are byte-identical for identical (params, seed): no timestamps, no
 unordered containers.
 
 Subcommands: height, northcott-demo, cover, normalform, desing, adjunction,
 isotriviality, vojta-demo.  Shared flags: --p --m --n --d --seed --out
---jobs --format.
+--format.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 
-from .algebra.finitefield import FF
+from .algebra.finitefield import FF, is_prime
 from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import MultiPoly, parse_poly
+from .algebra.multipoly import MultiPoly, det, parse_poly, split_terms
+from .algebra.jets import MAX_ORDER
 from . import heights, covers, normalform, desing, picard
 
 FORMAT_VERSION = "charpgeom-report/1"
@@ -177,7 +177,7 @@ def _scenario_example2(params, seed):
 def _scenario_example3(params, seed):
     fld = FF(params.get("p", 5), params.get("m", 1))
     t = UPoly.x(fld)
-    g = [RatFunc(t), RatFunc(zero_poly(fld)), RatFunc(zero_poly(fld)),
+    g = [RatFunc(t), RatFunc(UPoly(fld)), RatFunc(UPoly(fld)),
          RatFunc(UPoly.const(fld, 1))]          # g(x) = x^3 + t
     fam = heights.example3_bounded_degree(g, list(fld.elements()))
     recs = fam.extras["records"]
@@ -201,24 +201,14 @@ def _scenario_example3(params, seed):
             "height_bound": fam.extras["height_bound"]}, assertions
 
 
-def zero_poly(fld):
-    return UPoly(fld)
-
-
-def _scenario_northcott(params, seed, jobs=1):
+def _scenario_northcott(params, seed):
     parts = [("example1", _scenario_example1),
              ("example2", _scenario_example2),
              ("example3", _scenario_example3)]
     outputs = {}
     assertions = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [(name, pool.submit(fn, params, seed)) for name, fn in parts]
-            results = [(name, f.result()) for name, f in futs]
-    else:
-        results = [(name, fn(params, seed)) for name, fn in parts]
-    for name, (out, asserts) in results:
-        outputs[name] = out
+    for name, fn in parts:
+        outputs[name], asserts = fn(params, seed)
         for a in asserts:
             assertions.append(Assertion(f"{name}: {a.name}", a.passed, a.detail))
     return outputs, assertions
@@ -313,7 +303,6 @@ def _scenario_normalform(params, seed):
 
 
 def _random_nondegenerate(fld, nvars, r, rng):
-    from .algebra.multipoly import det
     while True:
         mat = [[fld.from_index(rng.randrange(fld.order)) for _ in range(nvars)]
                for _ in range(nvars)]
@@ -489,19 +478,13 @@ _SCENARIOS = {
 }
 
 
-def run_scenario(name, params=None, seed=0, jobs=1):
+def run_scenario(name, params=None, seed=0):
     """Run a registered scenario; deterministic given (params, seed)."""
     if name not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     params = dict(params or {})
-    fn = _SCENARIOS[name]
-    if name == "northcott-demo":
-        outputs, assertions = fn(params, seed, jobs=jobs)
-    else:
-        outputs, assertions = fn(params, seed)
+    outputs, assertions = _SCENARIOS[name](params, seed)
     return ScenarioReport(scenario=name, params=params, seed=seed,
                           outputs=outputs, assertions=assertions)
 
@@ -516,14 +499,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text):
+def _int_where(accept, need):
+    """Argument type: an integer for which accept(value) holds; `need`
+    names that condition in the error message."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+    return parse
+
+
+def _poly_texts(text):
+    """Comma-separated polynomial texts, each without an empty term."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        for part in text.split(","):
+            split_terms(part)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _build_parser():
@@ -532,7 +530,10 @@ def _build_parser():
         description="exact positive-characteristic geometry scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="characteristic")
+    common.add_argument("--p", default=None,
+                        type=_int_where(lambda v: v != 2 and is_prime(v),
+                                        "an odd prime"),
+                        help="characteristic, an odd prime")
     common.add_argument("--m", type=int, default=None,
                         help="field extension degree (q = p^m)")
     common.add_argument("--n", type=int, default=None, help="twist exponent")
@@ -540,19 +541,21 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None,
                         help="write the report to this path")
-    common.add_argument("--jobs", type=_positive_int, default=1)
     common.add_argument("--format", dest="fmt", default="text",
                         choices=["text", "json-like-structured"])
     sub.add_parser("height", parents=[common]).add_argument(
-        "--coords", type=str, default=None,
+        "--coords", type=_poly_texts, default=None,
         help="comma-separated coordinate polynomials in t")
     sub.add_parser("northcott-demo", parents=[common]).add_argument(
         "--N", dest="N", type=int, default=None)
     sub.add_parser("cover", parents=[common]).add_argument(
         "--N", dest="N", type=int, default=None)
     nf = sub.add_parser("normalform", parents=[common])
-    nf.add_argument("--r", type=int, default=None, help="truncation order")
-    nf.add_argument("--poly", type=str, default=None,
+    nf.add_argument("--r", default=None,
+                    type=_int_where(lambda v: 1 <= v <= MAX_ORDER,
+                                    f"in 1..{MAX_ORDER}"),
+                    help="truncation order")
+    nf.add_argument("--poly", type=_poly_texts, default=None,
                     help="polynomial in x1..xn")
     nf.add_argument("--point", type=str, default=None,
                     help="critical point, comma-separated coordinates")
@@ -561,7 +564,8 @@ def _build_parser():
     adj.add_argument("--k", type=int, default=None, help="number of blow-ups")
     sub.add_parser("isotriviality", parents=[common])
     vd = sub.add_parser("vojta-demo", parents=[common])
-    vd.add_argument("--M", dest="M", type=_positive_int, default=None,
+    vd.add_argument("--M", dest="M", default=None,
+                    type=_int_where(lambda v: v >= 1, "at least 1"),
                     help="maximum section degree")
     vd.add_argument("--bundle-seed", dest="bundle_seed", type=int, default=None)
     return parser
@@ -576,8 +580,7 @@ def main(argv=None):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    report = run_scenario(args.command, params, seed=args.seed,
-                          jobs=args.jobs)
+    report = run_scenario(args.command, params, seed=args.seed)
     if args.fmt == "json-like-structured":
         text = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
     else:

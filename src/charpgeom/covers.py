@@ -31,7 +31,9 @@ from random import Random
 
 from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
-from .algebra.multipoly import MultiPoly, RatExpr, hessian_at
+from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
+                                 monomials_of_degree)
+from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from . import heights as heights_mod
 
@@ -141,17 +143,9 @@ def cover_of_projective_space(fld_or_domain, N, d, n, p, form):
     def pos(i, j):
         return j if j < i else j - 1
 
-    charts = []
-    for i in range(nv):
-        subs = []
-        for j in range(nv):
-            if j == i:
-                subs.append(MultiPoly.const(domain, N, 1))
-            else:
-                subs.append(MultiPoly.var(domain, N, pos(i, j)))
-        f_i = form.subs(subs)
-        names = tuple(f"x{j}_{i}" for j in range(nv) if j != i)
-        charts.append(CoverChart(index=i, names=names, f=f_i))
+    charts = [CoverChart(index=i, f=f_i,
+                         names=tuple(f"x{j}_{i}" for j in range(nv) if j != i))
+              for i, f_i in enumerate(dehomogenize_charts(form, N))]
     for i in range(nv):
         for j in range(nv):
             if i == j:
@@ -237,15 +231,16 @@ def singular_points(cover, ext=1, groebner_check=True, max_pairs=4000):
     completeness = {}
     for ch in cover.charts:
         f = ch.f if ext == 1 else ch.f.map_coefficients(search, embed)
-        grads = f.gradient()
+        hess = hessian_matrix(f)
         found = []
-        for point in _gradient_zeros(grads, search, f.n):
-            _, nondeg = hessian_at(f, point)
-            hdet = _sym_det_at(f, point)
-            rec = SingularPointRecord(
-                chart_index=ch.index, point=point, hessian_det=hdet,
-                degenerate=not nondeg, fld=search)
-            found.append(rec)
+        for point in _gradient_zeros(f.gradient(), search, f.n):
+            # two determinant algorithms on one evaluated matrix: the
+            # report's Hessian determinant cross-checks the verdict
+            mat = [[h.evaluate(point) for h in row] for row in hess]
+            found.append(SingularPointRecord(
+                chart_index=ch.index, point=point,
+                hessian_det=cofactor_det(mat),
+                degenerate=not det(mat, search), fld=search))
         records.extend(found)
         if groebner_check:
             completeness[ch.index] = _gradient_completeness(
@@ -262,14 +257,13 @@ def _gradient_zeros(grads, search, n):
     For two variables the sweep collapses the first coordinate and Horner-
     evaluates the resulting univariates, which makes exhaustive searches
     over quadratic extensions cheap even for high-degree sections."""
+    elems = list(search.elements())
     if n != 2:
-        for pt in itertools.product(range(search.order), repeat=n):
-            point = tuple(search.from_index(k) for k in pt)
+        for point in itertools.product(elems, repeat=n):
             if all(g.evaluate(point) == search.zero for g in grads):
                 yield point
         return
     g1, g2 = grads
-    elems = [search.from_index(k) for k in range(search.order)]
     for a in elems:
         u1 = _collapse_first(g1, a)
         u2 = None
@@ -294,26 +288,6 @@ def _collapse_first(f, a):
     for (i, j), c in f.terms.items():
         coeffs[j] = coeffs[j] + c * pows[i]
     return UPoly(fld, coeffs)
-
-
-def _sym_det_at(f, point):
-    n = f.n
-    mat = [[f.derivative(i).derivative(j).evaluate(point) for j in range(n)]
-           for i in range(n)]
-    return _num_det(mat, f.domain)
-
-
-def _num_det(mat, fld):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = fld.zero
-    sign = fld.one
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        acc = acc + sign * mat[0][j] * _num_det(minor, fld)
-        sign = -sign
-    return acc
 
 
 def _gradient_completeness(f, found, max_pairs):
@@ -341,20 +315,7 @@ def _gradient_completeness(f, found, max_pairs):
 
 def symbolic_hessian_det(f):
     """det of the symbolic Hessian matrix, by cofactor expansion (n small)."""
-    n = f.n
-    mat = [[f.derivative(i).derivative(j) for j in range(n)] for i in range(n)]
-    return _poly_det(mat, f.domain, n)
-
-
-def _poly_det(mat, domain, n):
-    if n == 1:
-        return mat[0][0]
-    acc = MultiPoly(domain, mat[0][0].n)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor, domain, n - 1)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    return cofactor_det(hessian_matrix(f))
 
 
 def classify_section(chart_sections, max_pairs=4000):
@@ -387,25 +348,14 @@ def classify_section(chart_sections, max_pairs=4000):
     return verdict, detail
 
 
-def _monomials_of_degree(nvars, deg):
-    for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(deg + nvars - 2 - prev)
-        yield tuple(exps)
-
-
 def random_homogeneous_form(fld, nvars, deg, rng):
     terms = {}
-    for e in _monomials_of_degree(nvars, deg):
+    for e in monomials_of_degree(nvars, deg):
         c = rng.randrange(fld.order)
         if c:
             terms[e] = fld.from_index(c)
     if not terms:
-        e = next(iter(_monomials_of_degree(nvars, deg)))
+        e = next(iter(monomials_of_degree(nvars, deg)))
         terms[e] = fld.one
     return MultiPoly(fld, nvars, terms)
 
@@ -760,17 +710,16 @@ class VojtaLiftBundle:
         return (full[1] * inv, full[2] * inv)
 
 
-def make_vojta_bundle(p, d, n, fld, seed=0, max_search=400, certify_pairs=0):
+def make_vojta_bundle(p, d, n, fld, seed=0, max_search=400):
     """Seeded search for a degree-n*d*p cover of P^2 with clean singularities.
 
     Accepts the first seeded form that is not a p-th power and whose
     singular points found over F_q and F_{q^2} (all charts, exhaustive
-    sweeps) are all nondegenerate.  The closure certificate on (grad f,
-    det Hess f) is attempted only when certify_pairs > 0; at the demo degree
-    (n*d*p = 15) the pair budget is genuinely out of reach for the Buchberger
-    engine, and the record says "skipped"/"exhausted" rather than pretending
-    a certificate exists.  A sample with a *proven* degenerate point is
-    always rejected.
+    sweeps) are all nondegenerate; a sample with a found degenerate point is
+    rejected.  The closure certificate on (grad f, det Hess f) is not
+    attempted: at the demo degree (n*d*p = 15) one chart already takes
+    hundreds of Buchberger pairs and minutes, so the record says "skipped"
+    rather than pretending a certificate exists.
     """
     if fld.p != p:
         raise ValueError("the Frobenius lifting needs char(k) = p")
@@ -788,17 +737,10 @@ def make_vojta_bundle(p, d, n, fld, seed=0, max_search=400, certify_pairs=0):
         recs2, _ = singular_points(cover, ext=2, groebner_check=False)
         if any(r.degenerate for r in recs2):
             continue
-        if certify_pairs > 0:
-            verdict, detail = classify_section(
-                [ch.f for ch in cover.charts], max_pairs=certify_pairs)
-            if verdict == "bad":
-                continue
-        else:
-            verdict = "skipped"
-            detail = [(i, "skipped", "closure certificate not attempted at "
-                                     "this degree; F_q and F_{q^2} sweeps "
-                                     "found no degenerate point")
-                      for i in range(3)]
+        detail = [(i, "skipped", "closure certificate not attempted at "
+                                 "this degree; F_q and F_{q^2} sweeps "
+                                 "found no degenerate point")
+                  for i in range(3)]
         f0 = cover.charts[0].f
         tdom = RatFuncField(fld, "t")
         h = f0.map_coefficients(tdom, lambda c: tdom.elem(

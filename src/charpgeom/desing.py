@@ -18,6 +18,7 @@ factorization (and the adjunction computation that consumes it) gives 2.
 Both discrepancies are resolved in favor of the verified factorization.
 """
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.finitefield import FF, FiniteField
@@ -158,7 +159,7 @@ def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000,
             if search.order ** equation.n > witness_cap:
                 continue
             grads = eq.gradient()
-            for pt in _all_points(search, eq.n):
+            for pt in itertools.product(search.elements(), repeat=eq.n):
                 if eq.evaluate(pt) == search.zero and \
                         all(g.evaluate(pt) == search.zero for g in grads):
                     return "singular", {"witness": pt, "field": search}
@@ -166,13 +167,6 @@ def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000,
         return "exhausted", {"pairs": res.pairs_processed}
     return "inconclusive", {"note": "no unit certificate; no witness in the "
                                     "searched fields", "basis": res.basis}
-
-
-def _all_points(fld, n):
-    import itertools
-    idx = range(fld.order)
-    for combo in itertools.product(idx, repeat=n):
-        yield tuple(fld.from_index(k) for k in combo)
 
 
 def desingularize(p, n, fld=None, certify=True):

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
 
-from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import MultiPoly
+from .algebra.unipoly import UPoly, RatFunc, RatFuncField
+from .algebra.multipoly import MultiPoly, monomials_of_degree
+from .algebra.linalg import rank_and_nullvector
 from . import picard
 
 
@@ -208,85 +209,36 @@ def density_check(points, N, D, fld=None):
     """
     if isinstance(points, PointFamily):
         points = points.points
-    monos = sorted(_monomials_of_degree(N + 1, D), reverse=True)
+    monos = sorted(monomials_of_degree(N + 1, D), reverse=True)
+    if not points and fld is None:
+        raise ValueError("empty family needs an explicit field")
+    dom = RatFuncField(points[0].field if points else fld)
     if not points:
         # degenerate input: every form vanishes on the empty family
-        if fld is None:
-            raise ValueError("empty family needs an explicit field")
-        from .algebra.unipoly import RatFuncField
-        dom = RatFuncField(fld)
         form = MultiPoly(dom, N + 1, {monos[0]: dom.one})
         return DensityVerdict(dense=False, rank=0, n_monomials=len(monos),
                               degree=D, vanishing_form=form)
-    fld = points[0].field
     rows = []
     for pt in points:
         coords = [RatFunc(c) for c in pt.coords]
         row = []
         for e in monos:
-            v = RatFunc(UPoly.const(fld, 1))
+            v = dom.one
             for c, k in zip(coords, e):
                 if k:
                     v = v * c ** k
             row.append(v)
         rows.append(row)
-    rank, null_vec = _rank_and_nullvector(fld, rows, len(monos))
+    rank, null_vec = rank_and_nullvector(rows, len(monos), dom)
     if null_vec is None:
         return DensityVerdict(dense=True, rank=rank, n_monomials=len(monos),
                               degree=D)
-    from .algebra.unipoly import RatFuncField
-    dom = RatFuncField(fld)
     form = MultiPoly(dom, N + 1)
     for e, c in zip(monos, null_vec):
         if not c.is_zero():
             form.terms[e] = c
     return DensityVerdict(dense=False, rank=rank, n_monomials=len(monos),
                           degree=D, vanishing_form=form)
-
-
-def _monomials_of_degree(nvars, d):
-    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + nvars - 2 - prev)
-        yield tuple(exps)
-
-
-def _rank_and_nullvector(fld, rows, ncols):
-    """Exact rank over k(t); when rank < ncols also a nonzero null vector."""
-    one = RatFunc(UPoly.const(fld, 1))
-    zero = RatFunc(UPoly(fld))
-    mat = [row[:] for row in rows]
-    pivots = []        # (row, col)
-    prow = 0
-    for col in range(ncols):
-        piv = next((r for r in range(prow, len(mat)) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[prow], mat[piv] = mat[piv], mat[prow]
-        inv = 1 / mat[prow][col]
-        mat[prow] = [x * inv for x in mat[prow]]
-        for r in range(len(mat)):
-            if r != prow and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == len(mat):
-            break
-    rank = len(pivots)
-    if rank == ncols:
-        return rank, None
-    pivot_cols = {c for _, c in pivots}
-    free = next(c for c in range(ncols) if c not in pivot_cols)
-    vec = [zero] * ncols
-    vec[free] = one
-    for r, c in pivots:
-        vec[c] = -mat[r][free]
-    return rank, vec
 
 
 # -- Example 1: constant points --------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .algebra.finitefield import FiniteField
 from .algebra.unipoly import RatFunc, UPoly
-from .algebra.multipoly import det as _det
+from .algebra.linalg import det, inverse, solve
 
 
 @dataclass(frozen=True)
@@ -185,44 +185,6 @@ def _mat_mul(field, a, b):
              for j in range(l)] for i in range(n)]
 
 
-def _solve(field, mat, rhs):
-    """Solve mat * x = rhs over the field; None when singular."""
-    n = len(mat)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    zero = field.zero
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != zero), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != zero:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def _inverse_matrix(field, mat):
-    n = len(mat)
-    a = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(mat)]
-    zero = field.zero
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != zero), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != zero:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def in_general_position(field, points):
     """Every (N+1)-subset of the N+2 points spans; returns offending subset or None."""
     N = len(points[0]) - 1
@@ -230,7 +192,7 @@ def in_general_position(field, points):
         raise ValueError("general-position check expects exactly N+2 points")
     for subset in itertools.combinations(range(N + 2), N + 1):
         mat = [[points[i][j] for i in subset] for j in range(N + 1)]
-        if not _det(mat, field):
+        if not det(mat, field):
             return subset
     return None
 
@@ -254,7 +216,7 @@ def _frame_matrix(field, points):
     """M sending the standard frame e_0..e_N, sum(e_i) to the N+2 points."""
     N = len(points[0]) - 1
     base = [[points[i][j] for i in range(N + 1)] for j in range(N + 1)]
-    lam = _solve(field, base, points[N + 1])
+    lam = solve(base, points[N + 1], field)
     if lam is None or any(not l for l in lam):
         return None
     return [[base[j][i] * lam[i] for i in range(N + 1)] for j in range(N + 1)]
@@ -283,7 +245,7 @@ def pgl_equivalence(config_a, config_b):
     mb = _frame_matrix(field, config_b.points[:N + 2])
     if ma is None or mb is None:
         return PGLResult(equivalent=False, degenerate_subset=())
-    m = _mat_mul(field, mb, _inverse_matrix(field, ma))
+    m = _mat_mul(field, mb, inverse(ma, field))
     for i in range(len(config_a)):
         img = normalize_proj_tuple(field, _mat_vec(field, m, config_a[i]))
         if img != config_b[i]:

@@ -35,13 +35,6 @@ def test_byte_identical_reports():
     assert len(texts) == 1 and len(blobs) == 1
 
 
-def test_jobs_flag_is_deterministic():
-    r1 = run_scenario("northcott-demo", {"p": 3}, seed=0, jobs=1)
-    r2 = run_scenario("northcott-demo", {"p": 3}, seed=0, jobs=3)
-    assert json.dumps(r1.to_structured(), sort_keys=True) == \
-        json.dumps(r2.to_structured(), sort_keys=True)
-
-
 def test_desing_scenario_counts():
     rep = run_scenario("desing", {"p": 5, "n": 2})
     assert rep.passed
@@ -129,8 +122,16 @@ def test_cli_cover_scenario():
     (["vojta-demo", "--M", "0"], "--M"),
     (["vojta-demo", "--M", "-3"], "--M"),
     (["vojta-demo", "--M", "ten"], "--M"),
-    (["vojta-demo", "--jobs", "0"], "--jobs"),
-    (["northcott-demo", "--jobs", "-1"], "--jobs"),
+    (["height", "--p", "4"], "--p"),
+    (["cover", "--p", "4"], "--p"),
+    (["desing", "--p", "9"], "--p"),
+    (["height", "--p", "2"], "--p"),
+    (["height", "--p", "three"], "--p"),
+    (["normalform", "--r", "40"], "--r"),
+    (["normalform", "--r", "0"], "--r"),
+    (["height", "--p", "5", "--coords", "t^2+,1"], "--coords"),
+    (["height", "--coords", "t++1,1"], "--coords"),
+    (["normalform", "--poly", "+x1^2"], "--poly"),
 ])
 def test_cli_rejects_invalid_counts(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -146,5 +147,9 @@ def test_cli_rejects_invalid_counts(argv, flag, capsys):
 def test_scenario_entry_rejects_invalid_counts():
     with pytest.raises(ValueError, match="M >= 1"):
         run_scenario("vojta-demo", {"M": 0})
-    with pytest.raises(ValueError, match="jobs"):
-        run_scenario("northcott-demo", {"p": 3}, jobs=0)
+
+
+def test_cli_accepts_signed_coordinates(capsys):
+    # -t+1 = 4*t+1 and t-1 = t+4 over F_5
+    assert main(["height", "--p", "5", "--coords=-t+1,t-1,1"]) == 0
+    assert "point: (t + 4 : 4*t + 1 : 4)" in capsys.readouterr().out

@@ -165,6 +165,17 @@ def test_text_encoding_round_trip_and_generator_coeffs():
     assert q.constant_term() == f5.elem(4)
 
 
+def test_parse_poly_signs_and_empty_terms():
+    fld = FF(5)
+    t = MultiPoly.var(fld, 1, 0)
+    assert parse_poly("-t+1", fld, ["t"]) == -t + 1
+    assert parse_poly("t-1", fld, ["t"]) == t - 1
+    assert parse_poly(" t - 2*t^2 ", fld, ["t"]) == t - 2 * t ** 2
+    for text in ["t^2+", "t++1", "+t", "t--1", "", "-"]:
+        with pytest.raises(ValueError, match="empty term"):
+            parse_poly(text, fld, ["t"])
+
+
 def test_ratexpr_cross_multiplication_equality():
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
