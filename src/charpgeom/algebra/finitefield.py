@@ -391,11 +391,12 @@ class FiniteField:
 
     def parse_element(self, text):
         text = text.strip()
-        if text.startswith("g^"):
-            return self.generator() ** int(text[2:])
-        if text == "g":
-            return self.generator()
-        return self.elem(int(text))
+        try:
+            if text.startswith("g^"):
+                return self.generator() ** int(text[2:])
+            return self.generator() if text == "g" else self.elem(int(text))
+        except ValueError:
+            raise ValueError(f"{text!r} is not an element of {self!r}") from None
 
 
 class FFElement:

@@ -1,10 +1,19 @@
 """Buchberger engine specialized for unit-ideal certificates.
 
-Monomial order: graded reverse lexicographic.  The engine tracks, for every
-basis element, its representation in terms of the original generators, so
-that a successful membership-of-1 run returns cofactors c_i with
-sum c_i * g_i = 1 that re-verify by plain polynomial expansion, with no trust
-in the engine itself.
+Monomial order: graded reverse lexicographic.  The engine computes on plain
+dicts {packed monomial key: coefficient}, with residues mod p as coefficients
+over a prime field and domain elements otherwise.  A key holds the exponents
+e_1..e_n in guarded fields (its low half) beneath their partial sums
+s_n, ..., s_1 (its high half), so integer order is grevlex order, a monomial
+product is the sum of its factors' keys, and divisibility is one guarded
+subtraction.  A degree above MAX_DEGREE raises ValueError, never wraps.
+
+Instead of carrying representations in terms of the generators, the engine
+records a reduction trace: for each new basis element its parents i and j,
+the S-polynomial multipliers m_i and m_j, the quotients of its reduction and
+its normalising inverse.  A unit certificate replays the trace for the
+ancestry of the unit only; its cofactors c_i with sum c_i * g_i = 1
+re-verify by plain polynomial expansion, with no trust in the engine itself.
 
 Buchberger terminates in theory; in practice a pair/reduction budget guards
 against runaway intermediate growth, and hitting the budget is reported as a
@@ -14,9 +23,13 @@ genuinely lacks a unit (which proves 1 is not in the ideal).
 
 import heapq
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .multipoly import MultiPoly
+
+FIELD_BITS = 16                            # per exponent, guard bit included
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1   # also the mask of one exponent
 
 
 def grevlex_key(exps):
@@ -36,36 +49,218 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _quotient_monomial(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _check_degree(d):
+    if d > MAX_DEGREE:
+        raise ValueError(f"monomial degree {d} exceeds the packed-key bound "
+                         f"MAX_DEGREE = {MAX_DEGREE}")
 
 
-def reduce_poly(f, basis, lead_cache=None):
+class _Ring:
+    """Packed monomials in n variables, and the coefficient kernel on domain
+    elements; `_Residues` replaces the kernel over prime fields."""
+
+    def __init__(self, domain, n):
+        self.domain, self.n = domain, n
+        self.low_bits = FIELD_BITS * n
+        self.low_mask = (1 << self.low_bits) - 1
+        self.guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n))
+        self.prefix = sum(1 << (FIELD_BITS * i) for i in range(n))
+        self.top = 2 * self.low_bits - FIELD_BITS     # key >> top is the degree
+        self.one = self.coeff(domain.one)
+        self.minus_one = -self.one
+        self._exps = {}
+
+    def key(self, low):
+        """Key of the exponent fields `low`: their partial sums, from one
+        multiplication, on top.  Exact up to degree 2 * MAX_DEGREE (lcms)."""
+        high = low * self.prefix & self.low_mask
+        _check_degree(high >> (self.low_bits - FIELD_BITS))
+        return high << self.low_bits | low
+
+    def lcm(self, a, b):
+        """Exponent fields of the lcm of two keys."""
+        a, b = a & self.low_mask, b & self.low_mask
+        ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
+        ge -= ge >> (FIELD_BITS - 1)                  # ... widened to a mask
+        return (a & ge) | (b & ~ge)
+
+    def pack(self, poly):
+        out = {}
+        for exps, c in poly.terms.items():
+            _check_degree(sum(exps))
+            low = sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
+            out[self.key(low)] = self.coeff(c)
+        return out
+
+    def unpack(self, packed):
+        """MultiPoly of a packed dict.  Exponent tuples are shared with
+        every polynomial this ring unpacked: results keep whole bases and
+        cofactors, and sharing keeps them small."""
+        out = MultiPoly(self.domain, self.n)
+        exps, shifts = self._exps, range(0, self.low_bits, FIELD_BITS)
+        for k, c in packed.items():
+            e = exps.get(k)
+            if e is None:
+                e = exps[k] = tuple(k >> s & MAX_DEGREE for s in shifts)
+            out.terms[e] = self.element(c)
+        return out
+
+    # -- coefficient kernel: conversions, inverse, scaling, shifted
+    # -- multiply-subtract
+
+    def coeff(self, c):
+        return c
+
+    def element(self, c):
+        return c
+
+    def inverse(self, c):
+        return c.inverse()
+
+    def scale(self, poly, c):
+        return {k: v * c for k, v in poly.items()}
+
+    def submul(self, work, poly, shift, c):
+        """work -= c * x^shift * poly, in place."""
+        get, zero = work.get, self.domain.zero
+        for k, v in poly.items():
+            k += shift
+            r = get(k, zero) - c * v
+            if r:
+                work[k] = r
+            else:
+                del work[k]
+
+
+class _Residues(_Ring):
+    """The coefficient kernel over F_p, on residues 0..p-1."""
+
+    def coeff(self, c):
+        return c.coeffs[0]
+
+    def element(self, r):
+        return self.domain.prime_elements[r]
+
+    def inverse(self, c):
+        return pow(c, -1, self.domain.p)
+
+    def scale(self, poly, c):
+        p = self.domain.p
+        return {k: v * c % p for k, v in poly.items()}
+
+    def submul(self, work, poly, shift, c):
+        get, p = work.get, self.domain.p
+        for k, v in poly.items():
+            k += shift
+            r = (get(k, 0) - c * v) % p
+            if r:
+                work[k] = r
+            else:
+                del work[k]
+
+
+def _ring(domain, n):
+    if getattr(domain, "prime_elements", None) is not None:
+        return _Residues(domain, n)
+    return _Ring(domain, n)
+
+
+# How a basis element came about: `gen` is the generator index of an input
+# element inv * g, and None for inv * (m_i f_i - m_j f_j - sum_k q_k f_k).
+_Step = namedtuple("_Step", "inv gen i j mi mj quotients",
+                   defaults=(None,) * 5)
+
+
+class _Basis:
+    """Monic packed polynomials, with the leading keys and exponent fields
+    the division loop reads, and the trace step of each."""
+
+    def __init__(self, ring, ngens=0):
+        self.ring, self.ngens = ring, ngens
+        self.polys, self.leads, self.lows, self.steps, self._reps = [], [], [], [], {}
+
+    def append(self, poly, step=None):
+        lm = max(poly)
+        self.polys.append(poly)
+        self.leads.append(lm)
+        self.lows.append(lm & self.ring.low_mask)
+        self.steps.append(step)
+
+    def reduce(self, f):
+        low_mask, guard = self.ring.low_mask, self.ring.guard
+        submul = self.ring.submul
+        work, rem, quotients = dict(f), {}, {}
+        while work:
+            lm = max(work)
+            g = (lm & low_mask) | guard
+            for i, low in enumerate(self.lows):
+                if (g - low) & guard == guard:       # lead i divides lm
+                    c, shift = work[lm], lm - self.leads[i]
+                    quotients.setdefault(i, {})[shift] = c
+                    submul(work, self.polys[i], shift, c)
+                    break
+            else:
+                rem[lm] = work.pop(lm)
+        return quotients, rem
+
+    def representation(self, k):
+        """Cofactors, one MultiPoly per generator, with element k equal to
+        sum c_i g_i.  Replays (and memoises) the ancestry of k only."""
+        todo, stack = set(), [k]
+        while stack:
+            x = stack.pop()
+            if x not in todo and x not in self._reps:
+                todo.add(x)
+                st = self.steps[x]
+                if st.gen is None:
+                    stack += [st.i, st.j, *st.quotients]
+        for x in sorted(todo):             # parents before children
+            self._reps[x] = self._replay(self.steps[x])
+        rep = self._reps[k][0]
+        return [self.ring.unpack(rep.get(g, {})) for g in range(self.ngens)]
+
+    def _replay(self, st):
+        """({generator index: packed cofactor}, top degree) of one step."""
+        ring, acc = self.ring, {}
+        if st.gen is not None:
+            return {st.gen: {0: st.inv}}, 0
+
+        def sub(x, shift, c):
+            rep, deg = self._reps[x]
+            _check_degree(deg + (shift >> ring.top))
+            for g, poly in rep.items():
+                ring.submul(acc.setdefault(g, {}), poly, shift, c)
+        sub(st.i, st.mi, ring.minus_one)
+        sub(st.j, st.mj, ring.one)
+        for x, q in st.quotients.items():
+            for shift, c in q.items():
+                sub(x, shift, c)
+        rep = {g: ring.scale(poly, st.inv) for g, poly in acc.items() if poly}
+        return rep, max((max(poly) >> ring.top for poly in rep.values()), default=0)
+
+
+def reduce_poly(f, basis):
     """Full reduction of f by the basis.
 
     Returns (quotients, remainder) with f = sum q_i * basis_i + remainder and
-    no remainder term divisible by any basis leading monomial.
+    no remainder term divisible by any basis leading monomial; each leading
+    term goes to the first basis element whose leading monomial divides it.
+    On MultiPolys the quotients are a list, one per basis element.  Inside
+    the engine f is packed, basis is a `_Basis`, and the quotients are a dict
+    {basis index: packed quotient} of the nonzero ones.
     """
-    domain, n = f.domain, f.n
-    if lead_cache is None:
-        lead_cache = [leading_term(b) for b in basis]
-    quotients = [MultiPoly(domain, n) for _ in basis]
-    rem = MultiPoly(domain, n)
-    work = f
-    while not work.is_zero():
-        lm, lc = leading_term(work)
-        for i, (blm, blc) in enumerate(lead_cache):
-            if _divides(blm, lm):
-                q = MultiPoly.monomial(domain, n, _quotient_monomial(lm, blm),
-                                       lc / blc)
-                quotients[i] = quotients[i] + q
-                work = work - q * basis[i]
-                break
-        else:
-            t = MultiPoly.monomial(domain, n, lm, lc)
-            rem = rem + t
-            work = work - t
-    return quotients, rem
+    if isinstance(basis, _Basis):
+        return basis.reduce(f)
+    ring = _ring(f.domain, f.n)
+    packed, invs = _Basis(ring), []
+    for b in basis:
+        b = ring.pack(b)
+        invs.append(ring.inverse(b[max(b)]))
+        packed.append(ring.scale(b, invs[-1]))
+    quotients, rem = packed.reduce(ring.pack(f))
+    # f = sum q_i * (inv_i b_i) + rem
+    return ([ring.unpack(ring.scale(quotients.get(i, {}), inv))
+             for i, inv in enumerate(invs)], ring.unpack(rem))
 
 
 @dataclass
@@ -110,72 +305,62 @@ class MembershipResult:
 
 
 def buchberger(generators, max_pairs=50000, stop_at_unit=False):
-    """Buchberger with representation tracking.
+    """Buchberger on packed polynomials, recording a reduction trace.
 
-    Returns (status, entries, pairs) where entries is a list of
-    (poly, representation list) and status is "done", "unit" (only when
-    stop_at_unit and a constant appeared), or "exhausted".
+    Returns (status, basis, pairs, trace): status is "done", "unit" (only
+    when stop_at_unit and a constant appeared, as the last basis element),
+    or "exhausted"; basis is a list of monic MultiPolys; and
+    trace.representation(k) replays the cofactors of basis[k] in terms of
+    the nonzero generators.  Each S-polynomial is reduced by `reduce_poly`.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return "done", [], 0
-    domain, n = gens[0].domain, gens[0].n
-    entries = []   # (poly monic, rep list)
+        return "done", [], 0, None
+    ring = _ring(gens[0].domain, gens[0].n)
+    basis, pairs = _Basis(ring, len(gens)), 0
+
+    def finish(status):
+        return status, [ring.unpack(f) for f in basis.polys], pairs, basis
+
     for idx, g in enumerate(gens):
-        _, lc = leading_term(g)
-        inv = lc.inverse()
-        rep = [MultiPoly(domain, n) for _ in gens]
-        rep[idx] = MultiPoly.const(domain, n, inv)
-        entries.append((g * inv, rep))
-        if g.is_constant():
-            if stop_at_unit:
-                return "unit", entries, 0
-    lead = [leading_term(e[0]) for e in entries]
+        f = ring.pack(g)
+        inv = ring.inverse(f[max(f)])
+        basis.append(ring.scale(f, inv), _Step(inv, idx))
+        if stop_at_unit and g.is_constant():
+            return finish("unit")
 
     counter = itertools.count()
     heap = []
+    leads = basis.leads
     def push_pairs(k):
+        b = leads[k]
         for i in range(k):
-            lmi, lmk = lead[i][0], lead[k][0]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmk))
+            low = ring.lcm(leads[i], b)
             # product criterion: coprime leading monomials reduce to zero
-            if lcm == tuple(a + b for a, b in zip(lmi, lmk)):
-                continue
-            heapq.heappush(heap, (grevlex_key(lcm), next(counter), i, k))
-    for k in range(len(entries)):
+            if low != (leads[i] + b) & ring.low_mask:
+                heapq.heappush(heap, (ring.key(low), next(counter), i, k))
+    for k in range(len(leads)):
         push_pairs(k)
 
-    pairs = 0
     while heap:
         if pairs >= max_pairs:
-            return "exhausted", entries, pairs
-        _, _, i, j = heapq.heappop(heap)
+            return finish("exhausted")
+        lcm, _, i, j = heapq.heappop(heap)
         pairs += 1
-        fi, repi = entries[i]
-        fj, repj = entries[j]
-        lmi, _ = lead[i]
-        lmj, _ = lead[j]
-        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        mi = MultiPoly.monomial(domain, n, _quotient_monomial(lcm, lmi), 1)
-        mj = MultiPoly.monomial(domain, n, _quotient_monomial(lcm, lmj), 1)
-        s = mi * fi - mj * fj
-        rep = [mi * a - mj * b for a, b in zip(repi, repj)]
-        quotients, rem = reduce_poly(s, [e[0] for e in entries], lead)
-        if rem.is_zero():
+        # every term of m_i f_i and m_j f_j is at most lcm, as are the terms
+        # of its reduction: no key formed below can exceed MAX_DEGREE
+        mi, mj = lcm - leads[i], lcm - leads[j]
+        s = {k + mi: c for k, c in basis.polys[i].items()}
+        ring.submul(s, basis.polys[j], mj, ring.one)
+        quotients, rem = reduce_poly(s, basis)
+        if not rem:
             continue
-        for q, (_, brep) in zip(quotients, entries):
-            if not q.is_zero():
-                rep = [a - q * b for a, b in zip(rep, brep)]
-        _, lc = leading_term(rem)
-        inv = lc.inverse()
-        rem = rem * inv
-        rep = [a * inv for a in rep]
-        entries.append((rem, rep))
-        lead.append(leading_term(rem))
-        if stop_at_unit and rem.is_constant():
-            return "unit", entries, pairs
-        push_pairs(len(entries) - 1)
-    return "done", entries, pairs
+        inv = ring.inverse(rem[max(rem)])
+        basis.append(ring.scale(rem, inv), _Step(inv, None, i, j, mi, mj, quotients))
+        if stop_at_unit and max(rem) == 0:
+            return finish("unit")
+        push_pairs(len(leads) - 1)
+    return finish("done")
 
 
 def groebner_membership_one(generators, max_pairs=50000):
@@ -188,23 +373,18 @@ def groebner_membership_one(generators, max_pairs=50000):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return MembershipResult(status="not_in_ideal", basis=[])
-    status, entries, pairs = buchberger(gens, max_pairs=max_pairs, stop_at_unit=True)
-    basis = [e[0] for e in entries]
-    if status == "unit" or any(b.is_constant() and not b.is_zero() for b in basis):
-        for poly, rep in entries:
-            if poly.is_constant() and not poly.is_zero():
-                c = poly.constant_term()
-                inv = c.inverse()
-                cert = IdealCertificate(generators=gens,
-                                        cofactors=[r * inv for r in rep])
-                if not cert.verify():
-                    raise AssertionError("certificate failed re-verification")
-                return MembershipResult(status="certificate", certificate=cert,
-                                        basis=basis, pairs_processed=pairs)
-    if status == "exhausted":
-        return MembershipResult(status="exhausted", basis=basis,
-                                pairs_processed=pairs)
-    return MembershipResult(status="not_in_ideal", basis=basis,
+    status, basis, pairs, trace = buchberger(gens, max_pairs=max_pairs,
+                                             stop_at_unit=True)
+    if status == "unit":
+        # the unit is the last basis element, and monic: its cofactors are 1's
+        cert = IdealCertificate(generators=gens,
+                                cofactors=trace.representation(len(basis) - 1))
+        if not cert.verify():
+            raise AssertionError("certificate failed re-verification")
+        return MembershipResult(status="certificate", certificate=cert,
+                                basis=basis, pairs_processed=pairs)
+    return MembershipResult(status="exhausted" if status == "exhausted"
+                            else "not_in_ideal", basis=basis,
                             pairs_processed=pairs)
 
 

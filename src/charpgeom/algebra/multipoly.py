@@ -310,7 +310,8 @@ def split_terms(text):
 def parse_poly(text, domain, names):
     """Parse the canonical `c*x1^a1*...` encoding (and `-` as a convenience).
 
-    Raises ValueError on an empty term (see `split_terms`)."""
+    Raises ValueError on an empty term (see `split_terms`) and on a factor
+    that is neither one of `names` nor a coefficient."""
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
     acc = MultiPoly(domain, n)
@@ -322,7 +323,12 @@ def parse_poly(text, domain, names):
             if m and m.group(1) in index:
                 exps[index[m.group(1)]] += int(m.group(2) or 1)
             else:
-                coeff = coeff * domain.elem(_parse_coeff(factor, domain))
+                try:
+                    c = _parse_coeff(factor, domain)
+                except ValueError:
+                    raise ValueError(f"factor {factor!r} is neither a variable "
+                                     f"({', '.join(names)}) nor a coefficient") from None
+                coeff = coeff * domain.elem(c)
         if neg:
             coeff = -coeff
         acc = acc + MultiPoly.monomial(domain, n, exps, coeff)

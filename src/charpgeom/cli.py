@@ -5,7 +5,8 @@ report, either human-readable text or a stable structured (JSON) form.  A
 report consists of the scenario id, its parameters and seed, the computed
 outputs, and a list of named assertions with pass/fail; the process exit
 code is 0 exactly when every assertion passed, 1 when one failed, and 2 when
-the arguments are rejected (one line on stderr, e.g. `--M 0` or `--p 4`).
+the arguments are rejected, by the parser or by a scenario's precondition
+(one line on stderr, e.g. `--M 0`, `--p 4` or `isotriviality --p 3`).
 Reports are byte-identical for identical (params, seed): no timestamps, no
 unordered containers.
 
@@ -99,6 +100,19 @@ def _jsonify(obj):
     return repr(obj)
 
 
+class InvalidInput(ValueError):
+    """A scenario parameter the parser could not check; the CLI reports it
+    like a parser error (exit 2, one line)."""
+
+
+def _parsed(flag, parse, *args):
+    """parse(*args), with a ValueError reported as invalid input for `flag`."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise InvalidInput(f"argument {flag}: {exc}") from None
+
+
 def _field(params):
     return FF(params.get("p", 3), params.get("m", 1))
 
@@ -117,7 +131,7 @@ def _parse_upoly(text, fld):
 def _scenario_height(params, seed):
     fld = _field(params)
     coord_texts = params.get("coords", "t^2+1,t^2+4*t,1").split(",")
-    raw = [_parse_upoly(c.strip(), fld) for c in coord_texts]
+    raw = [_parsed("--coords", _parse_upoly, c.strip(), fld) for c in coord_texts]
     pt = heights.normalize(fld, raw)
     h = heights.weil_height(pt)
     renorm = heights.normalize(fld, pt.coords)
@@ -272,13 +286,17 @@ def _scenario_normalform(params, seed):
     point_text = params.get("point")
     names = [f"x{i+1}" for i in range(nvars)]
     if poly_text:
-        f = parse_poly(poly_text, fld, names)
+        f = _parsed("--poly", parse_poly, poly_text, fld, names)
     else:
         from random import Random
         rng = Random(seed)
         f = _random_nondegenerate(fld, nvars, r, rng)
     if point_text:
-        shift = [fld.parse_element(c) for c in point_text.split(",")]
+        shift = [_parsed("--point", fld.parse_element, c)
+                 for c in point_text.split(",")]
+        if len(shift) != nvars:
+            raise InvalidInput(f"argument --point: needs {nvars} coordinates, "
+                               f"got {len(shift)}")
         subs = [MultiPoly.var(fld, nvars, i) + MultiPoly.const(fld, nvars, shift[i])
                 for i in range(nvars)]
         f = f.subs(subs)
@@ -407,7 +425,8 @@ def _scenario_isotriviality(params, seed):
     p = params.get("p", 5)
     fld = FF(p, params.get("m", 1))
     if p < 5:
-        raise ValueError("isotriviality scenario needs p >= 5 for j-invariants")
+        raise InvalidInput(f"argument --p: isotriviality needs p >= 5 for "
+                           f"j-invariants, got {p}")
     t = UPoly.x(fld)
     j0, iso0 = picard.j_invariant(RatFunc(UPoly(fld)), RatFunc(t))
     j1, iso1 = picard.j_invariant(RatFunc(t), RatFunc(UPoly.const(fld, 1)))
@@ -434,7 +453,7 @@ def _scenario_vojta(params, seed):
     n = params.get("n", 5)
     m_max = params.get("M", 10)
     if m_max < 1:
-        raise ValueError(f"vojta-demo needs M >= 1, got {m_max}")
+        raise InvalidInput(f"argument --M: vojta-demo needs M >= 1, got {m_max}")
     fld = FF(p, params.get("m", 1))
     bundle = covers.make_vojta_bundle(p, d, n, fld,
                                       seed=params.get("bundle_seed", 1))
@@ -534,7 +553,8 @@ def _build_parser():
                         type=_int_where(lambda v: v != 2 and is_prime(v),
                                         "an odd prime"),
                         help="characteristic, an odd prime")
-    common.add_argument("--m", type=int, default=None,
+    common.add_argument("--m", default=None,
+                        type=_int_where(lambda v: v >= 1, "at least 1"),
                         help="field extension degree (q = p^m)")
     common.add_argument("--n", type=int, default=None, help="twist exponent")
     common.add_argument("--d", type=int, default=None, help="polarization degree")
@@ -580,7 +600,10 @@ def main(argv=None):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    report = run_scenario(args.command, params, seed=args.seed)
+    try:
+        report = run_scenario(args.command, params, seed=args.seed)
+    except InvalidInput as exc:
+        parser.exit(2, f"charpgeom {args.command}: error: {exc}\n")
     if args.fmt == "json-like-structured":
         text = json.dumps(report.to_structured(), sort_keys=True, indent=2) + "\n"
     else:

@@ -132,6 +132,11 @@ def test_cli_cover_scenario():
     (["height", "--p", "5", "--coords", "t^2+,1"], "--coords"),
     (["height", "--coords", "t++1,1"], "--coords"),
     (["normalform", "--poly", "+x1^2"], "--poly"),
+    # checked at the scenario entry, not by the parser
+    (["isotriviality", "--p", "3"], "--p"),
+    (["height", "--m", "0"], "--m"),
+    (["height", "--coords", "s+1,1"], "--coords"),
+    (["normalform", "--point", "1"], "--point"),
 ])
 def test_cli_rejects_invalid_counts(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

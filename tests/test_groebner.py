@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from charpgeom.algebra import groebner
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.groebner import (
@@ -113,12 +116,12 @@ def test_buchberger_spolys_reduce_to_zero():
     # completed bases pass the Buchberger criterion (spot check)
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
-    status, entries, _ = buchberger([x ** 2 + y, x * y + 1])
+    status, basis, _, trace = buchberger([x ** 2 + y, x * y + 1])
     assert status == "done"
-    basis = [e[0] for e in entries]
-    # representation tracking: every entry equals its stated combination
+    # the trace replay: every entry equals its stated combination
     gens = [x ** 2 + y, x * y + 1]
-    for poly, rep in entries:
+    for k, poly in enumerate(basis):
+        rep = trace.representation(k)
         acc = MultiPoly(fld, 2)
         for c, g in zip(rep, gens):
             acc = acc + c * g
@@ -139,3 +142,51 @@ def test_not_zero_dimensional_returns_none():
     x, y = MultiPoly.variables(fld, 2)
     res = groebner_membership_one([x * y])
     assert standard_monomial_count(res.basis) is None
+
+
+def test_packed_degree_bound_raises_instead_of_wrapping():
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    bound = groebner.MAX_DEGREE
+    too_big = f"degree {bound + 1} exceeds .* MAX_DEGREE = {bound}"
+    # an input monomial
+    with pytest.raises(ValueError, match=too_big):
+        groebner_membership_one([x ** (bound + 1) + 1, y])
+    with pytest.raises(ValueError, match=too_big):
+        reduce_poly(x ** (bound + 1), [x])
+    # an exponent that would carry into the next field: x^(2^16) is not y
+    with pytest.raises(ValueError, match="degree 65536 exceeds"):
+        groebner_membership_one([x ** (1 << 16), y - 1])
+    # an lcm of two leading monomials that are within the bound (the small
+    # budget makes a wrapped lcm fail here rather than run away)
+    with pytest.raises(ValueError, match="degree 40000 exceeds"):
+        groebner_membership_one([x ** 20000 * y + 1, x * y ** 20000 + 1],
+                                max_pairs=5)
+
+
+def test_just_under_the_degree_bound_certifies():
+    # x^B and x^(B-1) - 1: the S-polynomial is x, and the cofactors reach
+    # degree B - 1
+    fld = FF(5)
+    x = MultiPoly.var(fld, 1, 0)
+    bound = groebner.MAX_DEGREE
+    res = groebner_membership_one([x ** bound, x ** (bound - 1) - 1])
+    assert res.status == "certificate"
+    assert res.certificate.verify()
+    assert max(c.total_degree() for c in res.certificate.cofactors) == bound - 1
+
+
+def test_cofactor_replay_checks_the_degree_bound(monkeypatch):
+    # 1 = (1 + xy + ... + (xy)^(d-1)) (1 - xy) + (xy)^d: the basis and every
+    # lcm stay at degree <= d + 1 while the cofactor of 1 - xy reaches
+    # 2(d - 1); with 7-bit exponents (B = 127), d = 64 fits and d = 65 not
+    monkeypatch.setattr(groebner, "FIELD_BITS", 8)
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 127)
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    res = groebner_membership_one([x ** 64, 1 - x * y])
+    assert res.status == "certificate"
+    assert res.certificate.verify()
+    assert max(c.total_degree() for c in res.certificate.cofactors) == 126
+    with pytest.raises(ValueError, match="degree 128 exceeds .* = 127"):
+        groebner_membership_one([x ** 65, 1 - x * y])
