@@ -15,6 +15,7 @@ from charpgeom import covers
 from charpgeom.algebra import groebner
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly, monomials_of_degree
+from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 
 import tests_support_groebner_reference as reference
 
@@ -90,6 +91,21 @@ def test_reduce_poly_matches_reference(p, m):
         f = _random_poly(fld, n, rng, 8, 6)
         assert groebner.reduce_poly(f, divisors) == \
             reference.reduce_poly(f, divisors)
+
+
+def test_other_element_domains_match_reference():
+    # the element kernel also serves k(t) and primes beyond the residue table
+    k_t = RatFuncField(FF(3))
+    t = MultiPoly.const(k_t, 2, k_t.elem(RatFunc(UPoly.x(FF(3)))))
+    x, y = MultiPoly.variables(k_t, 2)
+    u, v = MultiPoly.variables(FF(70001), 2)
+    ideals = [[x * y - t, x * x - 1, y * y - t * t - 1],
+              [t * x * x + y, x * y + t, y * y - 1],
+              [x * x - t, x * y - 1, t * y * y - 1],
+              [u * u - 3, u * v - 1, v - 5]]
+    for gens in ideals:
+        _same_result(groebner.groebner_membership_one(gens),
+                     reference.groebner_membership_one(gens))
 
 
 def test_closure_shaped_ideals_match_reference():
