@@ -1,12 +1,10 @@
 """Buchberger engine specialized for unit-ideal certificates.
 
-Monomial order: graded reverse lexicographic.  The engine computes on plain
-dicts {packed monomial key: coefficient}, with residues mod p as coefficients
-over a prime field and domain elements otherwise.  A key holds the exponents
-e_1..e_n in guarded fields (its low half) beneath their partial sums
-s_n, ..., s_1 (its high half), so integer order is grevlex order, a monomial
-product is the sum of its factors' keys, and divisibility is one guarded
-subtraction.  A degree above MAX_DEGREE raises ValueError, never wraps.
+Monomial order: graded reverse lexicographic.  The engine computes on the
+packed polynomials of `monomials.py`: plain dicts {key: coefficient}, whose
+integer key order is grevlex order, with residues mod p as coefficients over
+a prime field and domain elements otherwise.  A degree above MAX_DEGREE
+raises ValueError, never wraps.
 
 Instead of carrying representations in terms of the generators, the engine
 records a reduction trace: for each new basis element its parents i and j,
@@ -26,10 +24,9 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+from . import monomials
+from .monomials import _check_degree
 from .multipoly import MultiPoly
-
-FIELD_BITS = 16                            # per exponent, guard bit included
-MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1   # also the mask of one exponent
 
 
 def grevlex_key(exps):
@@ -49,122 +46,6 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _check_degree(d):
-    if d > MAX_DEGREE:
-        raise ValueError(f"monomial degree {d} exceeds the packed-key bound "
-                         f"MAX_DEGREE = {MAX_DEGREE}")
-
-
-class _Ring:
-    """Packed monomials in n variables, and the coefficient kernel on domain
-    elements; `_Residues` replaces the kernel over prime fields."""
-
-    def __init__(self, domain, n):
-        self.domain, self.n = domain, n
-        self.low_bits = FIELD_BITS * n
-        self.low_mask = (1 << self.low_bits) - 1
-        self.guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n))
-        self.prefix = sum(1 << (FIELD_BITS * i) for i in range(n))
-        self.top = 2 * self.low_bits - FIELD_BITS     # key >> top is the degree
-        self.one = self.coeff(domain.one)
-        self.minus_one = -self.one
-        self._exps = {}
-
-    def key(self, low):
-        """Key of the exponent fields `low`: their partial sums, from one
-        multiplication, on top.  Exact up to degree 2 * MAX_DEGREE (lcms)."""
-        high = low * self.prefix & self.low_mask
-        _check_degree(high >> (self.low_bits - FIELD_BITS))
-        return high << self.low_bits | low
-
-    def lcm(self, a, b):
-        """Exponent fields of the lcm of two keys."""
-        a, b = a & self.low_mask, b & self.low_mask
-        ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
-        ge -= ge >> (FIELD_BITS - 1)                  # ... widened to a mask
-        return (a & ge) | (b & ~ge)
-
-    def pack(self, poly):
-        out = {}
-        for exps, c in poly.terms.items():
-            _check_degree(sum(exps))
-            low = sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
-            out[self.key(low)] = self.coeff(c)
-        return out
-
-    def unpack(self, packed):
-        """MultiPoly of a packed dict.  Exponent tuples are shared with
-        every polynomial this ring unpacked: results keep whole bases and
-        cofactors, and sharing keeps them small."""
-        out = MultiPoly(self.domain, self.n)
-        exps, shifts = self._exps, range(0, self.low_bits, FIELD_BITS)
-        for k, c in packed.items():
-            e = exps.get(k)
-            if e is None:
-                e = exps[k] = tuple(k >> s & MAX_DEGREE for s in shifts)
-            out.terms[e] = self.element(c)
-        return out
-
-    # -- coefficient kernel: conversions, inverse, scaling, shifted
-    # -- multiply-subtract
-
-    def coeff(self, c):
-        return c
-
-    def element(self, c):
-        return c
-
-    def inverse(self, c):
-        return c.inverse()
-
-    def scale(self, poly, c):
-        return {k: v * c for k, v in poly.items()}
-
-    def submul(self, work, poly, shift, c):
-        """work -= c * x^shift * poly, in place."""
-        get, zero = work.get, self.domain.zero
-        for k, v in poly.items():
-            k += shift
-            r = get(k, zero) - c * v
-            if r:
-                work[k] = r
-            else:
-                del work[k]
-
-
-class _Residues(_Ring):
-    """The coefficient kernel over F_p, on residues 0..p-1."""
-
-    def coeff(self, c):
-        return c.coeffs[0]
-
-    def element(self, r):
-        return self.domain.prime_elements[r]
-
-    def inverse(self, c):
-        return pow(c, -1, self.domain.p)
-
-    def scale(self, poly, c):
-        p = self.domain.p
-        return {k: v * c % p for k, v in poly.items()}
-
-    def submul(self, work, poly, shift, c):
-        get, p = work.get, self.domain.p
-        for k, v in poly.items():
-            k += shift
-            r = (get(k, 0) - c * v) % p
-            if r:
-                work[k] = r
-            else:
-                del work[k]
-
-
-def _ring(domain, n):
-    if getattr(domain, "prime_elements", None) is not None:
-        return _Residues(domain, n)
-    return _Ring(domain, n)
-
-
 # How a basis element came about: `gen` is the generator index of an input
 # element inv * g, and None for inv * (m_i f_i - m_j f_j - sum_k q_k f_k).
 _Step = namedtuple("_Step", "inv gen i j mi mj quotients",
@@ -173,10 +54,11 @@ _Step = namedtuple("_Step", "inv gen i j mi mj quotients",
 
 class _Basis:
     """Monic packed polynomials, with the leading keys and exponent fields
-    the division loop reads, and the trace step of each."""
+    the division loop reads, and the trace step of each.  `exps` is the
+    unpack table of one run, shared by its basis and cofactors."""
 
     def __init__(self, ring, ngens=0):
-        self.ring, self.ngens = ring, ngens
+        self.ring, self.ngens, self.exps = ring, ngens, {}
         self.polys, self.leads, self.lows, self.steps, self._reps = [], [], [], [], {}
 
     def append(self, poly, step=None):
@@ -217,7 +99,8 @@ class _Basis:
         for x in sorted(todo):             # parents before children
             self._reps[x] = self._replay(self.steps[x])
         rep = self._reps[k][0]
-        return [self.ring.unpack(rep.get(g, {})) for g in range(self.ngens)]
+        return [self.ring.unpack(rep.get(g, {}), self.exps)
+                for g in range(self.ngens)]
 
     def _replay(self, st):
         """({generator index: packed cofactor}, top degree) of one step."""
@@ -251,7 +134,7 @@ def reduce_poly(f, basis):
     """
     if isinstance(basis, _Basis):
         return basis.reduce(f)
-    ring = _ring(f.domain, f.n)
+    ring = monomials.ring(f.domain, f.n)
     packed, invs = _Basis(ring), []
     for b in basis:
         b = ring.pack(b)
@@ -259,8 +142,8 @@ def reduce_poly(f, basis):
         packed.append(ring.scale(b, invs[-1]))
     quotients, rem = packed.reduce(ring.pack(f))
     # f = sum q_i * (inv_i b_i) + rem
-    return ([ring.unpack(ring.scale(quotients.get(i, {}), inv))
-             for i, inv in enumerate(invs)], ring.unpack(rem))
+    return ([ring.unpack(ring.scale(quotients.get(i, {}), inv), packed.exps)
+             for i, inv in enumerate(invs)], ring.unpack(rem, packed.exps))
 
 
 @dataclass
@@ -316,11 +199,12 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return "done", [], 0, None
-    ring = _ring(gens[0].domain, gens[0].n)
+    ring = monomials.ring(gens[0].domain, gens[0].n)
     basis, pairs = _Basis(ring, len(gens)), 0
 
     def finish(status):
-        return status, [ring.unpack(f) for f in basis.polys], pairs, basis
+        return (status, [ring.unpack(f, basis.exps) for f in basis.polys],
+                pairs, basis)
 
     for idx, g in enumerate(gens):
         f = ring.pack(g)

@@ -6,54 +6,25 @@ jets is well defined as long as the substituted series have zero constant
 term, and then only depends on the order-r truncations of the inputs; that is
 exactly the regime of the formal normal-form algorithm.
 
-Representation notes: exponent vectors are packed into a single integer,
-6 bits per variable, so monomial multiplication is integer addition (no
-carries for order <= 32, which is far beyond anything used here).  Over a
-prime field the coefficients are stored as plain ints mod p; over extension
-fields and rational-function domains they are domain elements.  This keeps
-the inner loops of jet multiplication cheap without leaking into the API.
+Representation notes: terms are the packed polynomials of `monomials.py`,
+{grevlex key: coefficient}, so a monomial product is key addition and a
+term's degree is `key >> top`.  Because the degree is the key's top field,
+the terms of degree < r are exactly the keys below r << top: truncation is
+one comparison, and a product sorted by key stops each row early.  The
+ring's kernel keeps residues over prime fields and domain elements
+elsewhere; this module has one path for both.
 """
 
-from .finitefield import FiniteField
+from .monomials import ring
 from .multipoly import MultiPoly
 
-_BITS = 6
-_MASK = (1 << _BITS) - 1
-MAX_ORDER = 1 << (_BITS - 1)
-
-_DEG_CACHE = {}
-
-
-def _deg(key):
-    d = _DEG_CACHE.get(key)
-    if d is None:
-        d, k = 0, key
-        while k:
-            d += k & _MASK
-            k >>= _BITS
-        _DEG_CACHE[key] = d
-    return d
-
-
-def _pack(exps):
-    key = 0
-    for i, e in enumerate(exps):
-        key |= e << (_BITS * i)
-    return key
-
-
-def _unpack(key, n):
-    out = []
-    for _ in range(n):
-        out.append(key & _MASK)
-        key >>= _BITS
-    return tuple(out)
+MAX_ORDER = 32
 
 
 class Jet:
     """Polynomial mod m^r: all stored monomials have total degree < r."""
 
-    __slots__ = ("domain", "n", "order", "terms", "_int")
+    __slots__ = ("domain", "n", "order", "terms", "ring")
 
     def __init__(self, domain, n, order, terms=None, _raw=None):
         if order < 1 or order > MAX_ORDER:
@@ -61,46 +32,40 @@ class Jet:
         self.domain = domain
         self.n = n
         self.order = order
-        self._int = isinstance(domain, FiniteField) and domain.m == 1
-        if _raw is not None:
-            self.terms = _raw
-        else:
-            self.terms = {}
-            if terms:
-                for exps, c in terms.items():
-                    if sum(exps) < order:
-                        self._set(_pack(exps), c)
+        self.ring = ring(domain, n)
+        self.terms = {} if _raw is None else _raw
+        if terms:
+            for exps, c in terms.items():
+                if sum(exps) < order:
+                    self._set(self.ring.monomial(exps), c)
+
+    def _like(self, raw):
+        """A jet of this one's ring and order, with packed terms `raw`."""
+        out = Jet.__new__(Jet)
+        out.domain, out.n, out.order = self.domain, self.n, self.order
+        out.ring, out.terms = self.ring, raw
+        return out
+
+    def _coeff(self, c):
+        return self.ring.coeff(self.domain.elem(c) if isinstance(c, int) else c)
 
     def _set(self, key, c):
-        if self._int:
-            c = (c.coeffs[0] if not isinstance(c, int) else c) % self.domain.p
-            if c:
-                self.terms[key] = c
-        else:
-            c = self.domain.elem(c) if isinstance(c, int) else c
-            if c != self.domain.zero:
-                self.terms[key] = c
+        c = self._coeff(c)
+        if c:
+            self.terms[key] = c
 
     @classmethod
     def from_poly(cls, poly, order):
-        jet = cls(poly.domain, poly.n, order)
-        for exps, c in poly.terms.items():
-            if sum(exps) < order:
-                jet._set(_pack(exps), c)
-        return jet
+        return cls(poly.domain, poly.n, order, poly.terms)
 
     @classmethod
     def variable(cls, domain, n, i, order):
         jet = cls(domain, n, order)
-        jet._set(1 << (_BITS * i), domain.one)
+        jet._set(jet.ring.key(1 << jet.ring.shifts[i]), domain.one)
         return jet
 
     def to_poly(self):
-        poly = MultiPoly(self.domain, self.n)
-        for key, c in self.terms.items():
-            poly.terms[_unpack(key, self.n)] = (
-                self.domain.elem(c) if self._int else c)
-        return poly
+        return self.ring.unpack(self.terms, {})
 
     # -- queries -------------------------------------------------------------
 
@@ -109,26 +74,22 @@ class Jet:
 
     def constant_term(self):
         c = self.terms.get(0)
-        if c is None:
-            return self.domain.zero
-        return self.domain.elem(c) if self._int else c
+        return self.domain.zero if c is None else self.ring.element(c)
 
     def min_degree(self):
-        return min((_deg(k) for k in self.terms), default=None)
+        return min(self.terms) >> self.ring.top if self.terms else None
 
     def coefficient(self, exps):
-        c = self.terms.get(_pack(exps))
-        if c is None:
-            return self.domain.zero
-        return self.domain.elem(c) if self._int else c
+        c = None
+        if sum(exps) < self.order:
+            c = self.terms.get(self.ring.monomial(exps))
+        return self.domain.zero if c is None else self.ring.element(c)
 
     def homogeneous_part(self, d):
         """Terms of total degree exactly d, as {exponent tuple: element}."""
-        out = {}
-        for key, c in self.terms.items():
-            if _deg(key) == d:
-                out[_unpack(key, self.n)] = self.domain.elem(c) if self._int else c
-        return out
+        top = self.ring.top
+        part = {k: c for k, c in self.terms.items() if k >> top == d}
+        return self.ring.unpack(part, {}).terms
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.domain == other.domain
@@ -141,44 +102,18 @@ class Jet:
     # -- arithmetic ---------------------------------------------------------------
 
     def truncate(self, order):
-        if order >= self.order:
-            out = Jet(self.domain, self.n, order)
-            out.terms = dict(self.terms)
-            return out
-        raw = {k: c for k, c in self.terms.items() if _deg(k) < order}
+        bound = order << self.ring.top
+        raw = {k: c for k, c in self.terms.items() if k < bound}
         return Jet(self.domain, self.n, order, _raw=raw)
 
     def __add__(self, other):
-        other = self._align(other)
-        res = dict(self.terms)
-        if self._int:
-            p = self.domain.p
-            for k, c in other.terms.items():
-                s = (res.get(k, 0) + c) % p
-                if s:
-                    res[k] = s
-                elif k in res:
-                    del res[k]
-        else:
-            zero = self.domain.zero
-            for k, c in other.terms.items():
-                s = res.get(k, zero) + c
-                if s != zero:
-                    res[k] = s
-                elif k in res:
-                    del res[k]
-        return Jet(self.domain, self.n, self.order, _raw=res)
+        return self._like(self.ring.add(self.terms, self._align(other).terms))
 
     def __sub__(self, other):
         return self + (-self._align(other))
 
     def __neg__(self):
-        if self._int:
-            p = self.domain.p
-            raw = {k: p - c for k, c in self.terms.items()}
-        else:
-            raw = {k: -c for k, c in self.terms.items()}
-        return Jet(self.domain, self.n, self.order, _raw=raw)
+        return self._like(self.ring.scale(self.terms, self.ring.minus_one))
 
     def _align(self, other):
         if isinstance(other, Jet):
@@ -187,64 +122,21 @@ class Jet:
             return other
         if isinstance(other, MultiPoly):
             return Jet.from_poly(other, self.order)
-        jet = Jet(self.domain, self.n, self.order)
+        jet = self._like({})
         jet._set(0, self.domain.elem(other))
         return jet
 
     def __mul__(self, other):
         other = self._align(other)
-        r = self.order
-        res = {}
-        a = [(k, _deg(k), c) for k, c in self.terms.items()]
-        b = [(k, _deg(k), c) for k, c in other.terms.items()]
-        b.sort(key=lambda t: t[1])
-        if self._int:
-            p = self.domain.p
-            get = res.get
-            for k1, d1, c1 in a:
-                lim = r - d1
-                for k2, d2, c2 in b:
-                    if d2 >= lim:
-                        break
-                    k = k1 + k2
-                    res[k] = (get(k, 0) + c1 * c2) % p
-            res = {k: c for k, c in res.items() if c}
-        else:
-            zero = self.domain.zero
-            get = res.get
-            for k1, d1, c1 in a:
-                lim = r - d1
-                for k2, d2, c2 in b:
-                    if d2 >= lim:
-                        break
-                    k = k1 + k2
-                    s = get(k, zero) + c1 * c2
-                    if s != zero:
-                        res[k] = s
-                    elif k in res:
-                        del res[k]
-        return Jet(self.domain, self.n, self.order, _raw=res)
+        return self._like(self.ring.mul(self.terms, other.terms,
+                                        self.order << self.ring.top))
 
     def scale(self, c):
-        if self._int:
-            cc = (c.coeffs[0] if not isinstance(c, int) else c) % self.domain.p
-            raw = {}
-            p = self.domain.p
-            for k, v in self.terms.items():
-                s = v * cc % p
-                if s:
-                    raw[k] = s
-            return Jet(self.domain, self.n, self.order, _raw=raw)
-        raw = {}
-        zero = self.domain.zero
-        for k, v in self.terms.items():
-            s = v * c
-            if s != zero:
-                raw[k] = s
-        return Jet(self.domain, self.n, self.order, _raw=raw)
+        c = self._coeff(c)
+        return self._like(self.ring.scale(self.terms, c) if c else {})
 
     def __pow__(self, e):
-        result = Jet(self.domain, self.n, self.order)
+        result = self._like({})
         result._set(0, self.domain.one)
         base = self
         while e:
@@ -267,19 +159,18 @@ def jet_compose(f, phis, order):
     f costs about two jet multiplications per term.
     """
     if isinstance(f, MultiPoly):
-        items = [(exps, c) for exps, c in f.terms.items()]
-        domain, n = f.domain, f.n
+        items = f.terms.items()
     else:
-        items = [(_unpack(k, f.n), c) for k, c in f.terms.items()]
-        domain, n = f.domain, f.n
+        items = [(f.ring.exponents(k), f.ring.element(c))
+                 for k, c in f.terms.items()]
+    domain, n = f.domain, f.n
     if len(phis) != n:
         raise ValueError("need one substitution jet per variable")
     phis = [phi.truncate(order) if phi.order != order else phi for phi in phis]
     for phi in phis:
         if phi.constant_term() != domain.zero:
             raise ValueError("substitution jets must have zero constant term")
-    m = phis[0].n
-    one_jet = Jet(domain, m, order)
+    one_jet = Jet(domain, phis[0].n, order)
     one_jet._set(0, domain.one)
     pow_cache = [{0: one_jet} for _ in range(n)]
 
@@ -293,27 +184,23 @@ def jet_compose(f, phis, order):
             cache[k] = res
         return cache[k]
 
-    acc = Jet(domain, m, order)
+    acc = one_jet._like({})
     for exps, c in items:
         # every phi has valuation >= 1, so x^e contributes valuation >= |e|
         if sum(exps) >= order:
             continue
         term = None
-        dead = False
         for i, e in enumerate(exps):
             if e:
                 pw = power(i, e)
                 if pw.is_zero():
-                    dead = True
                     break
                 term = pw if term is None else term * pw
-        if dead:
-            continue
-        if term is None:
-            cjet = Jet(domain, m, order)
-            cjet._set(0, c if not isinstance(c, int) else domain.elem(c))
-            acc = acc + cjet
         else:
-            acc = acc + term.scale(c if not isinstance(c, int)
-                                   else domain.elem(c))
+            if term is None:
+                cjet = one_jet._like({})
+                cjet._set(0, c)
+                acc = acc + cjet
+            else:
+                acc = acc + term.scale(c)
     return acc

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from charpgeom.algebra import groebner
+from charpgeom.algebra import monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.groebner import (
@@ -147,7 +147,7 @@ def test_not_zero_dimensional_returns_none():
 def test_packed_degree_bound_raises_instead_of_wrapping():
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
-    bound = groebner.MAX_DEGREE
+    bound = monomials.MAX_DEGREE
     too_big = f"degree {bound + 1} exceeds .* MAX_DEGREE = {bound}"
     # an input monomial
     with pytest.raises(ValueError, match=too_big):
@@ -169,7 +169,7 @@ def test_just_under_the_degree_bound_certifies():
     # degree B - 1
     fld = FF(5)
     x = MultiPoly.var(fld, 1, 0)
-    bound = groebner.MAX_DEGREE
+    bound = monomials.MAX_DEGREE
     res = groebner_membership_one([x ** bound, x ** (bound - 1) - 1])
     assert res.status == "certificate"
     assert res.certificate.verify()
@@ -180,8 +180,9 @@ def test_cofactor_replay_checks_the_degree_bound(monkeypatch):
     # 1 = (1 + xy + ... + (xy)^(d-1)) (1 - xy) + (xy)^d: the basis and every
     # lcm stay at degree <= d + 1 while the cofactor of 1 - xy reaches
     # 2(d - 1); with 7-bit exponents (B = 127), d = 64 fits and d = 65 not
-    monkeypatch.setattr(groebner, "FIELD_BITS", 8)
-    monkeypatch.setattr(groebner, "MAX_DEGREE", 127)
+    monkeypatch.setattr(monomials, "FIELD_BITS", 8)
+    monkeypatch.setattr(monomials, "MAX_DEGREE", 127)
+    monkeypatch.setattr(monomials, "_RINGS", {})
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
     res = groebner_membership_one([x ** 64, 1 - x * y])
