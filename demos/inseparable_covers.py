@@ -16,7 +16,8 @@ fld = FF(3)
 x, y = MultiPoly.variables(fld, 2)
 cover = covers.build_cover(
     [covers.CoverChart(0, ("x", "y"), x ** 2 + y ** 2)], 3)
-records, completeness = covers.singular_points(cover, ext=1)
+records = covers.singular_points(cover, ext=1)
+completeness = covers.gradient_completeness(cover, records)
 print("cover z^3 = x^2 + y^2 over F_3:")
 for r in records:
     print(f"  singular point {tuple(str(c) for c in r.point)}, "

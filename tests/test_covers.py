@@ -107,7 +107,8 @@ class TestSingularPoints:
         x, y = MultiPoly.variables(fld, 2)
         cov = covers.build_cover(
             [covers.CoverChart(0, ("x", "y"), x ** 2 + y ** 2)], 3)
-        recs, comp = covers.singular_points(cov, ext=1)
+        recs = covers.singular_points(cov, ext=1)
+        comp = covers.gradient_completeness(cov, recs)
         assert len(recs) == 1
         assert all(c == fld.zero for c in recs[0].point)
         assert not recs[0].degenerate
@@ -117,7 +118,8 @@ class TestSingularPoints:
         fld = FF(3)
         x = MultiPoly.var(fld, 2, 0)
         cov = covers.build_cover([covers.CoverChart(0, ("x", "y"), x)], 3)
-        recs, comp = covers.singular_points(cov, ext=1)
+        recs = covers.singular_points(cov, ext=1)
+        comp = covers.gradient_completeness(cov, recs)
         assert recs == []
         assert comp[0]["status"] == "empty"
 
@@ -125,7 +127,7 @@ class TestSingularPoints:
         fld = FF(5)
         cov = covers.build_cover(
             [covers.CoverChart(0, ("x",), MultiPoly.var(fld, 1, 0, 3))], 5)
-        recs, _ = covers.singular_points(cov, ext=1)
+        recs = covers.singular_points(cov, ext=1)
         assert len(recs) == 1 and recs[0].degenerate
 
     def test_brute_force_cross_check(self):
@@ -146,8 +148,7 @@ class TestSingularPoints:
                     continue
                 cov = covers.Cover(
                     charts=[covers.CoverChart(0, ("x", "y"), f)], p=3)
-                recs, _ = covers.singular_points(cov, ext=ext,
-                                                 groebner_check=False)
+                recs = covers.singular_points(cov, ext=ext)
                 got = {tuple(c.coeffs for c in r.point) for r in recs}
                 fe = f if ext == 1 else f.map_coefficients(
                     search, fld.extension(2)[1])
@@ -167,11 +168,12 @@ class TestSingularPoints:
         f = MultiPoly(fld, 2, {(4, 0): fld.elem(1), (2, 0): fld.elem(2),
                                (0, 2): fld.elem(2)})
         cov = covers.Cover(charts=[covers.CoverChart(0, ("x", "y"), f)], p=3)
-        recs1, comp1 = covers.singular_points(cov, ext=1)
-        recs2, comp2 = covers.singular_points(cov, ext=2)
-        assert comp1[0]["status"] == "incomplete"
+        recs1 = covers.singular_points(cov, ext=1)
+        recs2 = covers.singular_points(cov, ext=2)
+        assert covers.gradient_completeness(cov, recs1)[0]["status"] == "incomplete"
         assert len(recs2) > len(recs1)
-        assert comp2[0]["status"] in ("complete", "incomplete")
+        assert covers.gradient_completeness(cov, recs2)[0]["status"] in (
+            "complete", "incomplete")
 
 
 class TestGenericity:
