@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .algebra.finitefield import FF, is_prime
 from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import MultiPoly, det, parse_poly, split_terms
+from .algebra.multipoly import (MultiPoly, det, hessian_at, parse_poly,
+                               split_terms)
 from .algebra.jets import MAX_ORDER
 from . import heights, covers, normalform, desing, picard
 
@@ -111,6 +112,16 @@ def _parsed(flag, parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise InvalidInput(f"argument {flag}: {exc}") from None
+
+
+def _count(params, key, default, least, scenario):
+    """params[key] (or the default), rejected as invalid input below
+    `least`: the smallest value the scenario is defined for."""
+    value = params.get(key, default)
+    if value < least:
+        raise InvalidInput(f"argument --{key}: {scenario} needs {key} >= "
+                           f"{least}, got {value}")
+    return value
 
 
 def _field(params):
@@ -231,9 +242,9 @@ def _scenario_northcott(params, seed):
 def _scenario_cover(params, seed):
     fld = _field(params)
     p = params.get("p", 3)
-    d = params.get("d", 1)
-    n = params.get("n", 1)
-    n_dim = params.get("N", 1)
+    d = _count(params, "d", 1, 1, "cover")
+    n = _count(params, "n", 1, 1, "cover")
+    n_dim = _count(params, "N", 1, 1, "cover")
     from random import Random
     rng = Random(seed)
     dd = n * d * p
@@ -248,9 +259,8 @@ def _scenario_cover(params, seed):
     if cover is None:
         raise RuntimeError("no valid section found")
     diff = covers.differential_of_section(cover)
-    small = dd <= 8
-    recs1, comp1 = covers.singular_points(cover, ext=1, groebner_check=small)
-    recs2, _ = covers.singular_points(cover, ext=2, groebner_check=False)
+    recs1 = covers.singular_points(cover, ext=1)
+    recs2 = covers.singular_points(cover, ext=2)
     gen = covers.genericity_sample(n_dim, d, n, p, fld,
                                    trials=params.get("trials", 15), seed=seed)
     assertions = [
@@ -273,15 +283,17 @@ def _scenario_cover(params, seed):
                            "point": [repr(c) for c in r.point],
                            "degenerate": r.degenerate} for r in recs1],
         "singular_ext_count": len(recs2),
-        "completeness": comp1,
+        # the closure check is run at small degrees only (null above 8)
+        "completeness": (covers.gradient_completeness(cover, recs1)
+                         if dd <= 8 else None),
         "genericity_fraction": f"{gen.good}/{gen.trials}",
     }, assertions
 
 
 def _scenario_normalform(params, seed):
     fld = _field(params)
-    r = params.get("r", 5)
-    nvars = params.get("n", 2)
+    r = _count(params, "r", 5, 3, "normalform")
+    nvars = _count(params, "n", 2, 1, "normalform")
     poly_text = params.get("poly")
     point_text = params.get("point")
     names = [f"x{i+1}" for i in range(nvars)]
@@ -300,6 +312,15 @@ def _scenario_normalform(params, seed):
         subs = [MultiPoly.var(fld, nvars, i) + MultiPoly.const(fld, nvars, shift[i])
                 for i in range(nvars)]
         f = f.subs(subs)
+    # normal_form's preconditions, as invalid input of the flag that set f
+    flag = "--point" if point_text else "--poly"
+    origin = (fld.zero,) * nvars
+    if any(g.evaluate(origin) for g in f.gradient()):
+        raise InvalidInput(f"argument {flag}: not a critical point of the "
+                           f"polynomial")
+    if not hessian_at(f, origin)[1]:
+        raise InvalidInput(f"argument {flag}: degenerate Hessian at the "
+                           f"critical point")
     res = normalform.normal_form(f, r)
     work = f if res.extension_degree == 1 else f.map_coefficients(
         res.fld, res.embed)
@@ -351,7 +372,7 @@ def _random_nondegenerate(fld, nvars, r, rng):
 
 def _scenario_desing(params, seed):
     p = params.get("p", 5)
-    nv = params.get("n", 2)
+    nv = _count(params, "n", 2, 2, "desing")
     rep = desing.desingularize(p, nv)
     ledger = desing.pullback_ledger(rep)
     overlap = [desing.chart_overlap_consistency(charts) for charts in rep.steps]
@@ -390,9 +411,9 @@ def _scenario_desing(params, seed):
 
 def _scenario_adjunction(params, seed):
     p = params.get("p", 3)
-    d = params.get("d", 1)
-    n = params.get("n", 5)
-    k = params.get("k", 4)
+    d = _count(params, "d", 1, 1, "adjunction")
+    n = _count(params, "n", 5, 1, "adjunction")
+    k = _count(params, "k", 4, 0, "adjunction")
     cls = picard.adjunction_class(p, d, n, k)
     cover_cls = picard.class_of_cover(p, d, n, k)
     ambient = picard.canonical_of_ambient(p, d, n, k)
@@ -449,11 +470,9 @@ def _scenario_isotriviality(params, seed):
 
 def _scenario_vojta(params, seed):
     p = params.get("p", 3)
-    d = params.get("d", 1)
-    n = params.get("n", 5)
-    m_max = params.get("M", 10)
-    if m_max < 1:
-        raise InvalidInput(f"argument --M: vojta-demo needs M >= 1, got {m_max}")
+    d = _count(params, "d", 1, 1, "vojta-demo")
+    n = _count(params, "n", 5, 1, "vojta-demo")
+    m_max = _count(params, "M", 10, 1, "vojta-demo")
     fld = FF(p, params.get("m", 1))
     bundle = covers.make_vojta_bundle(p, d, n, fld,
                                       seed=params.get("bundle_seed", 1))

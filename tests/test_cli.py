@@ -137,6 +137,21 @@ def test_cli_cover_scenario():
     (["height", "--m", "0"], "--m"),
     (["height", "--coords", "s+1,1"], "--coords"),
     (["normalform", "--point", "1"], "--point"),
+    # counts below a scenario's minimum, rejected before any search
+    (["normalform", "--n", "0"], "--n"),
+    (["normalform", "--r", "2"], "--r"),
+    (["desing", "--n", "0"], "--n"),
+    (["desing", "--n", "1"], "--n"),
+    (["cover", "--N", "0"], "--N"),
+    (["cover", "--d", "0"], "--d"),
+    (["cover", "--n", "0"], "--n"),
+    (["adjunction", "--n", "0"], "--n"),
+    (["adjunction", "--d", "0"], "--d"),
+    (["vojta-demo", "--n", "0"], "--n"),
+    (["vojta-demo", "--d", "0"], "--d"),
+    # normal_form's preconditions
+    (["normalform", "--p", "5", "--point", "g^2,1"], "--point"),
+    (["normalform", "--poly", "x1^3+x2^2"], "--poly"),
 ])
 def test_cli_rejects_invalid_counts(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
