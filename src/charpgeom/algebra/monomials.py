@@ -188,14 +188,8 @@ class Residues(Ring):
         return {k: r for k, r in ((k, r % p) for k, r in out.items()) if r}
 
 
-_RINGS = {}
-
-
 def ring(domain, n):
-    """The ring of packed polynomials in n variables over `domain`, one per
-    (domain, n)."""
-    r = _RINGS.get((domain, n))
-    if r is None:
-        kind = Residues if getattr(domain, "prime_elements", None) else Ring
-        r = _RINGS[domain, n] = kind(domain, n)
-    return r
+    """The ring of packed polynomials in n variables over `domain`."""
+    if getattr(domain, "prime_elements", None) is not None:
+        return Residues(domain, n)
+    return Ring(domain, n)

@@ -182,7 +182,6 @@ def test_cofactor_replay_checks_the_degree_bound(monkeypatch):
     # 2(d - 1); with 7-bit exponents (B = 127), d = 64 fits and d = 65 not
     monkeypatch.setattr(monomials, "FIELD_BITS", 8)
     monkeypatch.setattr(monomials, "MAX_DEGREE", 127)
-    monkeypatch.setattr(monomials, "_RINGS", {})
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
     res = groebner_membership_one([x ** 64, 1 - x * y])
