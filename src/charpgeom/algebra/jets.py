@@ -18,7 +18,7 @@ elsewhere; this module has one path for both.
 from .monomials import ring
 from .multipoly import MultiPoly
 
-MAX_ORDER = 32
+MAX_ORDER = 32          # the CLI's --r bound; keys would pack up to MAX_DEGREE
 
 
 class Jet:
@@ -170,19 +170,22 @@ def jet_compose(f, phis, order):
     for phi in phis:
         if phi.constant_term() != domain.zero:
             raise ValueError("substitution jets must have zero constant term")
-    one_jet = Jet(domain, phis[0].n, order)
+    one_jet = phis[0]._like({})
     one_jet._set(0, domain.one)
     pow_cache = [{0: one_jet} for _ in range(n)]
 
-    def power(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            half = power(i, k // 2)
-            res = half * half
-            if k & 1:
-                res = res * phis[i]
-            cache[k] = res
-        return cache[k]
+    def power(i, e):
+        # phi_i^e by repeated squaring from the nearest cached power; not
+        # recursive, so the caches die with this call, not at the next
+        # garbage collection
+        cache, chain, k = pow_cache[i], [], e
+        while k not in cache:
+            chain.append(k)
+            k //= 2
+        for k in reversed(chain):
+            half = cache[k // 2]
+            cache[k] = half * half * phis[i] if k & 1 else half * half
+        return cache[e]
 
     acc = one_jet._like({})
     for exps, c in items:

@@ -13,7 +13,7 @@ from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.jets import Jet, jet_compose
 from charpgeom.algebra.multipoly import MultiPoly
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 NVARS = 3
