@@ -147,6 +147,7 @@ def test_cli_cover_scenario():
     (["cover", "--n", "0"], "--n"),
     (["adjunction", "--n", "0"], "--n"),
     (["adjunction", "--d", "0"], "--d"),
+    (["adjunction", "--k", "-1"], "--k"),
     (["vojta-demo", "--n", "0"], "--n"),
     (["vojta-demo", "--d", "0"], "--d"),
     # normal_form's preconditions
