@@ -54,6 +54,7 @@ class Ring:
         return self.key(sum(e << s for e, s in zip(exps, self.shifts)))
 
     def exponents(self, key):
+        """Exponent tuple of a key."""
         return tuple(key >> s & MAX_DEGREE for s in self.shifts)
 
     def lcm(self, a, b):
@@ -96,6 +97,7 @@ class Ring:
         return {k: v * c for k, v in poly.items()}
 
     def add(self, a, b):
+        """a + b, as a new dict."""
         out, zero = dict(a), self.domain.zero
         get = out.get
         for k, v in b.items():
