@@ -104,9 +104,13 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        return MultiPoly.const(self.domain, self.n, other)
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.const(self.domain, self.n, other)
+        if other.n != self.n or (other.domain is not self.domain
+                                 and other.domain != self.domain):
+            raise ValueError(f"polynomial in {other.n} variables over {other.domain!r}"
+                             f" used with one in {self.n} over {self.domain!r}")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -143,6 +147,7 @@ class MultiPoly:
             out = MultiPoly(self.domain, self.n)
             out.terms = {e: a * c for e, a in self.terms.items()}
             return out
+        other = self._coerce(other)
         res = {}
         zero = self.domain.zero
         get = res.get
@@ -213,19 +218,13 @@ class MultiPoly:
         if len(polys) != self.n:
             raise ValueError("substitution needs one polynomial per variable")
         m = polys[0].n
-        # cache powers of each substituted variable
         pows = [{0: MultiPoly.const(self.domain, m, 1)} for _ in range(self.n)]
-        def power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * polys[i]
-            return cache[k]
         acc = MultiPoly(self.domain, m)
         for e, c in self.terms.items():
             term = MultiPoly.const(self.domain, m, c)
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
+                    term = term * cached_power(pows[i], polys[i], k)
             acc = acc + term
         return acc
 
@@ -289,6 +288,18 @@ class MultiPoly:
 
     def __repr__(self):
         return self.format()
+
+
+def cached_power(cache, base, k):
+    """base^k, multiplying the highest power below k in `cache` ({exponent:
+    power}) by base once per missing step and caching each step.  Iterative,
+    so the cache dies with its owner, not at the next garbage collection."""
+    j = k
+    while j not in cache:
+        j -= 1
+    for j in range(j + 1, k + 1):
+        cache[j] = cache[j - 1] * base
+    return cache[k]
 
 
 _TERM_FACTOR = re.compile(r"^([a-zA-Z]\w*)(?:\^(\d+))?$")

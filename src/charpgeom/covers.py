@@ -31,8 +31,8 @@ from random import Random
 
 from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
-from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
-                                 monomials_of_degree)
+from .algebra.multipoly import (MultiPoly, RatExpr, cached_power,
+                                 hessian_matrix, monomials_of_degree)
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from . import heights as heights_mod
@@ -573,34 +573,25 @@ def lift_point(fact, params):
     if len(us) != fact.h.n:
         raise ValueError("wrong number of parameters")
     xs = [u ** p for u in us]
-    upows = [_power_cache(u) for u in us]
-    xpows = [_power_cache(x) for x in xs]
+    upows = [{1: u} for u in us]
+    xpows = [{1: x} for x in xs]
     z = RatFunc(UPoly(fld))
     for e, c in fact.b.items():
         term = c
         for i, k in enumerate(e):
             if k:
-                term = term * upows[i](k)
+                term = term * cached_power(upows[i], us[i], k)
         z = z + term
     value = RatFunc(UPoly(fld))
     for e, c in fact.h.terms.items():
         term = c.inflate(p)
         for i, k in enumerate(e):
             if k:
-                term = term * xpows[i](k)
+                term = term * cached_power(xpows[i], xs[i], k)
         value = value + term
     if z ** p != value:
         raise AssertionError("lifted point violates the cover equation")
     return LiftedPoint(params=tuple(us), base_coords=xs, z=z)
-
-
-def _power_cache(base):
-    cache = {1: base}
-    def power(k):
-        if k not in cache:
-            cache[k] = power(k - 1) * base
-        return cache[k]
-    return power
 
 
 def lift_rational_points(fact, params_list, provenance="lifted points"):

@@ -8,8 +8,8 @@ from charpgeom.algebra import monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.groebner import (
-    groebner_membership_one, buchberger, grevlex_key, leading_term,
-    reduce_poly, standard_monomial_count,
+    IdealCertificate, groebner_membership_one, buchberger, grevlex_key,
+    leading_term, reduce_poly, standard_monomial_count,
 )
 
 
@@ -190,3 +190,16 @@ def test_cofactor_replay_checks_the_degree_bound(monkeypatch):
     assert max(c.total_degree() for c in res.certificate.cofactors) == 126
     with pytest.raises(ValueError, match="degree 128 exceeds .* = 127"):
         groebner_membership_one([x ** 65, 1 - x * y])
+
+
+def test_certificate_needs_one_cofactor_per_generator_in_one_ring():
+    fld = FF(5)
+    one = MultiPoly.const(fld, 1, 1)
+    x = MultiPoly.var(fld, 1, 0)
+    # zip used to drop the unmatched generator or cofactor
+    assert IdealCertificate([one, x], [one]).verify() is False
+    assert IdealCertificate([one], [one, x]).verify() is False
+    # and to truncate x3 (3 variables) to the constant 1 (2 variables)
+    with pytest.raises(ValueError):
+        IdealCertificate([MultiPoly.const(fld, 2, 1)],
+                         [MultiPoly.var(fld, 3, 2)]).verify()

@@ -1,0 +1,168 @@
+"""Certificate verification by Kronecker substitution, against expansion.
+
+`IdealCertificate.verify()` decides sum c_i g_i = 1 over F_p with one
+big-int product (`algebra/kronecker.py`) and expands term by term
+elsewhere.  These tests compare the two paths on seeded certificates,
+check the slot-width bound at its edge, pin which certificates take which
+path, and keep the Kronecker verifier free of the engine's modules.
+"""
+
+import ast
+import itertools
+import pathlib
+import random
+
+import pytest
+
+from charpgeom.algebra import groebner, kronecker
+from charpgeom.algebra.finitefield import FF
+from charpgeom.algebra.groebner import IdealCertificate
+from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.unipoly import RatFuncField
+from charpgeom.desing import desingularize
+
+
+def expand_is_one(cert):
+    """The reference verdict: sum c_i g_i expanded as MultiPolys."""
+    domain, n = cert.generators[0].domain, cert.generators[0].n
+    acc = MultiPoly(domain, n)
+    for c, g in zip(cert.cofactors, cert.generators):
+        acc = acc + c * g
+    return acc == MultiPoly.const(domain, n, 1)
+
+
+def residue_pairs(cert):
+    return [tuple({e: c.coeffs[0] for e, c in f.terms.items()} for f in pair)
+            for pair in zip(cert.cofactors, cert.generators)]
+
+
+def dense_poly(fld, n, rng, degs, fill=0.7):
+    terms = {}
+    for e in itertools.product(*[range(d + 1) for d in degs]):
+        if rng.random() < fill:
+            terms[e] = fld.elem(rng.randrange(1, fld.p))
+    return MultiPoly(fld, n, terms)
+
+
+def seeded_certificate(fld, n, rng, k=3):
+    """k random pairs (c_i, g_i) plus (1, 1 - sum c_i g_i): sums to 1."""
+    cofs, gens = [], []
+    for _ in range(k):
+        cofs.append(dense_poly(fld, n, rng, [rng.randrange(1, 4) for _ in range(n)]))
+        gens.append(dense_poly(fld, n, rng, [rng.randrange(1, 4) for _ in range(n)]))
+    acc = MultiPoly(fld, n)
+    for c, g in zip(cofs, gens):
+        acc = acc + c * g
+    return IdealCertificate(generators=gens + [1 - acc],
+                            cofactors=cofs + [MultiPoly.const(fld, n, 1)])
+
+
+CASES = [(p, n) for p in (3, 5, 7, 70001) for n in (1, 2, 3, 4)
+         if not (p == 70001 and n == 4)]
+
+
+@pytest.mark.parametrize("p,n", CASES)
+def test_kronecker_agrees_with_expansion(p, n):
+    rng = random.Random(f"kronecker:{p}:{n}")
+    fld = FF(p)
+    for trial in range(4):
+        cert = seeded_certificate(fld, n, rng)
+        dense = kronecker.sum_is_one(residue_pairs(cert), n, p)
+        assert dense is True
+        assert cert.verify() is True and expand_is_one(cert)
+
+        # a tampered cofactor: one coefficient moved
+        cofs = list(cert.cofactors)
+        i = rng.randrange(len(cofs))
+        e = tuple(rng.randrange(3) for _ in range(n))
+        cofs[i] = cofs[i] + MultiPoly.monomial(fld, n, e, rng.randrange(1, p))
+        bad = IdealCertificate(cert.generators, cofs)
+        assert bad.verify() is False and not expand_is_one(bad)
+
+        # a zero cofactor against an extra generator changes nothing
+        extra = dense_poly(fld, n, rng, [2] * n)
+        padded = IdealCertificate(cert.generators + [extra],
+                                  cert.cofactors + [MultiPoly.zero(fld, n)])
+        assert padded.verify() is True and expand_is_one(padded)
+
+        # all cofactors zero: the sum is 0
+        zero = IdealCertificate(cert.generators,
+                                [MultiPoly.zero(fld, n)] * len(cert.generators))
+        assert zero.verify() is False and not expand_is_one(zero)
+
+
+def edge_certificate(p, n, t):
+    """p copies of (a, a), a = (p-1) * sum of the t^n monomials x^e with
+    every e_j < t, plus the pair (p-1, p-1): all coefficients are p-1, the
+    middle monomial of each a*a collects t^n products, and the sum is
+    p * a^2 + (p-1)^2 = 1 over F_p."""
+    fld = FF(p)
+    a = MultiPoly(fld, n, {e: fld.elem(p - 1)
+                           for e in itertools.product(range(t), repeat=n)})
+    c = MultiPoly.const(fld, n, p - 1)
+    return IdealCertificate(generators=[a] * p + [c], cofactors=[a] * p + [c])
+
+
+@pytest.mark.parametrize("p,n,t", [(3, 1, 22), (5, 2, 4), (7, 1, 2),
+                                   (3, 2, 10), (3, 3, 3)])
+def test_slot_width_at_its_edge(p, n, t, monkeypatch):
+    cert = edge_certificate(p, n, t)
+    bound = (p * t ** n + 1) * (p - 1) ** 2
+    width = kronecker.slot_bytes(bound)
+    assert bound < 256 ** width
+    # the middle slot really holds p * t^n * (p-1)^2: it needs every byte
+    assert p * t ** n * (p - 1) ** 2 >= 256 ** (width - 1)
+    assert kronecker.sum_is_one(residue_pairs(cert), n, p) is True
+    assert cert.verify() is True and expand_is_one(cert)
+
+    narrow = kronecker.slot_bytes
+    monkeypatch.setattr(kronecker, "slot_bytes", lambda b: narrow(b) - 1)
+    with pytest.raises(OverflowError):
+        cert.verify()
+
+
+def test_residue_outside_its_slot_raises():
+    # a coefficient that is not a residue cannot spill into its neighbour
+    with pytest.raises(OverflowError):
+        kronecker.sum_is_one([({(0,): 1, (1,): 1}, {(0,): 1000, (1,): 1})], 1, 3)
+
+
+def _no_kronecker(*args):
+    raise AssertionError("the Kronecker path was taken")
+
+
+def test_desing_certificates_take_the_expansion_path():
+    report = desingularize(5, 2)
+    certs = [ch.smooth_certificate for step in report.steps for ch in step
+             if ch.smooth_certificate is not None]
+    assert certs
+    for cert in certs:
+        n, p = cert.generators[0].n, cert.generators[0].domain.p
+        assert kronecker.sum_is_one(residue_pairs(cert), n, p) is None
+        assert cert.verify() is True and expand_is_one(cert)
+
+
+@pytest.mark.parametrize("domain", [FF(3, 2), RatFuncField(FF(3))],
+                         ids=["F9", "F3(t)"])
+def test_other_domains_take_the_expansion_path(domain, monkeypatch):
+    monkeypatch.setattr(groebner.kronecker, "sum_is_one", _no_kronecker)
+    x, y = MultiPoly.variables(domain, 2)
+    gens = [x, 1 + x * y + y * y, y]
+    cofs = [-y, MultiPoly.const(domain, 2, 1), -y]
+    assert IdealCertificate(gens, cofs).verify() is True
+    assert IdealCertificate(gens, [cofs[0], cofs[1], x]).verify() is False
+
+
+def test_kronecker_module_imports_no_engine_module():
+    path = pathlib.Path(kronecker.__file__)
+    forbidden = {"monomials", "groebner", "multipoly"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not forbidden & set(name.split(".")), \
+                f"kronecker.py imports {name}"

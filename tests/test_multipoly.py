@@ -203,3 +203,17 @@ def test_ratexpr_substitution():
     sub = r.subs([RatExpr(MultiPoly.const(fld, 2, 1), x),
                   RatExpr(y, x)])       # x -> 1/x, y -> y/x
     assert sub == RatExpr(MultiPoly.const(fld, 2, 1), y)
+
+
+def test_mixed_rings_raise():
+    # exponent tuples of another length used to be truncated by zip:
+    # x * z returned x
+    fld = FF(5)
+    x = MultiPoly.var(fld, 2, 0)
+    z = MultiPoly.var(fld, 3, 2)
+    for op in ("__add__", "__sub__", "__mul__", "__rsub__"):
+        with pytest.raises(ValueError):
+            getattr(x, op)(z)
+    with pytest.raises(ValueError):
+        x * MultiPoly.var(FF(3), 2, 0)
+    assert x * MultiPoly.var(FF(5), 2, 1) == MultiPoly.monomial(fld, 2, (1, 1))
