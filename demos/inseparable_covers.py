@@ -33,7 +33,7 @@ print("=" * 72)
 p = 5
 fld = FF(p)
 form = MultiPoly.monomial(fld, 2, (p - 1, 1), 1)
-cov = covers.cover_of_projective_space(fld, 1, 1, 1, p, form)
+cov = covers.cover_of_projective_space(1, 1, 1, p, form)
 print(f"cover of P^1 from the section X0^{p-1} X1 of O({p}):")
 print(f"  chart 0 equation: z^{p} = {cov.charts[0].f.format(['u'])}")
 print(f"  chart 1 equation: z^{p} = {cov.charts[1].f.format(['v'])}")

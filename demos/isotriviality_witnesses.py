@@ -5,6 +5,7 @@ configurations at different fibers.
 
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.unipoly import UPoly, RatFunc
+from charpgeom.algebra.linalg import mat_vec
 from charpgeom import picard
 
 # ----------------------------------------------------------------------------
@@ -44,6 +45,6 @@ print(f"  pgl_equivalence(A, A): {picard.pgl_equivalence(a, a)}")
 # moving a configuration by a fixed transform keeps it in its orbit
 mat = [[f7.elem(1), f7.elem(2)], [f7.elem(3), f7.elem(2)]]
 moved = picard.PointConfig(
-    f7, [picard._mat_vec(f7, mat, pt) for pt in a.points])
+    f7, [mat_vec(mat, pt, f7) for pt in a.points])
 print(f"  A moved by a fixed PGL element: "
       f"{picard.pgl_equivalence(a, moved)}")

@@ -197,10 +197,6 @@ class MembershipResult:
     basis: list = field(default_factory=list)
     pairs_processed: int = 0
 
-    @property
-    def is_unit_ideal(self):
-        return self.status == "certificate"
-
 
 def buchberger(generators, max_pairs=50000, stop_at_unit=False):
     """Buchberger on packed polynomials, recording a reduction trace.
@@ -287,13 +283,13 @@ def groebner_membership_one(generators, max_pairs=50000):
                             pairs_processed=pairs)
 
 
-def standard_monomial_count(basis, cap=100000):
+def standard_monomial_count(basis):
     """Number of monomials outside the leading-term ideal, or None.
 
     Returns None when the ideal is not zero-dimensional (some variable has
-    no pure-power leading monomial) or the count would exceed the cap.  For a
-    zero-dimensional ideal this is dim_k of the quotient ring, i.e. the
-    number of solutions over the algebraic closure counted with multiplicity.
+    no pure-power leading monomial).  For a zero-dimensional ideal this is
+    dim_k of the quotient ring, i.e. the number of solutions over the
+    algebraic closure counted with multiplicity.
     """
     if not basis:
         return None
@@ -310,11 +306,6 @@ def standard_monomial_count(basis, cap=100000):
             return 0
     if any(b is None for b in bounds):
         return None
-    total = 1
-    for b in bounds:
-        total *= b
-        if total > cap:
-            return None
     count = 0
     for exps in itertools.product(*[range(b) for b in bounds]):
         if not any(_divides(lm, exps) for lm in leads):

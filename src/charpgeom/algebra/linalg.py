@@ -3,8 +3,9 @@
 Entries need `+ - *`, a truth value (nonzero) and `inverse()`; the domain
 supplies `zero` and `one`, as FiniteField and RatFuncField do.  One
 Gauss-Jordan elimination serves `det`, `solve`, `inverse` and
-`rank_and_nullvector`.  `cofactor_det` is division-free, so it also works
-over polynomial rings, and it is the independent cross-check of `det`.
+`rank_and_nullvector`; `mat_vec` and `mat_mul` are the products.
+`cofactor_det` is division-free, so it also works over polynomial rings,
+and it is the independent cross-check of `det`.
 """
 
 
@@ -71,6 +72,17 @@ def rank_and_nullvector(rows, ncols, domain):
     for r, c in pivots:
         vec[c] = -mat[r][free]
     return len(pivots), vec
+
+
+def mat_vec(mat, vec, domain):
+    """The product of a matrix, given as a list of rows, and a vector."""
+    return [sum((x * y for x, y in zip(row, vec)), domain.zero) for row in mat]
+
+
+def mat_mul(a, b, domain):
+    """The product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [mat_vec(cols, row, domain) for row in a]
 
 
 def cofactor_det(mat):

@@ -327,9 +327,6 @@ class RatFunc:
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
-    def is_polynomial(self):
-        return self.den.degree() == 0
-
     def __eq__(self, other):
         other = self._coerce(other)
         return self.num == other.num and self.den == other.den

@@ -143,7 +143,7 @@ def _scenario_height(params, seed):
     fld = _field(params)
     coord_texts = params.get("coords", "t^2+1,t^2+4*t,1").split(",")
     raw = [_parsed("--coords", _parse_upoly, c.strip(), fld) for c in coord_texts]
-    pt = heights.normalize(fld, raw)
+    pt = _parsed("--coords", heights.normalize, fld, raw)
     h = heights.weil_height(pt)
     renorm = heights.normalize(fld, pt.coords)
     scaled = heights.normalize(fld, [c * UPoly.x(fld) for c in pt.coords])
@@ -157,9 +157,8 @@ def _scenario_height(params, seed):
 
 def _scenario_example1(params, seed):
     fld = _field(params)
-    n_dim = params.get("N", 2)
-    dd = params.get("D", 2)
-    fam = heights.example1_constant_points(n_dim, fld, density_degree=dd)
+    n_dim = _count(params, "N", 2, 0, "northcott-demo")
+    fam = heights.example1_constant_points(n_dim, fld)
     q = fld.order
     expected = (q ** (n_dim + 1) - 1) // (q - 1)
     density = fam.extras["density"]
@@ -169,7 +168,8 @@ def _scenario_example1(params, seed):
         Assertion("every height is exactly 0",
                   all(h == 0 for h in fam.heights)),
         Assertion("heights re-verify from coordinates", fam.verify()),
-        Assertion(f"density certificate at degree {dd} is full rank",
+        Assertion(f"density certificate at degree {density.degree} is "
+                  "full rank",
                   density.dense,
                   f"rank {density.rank} of {density.n_monomials}"),
     ]
@@ -245,24 +245,11 @@ def _scenario_cover(params, seed):
     d = _count(params, "d", 1, 1, "cover")
     n = _count(params, "n", 1, 1, "cover")
     n_dim = _count(params, "N", 1, 1, "cover")
-    from random import Random
-    rng = Random(seed)
-    dd = n * d * p
-    cover = None
-    for _ in range(200):
-        form = covers.random_homogeneous_form(fld, n_dim + 1, dd, rng)
-        try:
-            cover = covers.cover_of_projective_space(fld, n_dim, d, n, p, form)
-            break
-        except (covers.NonReducedCover, ValueError):
-            continue
-    if cover is None:
-        raise RuntimeError("no valid section found")
+    cover = next(covers.seeded_covers(fld, n_dim, d, n, p, seed))
     diff = covers.differential_of_section(cover)
     recs1 = covers.singular_points(cover, ext=1)
     recs2 = covers.singular_points(cover, ext=2)
-    gen = covers.genericity_sample(n_dim, d, n, p, fld,
-                                   trials=params.get("trials", 15), seed=seed)
+    gen = covers.genericity_sample(n_dim, d, n, p, fld, trials=15, seed=seed)
     assertions = [
         Assertion("cocycle identities verified on all overlaps",
                   not covers.verify_cocycle(cover)),
@@ -278,14 +265,12 @@ def _scenario_cover(params, seed):
     return {
         "form": cover.params["form"].format(
             [f"X{i}" for i in range(n_dim + 1)]),
-        "degree": dd,
+        "degree": n * d * p,
         "singular_base": [{"chart": r.chart_index,
                            "point": [repr(c) for c in r.point],
                            "degenerate": r.degenerate} for r in recs1],
         "singular_ext_count": len(recs2),
-        # the closure check is run at small degrees only (null above 8)
-        "completeness": (covers.gradient_completeness(cover, recs1)
-                         if dd <= 8 else None),
+        "completeness": covers.gradient_completeness(cover, recs1),
         "genericity_fraction": f"{gen.good}/{gen.trials}",
     }, assertions
 
@@ -478,7 +463,6 @@ def _scenario_vojta(params, seed):
                                       seed=params.get("bundle_seed", 1))
     rep = heights.vojta_violation_demo(bundle, m_max, seed=seed)
     hs = [e.canonical_height for e in rep.entries]
-    pairs_requested = {(a, c) for a in (1, 2, 5) for c in (0, 10)}
     pairs_present = {(v.A, v.c) for v in rep.violations}
     assertions = [
         Assertion("discriminant term is literally constant -2",
@@ -486,7 +470,7 @@ def _scenario_vojta(params, seed):
         Assertion("canonical heights strictly increase with section degree",
                   all(hs[i] < hs[i + 1] for i in range(len(hs) - 1))),
         Assertion("a violating point exists for every (A, c) requested",
-                  pairs_requested <= pairs_present),
+                  set(heights.VIOLATED_BOUNDS) <= pairs_present),
         Assertion("measured height slope equals the lattice prediction",
                   rep.verify(), f"slope {rep.slope_predicted}"),
     ]

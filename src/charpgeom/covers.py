@@ -38,6 +38,13 @@ from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from . import heights as heights_mod
 
 
+# Pair budget of every Buchberger run on a section's chart polynomials.
+MAX_PAIRS = 4000
+
+# Seeded forms drawn before a search for a cover gives up.
+SEARCH_TRIES = 400
+
+
 # -- chart data -----------------------------------------------------------------------
 
 
@@ -78,7 +85,7 @@ def _coefficient_pth_root(domain, c):
     return RatFunc(num.pth_root_poly(), den.pth_root_poly())
 
 
-def build_cover(charts, p, params=None, verify=True):
+def build_cover(charts, p, params=None):
     """Assemble and verify a covering datum.
 
     Checks: char(k) = p (this is the genuinely inseparable regime); every
@@ -99,10 +106,9 @@ def build_cover(charts, p, params=None, verify=True):
     if witness is not None:
         raise NonReducedCover(witness)
     cover = Cover(charts=list(charts), p=p, params=params or {})
-    if verify:
-        bad = verify_cocycle(cover)
-        if bad:
-            raise ValueError(f"cocycle inconsistency on overlaps {bad}")
+    bad = verify_cocycle(cover)
+    if bad:
+        raise ValueError(f"cocycle inconsistency on overlaps {bad}")
     return cover
 
 
@@ -127,7 +133,7 @@ def verify_cocycle(cover):
     return bad
 
 
-def cover_of_projective_space(fld_or_domain, N, d, n, p, form):
+def cover_of_projective_space(N, d, n, p, form):
     """Cover of P^N from a homogeneous degree-n*d*p form, standard charts.
 
     form: homogeneous MultiPoly in N+1 variables of degree n*d*p.  Chart i
@@ -226,7 +232,7 @@ def singular_points(cover, ext=1):
     for ch in cover.charts:
         f = ch.f if ext == 1 else ch.f.map_coefficients(search, embed)
         hess = hessian_matrix(f)
-        for point in _gradient_zeros(f.gradient(), search, f.n):
+        for point in common_zeros(f.gradient(), search, f.n):
             # two determinant algorithms on one evaluated matrix: the
             # report's Hessian determinant cross-checks the verdict
             mat = [[h.evaluate(point) for h in row] for row in hess]
@@ -237,28 +243,30 @@ def singular_points(cover, ext=1):
     return records
 
 
-def _gradient_zeros(grads, search, n):
-    """Common zeros of the gradient over the search field, exhaustively.
+def common_zeros(polys, search, n):
+    """Common zeros of polynomials in n variables over the search field,
+    exhaustively and in `itertools.product` order.
 
     For two variables the sweep collapses the first coordinate and Horner-
-    evaluates the resulting univariates, which makes exhaustive searches
-    over quadratic extensions cheap even for high-degree sections."""
+    evaluates the resulting univariates, each collapsed only once a point
+    reaches it, which makes exhaustive searches over quadratic extensions
+    cheap even for high-degree sections."""
     elems = list(search.elements())
     if n != 2:
         for point in itertools.product(elems, repeat=n):
-            if all(g.evaluate(point) == search.zero for g in grads):
+            if all(g.evaluate(point) == search.zero for g in polys):
                 yield point
         return
-    g1, g2 = grads
     for a in elems:
-        u1 = _collapse_first(g1, a)
-        u2 = None
+        collapsed = []
         for b in elems:
-            if u1.evaluate(b) == search.zero:
-                if u2 is None:
-                    u2 = _collapse_first(g2, a)
-                if u2.evaluate(b) == search.zero:
-                    yield (a, b)
+            for k, g in enumerate(polys):
+                if k == len(collapsed):
+                    collapsed.append(_collapse_first(g, a))
+                if collapsed[k].evaluate(b) != search.zero:
+                    break
+            else:
+                yield (a, b)
 
 
 def _collapse_first(f, a):
@@ -276,7 +284,7 @@ def _collapse_first(f, a):
     return UPoly(fld, coeffs)
 
 
-def gradient_completeness(cover, records, max_pairs=4000):
+def gradient_completeness(cover, records):
     """What the Groebner basis of each chart's gradient ideal proves about
     the singular points `records` that `singular_points` found, by chart
     index: "empty" (unit ideal: no singular points anywhere), "complete"
@@ -285,16 +293,16 @@ def gradient_completeness(cover, records, max_pairs=4000):
     exist beyond the search field or with multiplicity),
     "not-zero-dimensional", or "exhausted" (budget)."""
     return {ch.index: _chart_completeness(
-        ch.f, [r for r in records if r.chart_index == ch.index], max_pairs)
+        ch.f, [r for r in records if r.chart_index == ch.index])
         for ch in cover.charts}
 
 
-def _chart_completeness(f, found, max_pairs):
+def _chart_completeness(f, found):
     gens = [g for g in f.gradient() if not g.is_zero()]
     if not gens:
         return {"status": "not-zero-dimensional",
                 "note": "gradient vanishes identically"}
-    res = groebner_membership_one(gens, max_pairs=max_pairs)
+    res = groebner_membership_one(gens, max_pairs=MAX_PAIRS)
     if res.status == "certificate":
         return {"status": "empty", "note": "gradient ideal is the unit ideal"}
     if res.status == "exhausted":
@@ -317,7 +325,7 @@ def symbolic_hessian_det(f):
     return cofactor_det(hessian_matrix(f))
 
 
-def classify_section(chart_sections, max_pairs=4000):
+def classify_section(chart_sections):
     """Exact nondegeneracy verdict for a section given by its chart polys.
 
     Good means: on every chart, the ideal (grad f, det Hess f) contains 1,
@@ -334,7 +342,7 @@ def classify_section(chart_sections, max_pairs=4000):
             detail.append((idx, "bad", "gradient and Hessian vanish identically"))
             verdict = "bad"
             continue
-        res = groebner_membership_one(gens, max_pairs=max_pairs)
+        res = groebner_membership_one(gens, max_pairs=MAX_PAIRS)
         if res.status == "certificate":
             detail.append((idx, "good", "unit certificate"))
         elif res.status == "not_in_ideal":
@@ -384,23 +392,20 @@ class GenericityReport:
     bad: int
     unknown: int
     failures: list
-    point_search: list
 
     @property
     def fraction(self):
         return self.good / self.trials if self.trials else 0.0
 
 
-def genericity_sample(N, d, n, p, fld, trials, seed=0, point_search=False,
-                      max_pairs=4000):
+def genericity_sample(N, d, n, p, fld, trials, seed=0):
     """Fraction of random degree-n*d*p sections with only nondegenerate
     singular points, decided exactly per sample.
 
     Samples uniform coefficient vectors of forms of degree n*d*p on P^N; for
     each the closure-exact classification of `classify_section` runs on all
-    charts, and optionally the explicit point search over F_q and F_{q^2}
-    backs it up (reported, never used as the verdict).  Rejects n*d*p < 2,
-    where the 2-jet surjectivity backing genericity fails.
+    charts.  Rejects n*d*p < 2, where the 2-jet surjectivity backing
+    genericity fails.
     """
     D = n * d * p
     if D < 2:
@@ -409,14 +414,13 @@ def genericity_sample(N, d, n, p, fld, trials, seed=0, point_search=False,
         raise ValueError("need at least one trial")
     good = bad = unknown = 0
     failures = []
-    searches = []
     for trial in range(trials):
         # seed-per-trial: trials are independent and order-insensitive, so a
         # batch driver may fan them out without changing any verdict
         form = random_homogeneous_form(fld, N + 1, D,
                                        Random(seed * 1000003 + trial))
         charts = dehomogenize_charts(form, N)
-        verdict, detail = classify_section(charts, max_pairs=max_pairs)
+        verdict, detail = classify_section(charts)
         if verdict == "good":
             good += 1
         elif verdict == "bad":
@@ -425,24 +429,11 @@ def genericity_sample(N, d, n, p, fld, trials, seed=0, point_search=False,
         else:
             unknown += 1
             failures.append({"trial": trial, "form": form, "detail": detail})
-        if point_search:
-            cov = Cover(charts=[CoverChart(index=i, names=(), f=f)
-                                for i, f in enumerate(charts)], p=p)
-            recs1 = singular_points(cov, ext=1)
-            recs2 = singular_points(cov, ext=2)
-            searches.append({
-                "trial": trial,
-                "base_field": [(r.chart_index, r.point, r.degenerate)
-                               for r in recs1],
-                "quadratic_extension_count": len(recs2),
-                "degenerate_found": any(r.degenerate for r in recs2),
-            })
     return GenericityReport(N=N, d=d, n=n, p=p, trials=trials, good=good,
-                            bad=bad, unknown=unknown, failures=failures,
-                            point_search=searches)
+                            bad=bad, unknown=unknown, failures=failures)
 
 
-def monic_univariate_census(fld, p, deg=3):
+def monic_univariate_census(fld, deg=3):
     """Exhaustive classification of monic degree-`deg` affine sections.
 
     Enumerates all monic f = x^deg + ... over F_q and classifies each with
@@ -484,13 +475,6 @@ class FrobeniusFactorization:
     p: int
     sdomain: RatFuncField
 
-    def z_poly(self):
-        out = MultiPoly(self.sdomain, self.h.n)
-        for e, c in self.b.items():
-            if not c.is_zero():
-                out.terms[e] = c
-        return out
-
     def verify(self):
         """Re-verify the certificate by honest expansion over k[T, s].
 
@@ -503,29 +487,17 @@ class FrobeniusFactorization:
         den = UPoly.const(fld, 1)
         for c in self.h.terms.values():
             den = den * (c.den // den.gcd(c.den))
-        h_poly = MultiPoly(fld, nvars)
-        for e, c in self.h.terms.items():
-            num = c.num * (den // c.den)
-            for i, cc in enumerate(num.coeffs):
-                if cc:
-                    h_poly.terms[tuple(e) + (i,)] = cc
         dent = den.inflate(self.p).pth_root_poly()
-        z_poly = MultiPoly(fld, nvars)
+        # the numerators of z and h(T^p) as polynomials in (T, s)
+        z_terms, h_terms = {}, {}
         for e, c in self.b.items():
-            if c.is_zero():
-                continue
-            num = c.num * (dent // c.den)
-            for i, cc in enumerate(num.coeffs):
-                if cc:
-                    prev = z_poly.terms.get(tuple(e) + (i,), fld.zero)
-                    s = prev + cc
-                    if s != fld.zero:
-                        z_poly.terms[tuple(e) + (i,)] = s
-        lhs = z_poly ** self.p
-        rhs = MultiPoly(fld, nvars)
-        for e, c in h_poly.terms.items():
-            rhs.terms[tuple(k * self.p for k in e)] = c
-        return lhs == rhs
+            for i, cc in enumerate((c.num * (dent // c.den)).coeffs):
+                z_terms[tuple(e) + (i,)] = cc
+        for e, c in self.h.terms.items():
+            for i, cc in enumerate((c.num * (den // c.den)).coeffs):
+                h_terms[tuple(k * self.p for k in e) + (i * self.p,)] = cc
+        return (MultiPoly(fld, nvars, z_terms) ** self.p
+                == MultiPoly(fld, nvars, h_terms))
 
 
 def frobenius_factorization(h):
@@ -556,9 +528,6 @@ class LiftedPoint:
     params: tuple
     base_coords: list      # x_j = u_j^p, RatFuncs in s
     z: RatFunc
-
-    def height_data(self):
-        return {"z_degree": max(self.z.num.degree(), self.z.den.degree())}
 
 
 def lift_point(fact, params):
@@ -698,25 +667,34 @@ class VojtaLiftBundle:
         return (full[1] * inv, full[2] * inv)
 
 
-def make_vojta_bundle(p, d, n, fld, seed=0, max_search=400):
+def seeded_covers(fld, N, d, n, p, seed):
+    """Covers of P^N from the successive forms of degree n*d*p that
+    Random(seed) draws, skipping the forms no cover is built from; raises
+    RuntimeError once SEARCH_TRIES forms have been drawn."""
+    rng = Random(seed)
+    for _ in range(SEARCH_TRIES):
+        form = random_homogeneous_form(fld, N + 1, n * d * p, rng)
+        try:
+            cover = cover_of_projective_space(N, d, n, p, form)
+        except ValueError:          # NonReducedCover included
+            continue
+        yield cover
+    raise RuntimeError(f"no suitable section found in {SEARCH_TRIES} "
+                       f"seeded tries")
+
+
+def make_vojta_bundle(p, d, n, fld, seed=0):
     """Seeded search for a degree-n*d*p cover of P^2 with clean singularities.
 
-    Accepts the first seeded form that is not a p-th power and whose
-    singular points found over F_q and F_{q^2} (all charts, exhaustive
-    sweeps) are all nondegenerate; a sample with a found degenerate point is
-    rejected.  This is a searched outcome: no closure certificate on
-    (grad f, det Hess f) is attempted.
+    Accepts the first cover of `seeded_covers` whose singular points found
+    over F_q and F_{q^2} (all charts, exhaustive sweeps) are all
+    nondegenerate; a sample with a found degenerate point is rejected.  This
+    is a searched outcome: no closure certificate on (grad f, det Hess f) is
+    attempted.
     """
     if fld.p != p:
         raise ValueError("the Frobenius lifting needs char(k) = p")
-    rng = Random(seed)
-    D = n * d * p
-    for attempt in range(max_search):
-        form = random_homogeneous_form(fld, 3, D, rng)
-        try:
-            cover = cover_of_projective_space(fld, 2, d, n, p, form)
-        except (NonReducedCover, ValueError):
-            continue
+    for cover in seeded_covers(fld, 2, d, n, p, seed):
         recs1 = singular_points(cover, ext=1)
         if any(r.degenerate for r in recs1):
             continue
@@ -729,6 +707,6 @@ def make_vojta_bundle(p, d, n, fld, seed=0, max_search=400):
             RatFunc(UPoly.const(fld, c))))
         fact = frobenius_factorization(h)
         return VojtaLiftBundle(
-            p=p, d=d, n=n, fld=fld, form=form, cover=cover, f0=f0,
-            fact=fact, singular_records=recs2, singular_records_base=recs1)
-    raise RuntimeError(f"no suitable section found in {max_search} seeded tries")
+            p=p, d=d, n=n, fld=fld, form=cover.params["form"], cover=cover,
+            f0=f0, fact=fact, singular_records=recs2,
+            singular_records_base=recs1)

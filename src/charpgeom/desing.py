@@ -18,12 +18,16 @@ factorization (and the adjunction computation that consumes it) gives 2.
 Both discrepancies are resolved in favor of the verified factorization.
 """
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.finitefield import FF, FiniteField
 from .algebra.multipoly import MultiPoly, RatExpr
 from .algebra.groebner import groebner_membership_one
+from .covers import common_zeros
+
+# Largest number of points a witness sweep visits: a field whose n-space is
+# larger is not searched.
+WITNESS_SWEEP_MAX = 400000
 
 
 @dataclass
@@ -40,10 +44,6 @@ class BlowupChart:
     smooth_certificate: object = None
     singular_witness: object = None
     certificate_status: str = "unchecked"
-
-    @property
-    def exceptional_name(self):
-        return self.names[self.exceptional_index]
 
 
 @dataclass
@@ -108,11 +108,8 @@ def blowup_step(equation, step_index=0, names=None):
         if total.is_zero():
             raise AssertionError("total transform vanished")
         mu = min(e[i] for e in total.terms)
-        strict = MultiPoly(fld, nv)
-        for e, c in total.terms.items():
-            ne = list(e)
-            ne[i] -= mu
-            strict.terms[tuple(ne)] = c
+        strict = MultiPoly(fld, nv, {
+            e[:i] + (e[i] - mu,) + e[i + 1:]: c for e, c in total.terms.items()})
         check = strict * MultiPoly.var(fld, nv, i, mu)
         if check != total:
             raise AssertionError("exceptional factorization failed to re-verify")
@@ -131,15 +128,15 @@ def blowup_step(equation, step_index=0, names=None):
     return charts
 
 
-def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000,
-                           witness_cap=400000):
+def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000):
     """Jacobian criterion, exactly: 1 in (F, dF/dx_1, ...) or a witness.
 
     Returns (status, payload): status "smooth" with a re-verified cofactor
     certificate; "singular" with a common zero found over the base field or
     an extension; or "exhausted"/"inconclusive" when the pair budget ran out
-    or no witness lives in the searched fields.  An exhausted Groebner run is
-    never reported as smooth.
+    or no witness lives in the searched fields (a field is not searched when
+    its n-space has more than WITNESS_SWEEP_MAX points).  An exhausted
+    Groebner run is never reported as smooth.
     """
     gens = [equation] + equation.gradient()
     res = groebner_membership_one(gens, max_pairs=max_pairs)
@@ -148,28 +145,23 @@ def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000,
     fld = equation.domain
     if isinstance(fld, FiniteField):
         for ext in search_exts:
+            if fld.order ** (ext * equation.n) > WITNESS_SWEEP_MAX:
+                continue
             if ext == 1:
-                search, embed = fld, (lambda a: a)
-                eq = equation
+                search, eq = fld, equation
             else:
-                if fld.order ** ext > 10 ** 7:
-                    continue
                 search, embed = fld.extension(ext)
                 eq = equation.map_coefficients(search, embed)
-            if search.order ** equation.n > witness_cap:
-                continue
-            grads = eq.gradient()
-            for pt in itertools.product(search.elements(), repeat=eq.n):
-                if eq.evaluate(pt) == search.zero and \
-                        all(g.evaluate(pt) == search.zero for g in grads):
-                    return "singular", {"witness": pt, "field": search}
+            pt = next(common_zeros([eq] + eq.gradient(), search, eq.n), None)
+            if pt is not None:
+                return "singular", {"witness": pt, "field": search}
     if res.status == "exhausted":
         return "exhausted", {"pairs": res.pairs_processed}
     return "inconclusive", {"note": "no unit certificate; no witness in the "
                                     "searched fields", "basis": res.basis}
 
 
-def desingularize(p, n, fld=None, certify=True):
+def desingularize(p, n, fld=None):
     """Resolve z^p = sum x_i^2 by (p-1)/2 blow-ups at singular origins.
 
     Follows the z-chart recursion z^(p-2k) = sum w^2, certifying every
@@ -201,18 +193,17 @@ def desingularize(p, n, fld=None, certify=True):
                 # still singular: the next center; no certificate expected
                 ch.certificate_status = "singular center (next blow-up)"
                 continue
-            if certify:
-                status, payload = smoothness_certificate(ch.strict)
-                ch.certificate_status = status
-                if status == "smooth":
-                    ch.smooth_certificate = payload
-                elif status == "singular":
-                    ch.singular_witness = payload
-                    raise AssertionError(
-                        f"chart {ch.label} at step {k} is singular")
-                else:
-                    raise AssertionError(
-                        f"chart {ch.label} at step {k}: {status}")
+            status, payload = smoothness_certificate(ch.strict)
+            ch.certificate_status = status
+            if status == "smooth":
+                ch.smooth_certificate = payload
+            elif status == "singular":
+                ch.singular_witness = payload
+                raise AssertionError(
+                    f"chart {ch.label} at step {k} is singular")
+            else:
+                raise AssertionError(
+                    f"chart {ch.label} at step {k}: {status}")
         steps.append(charts)
         mults.append(zchart.multiplicity)
         eq = zchart.strict

@@ -27,7 +27,7 @@ from random import Random
 
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField
 from .algebra.multipoly import MultiPoly, monomials_of_degree
-from .algebra.linalg import rank_and_nullvector
+from .algebra.linalg import det, rank_and_nullvector
 from . import picard
 
 
@@ -233,10 +233,7 @@ def density_check(points, N, D, fld=None):
     if null_vec is None:
         return DensityVerdict(dense=True, rank=rank, n_monomials=len(monos),
                               degree=D)
-    form = MultiPoly(dom, N + 1)
-    for e, c in zip(monos, null_vec):
-        if not c.is_zero():
-            form.terms[e] = c
+    form = MultiPoly(dom, N + 1, dict(zip(monos, null_vec)))
     return DensityVerdict(dense=False, rank=rank, n_monomials=len(monos),
                           degree=D, vanishing_form=form)
 
@@ -302,7 +299,7 @@ class FiberComparisonReport:
     note: str = ""
 
 
-def example2_blowup_config(maps, fld, max_fiber_tries=None):
+def example2_blowup_config(maps, fld):
     """Compare the configurations {f_i(b)} at two good parameters b, b'.
 
     maps: r > N+4 morphisms P^1 -> P^N over k(t), each a coordinate tuple of
@@ -320,12 +317,8 @@ def example2_blowup_config(maps, fld, max_fiber_tries=None):
     if r <= N + 4:
         raise ValueError(f"need r > N+4 = {N+4} morphisms, got {r}")
     good_fibers = []
-    tries = 0
     for idx in range(fld.order):
-        if max_fiber_tries is not None and tries >= max_fiber_tries:
-            break
         b = fld.from_index(idx)
-        tries += 1
         try:
             config = picard.PointConfig(
                 fld, [tuple(c.evaluate(b) for c in f) for f in maps])
@@ -451,46 +444,38 @@ def example3_bounded_degree(g_coeffs, xs):
 
 
 def _check_squarefree_in_x(g_coeffs):
-    """Reject certainly-non-squarefree g (gcd_x(g, g') nonconstant).
+    """Reject certainly-non-squarefree g: Res_x(g, g') = 0, i.e. g and g'
+    share a root.
 
     Coefficients live in k(t); when g' = 0 (an inseparable polynomial in x)
     squarefreeness over k(t)-bar is not certified and the family proceeds,
     since all per-point bookkeeping only uses the values g(x0).
     """
-    deriv = []
     fld = g_coeffs[0].field
-    p = fld.p
-    for i in range(1, len(g_coeffs)):
-        deriv.append(g_coeffs[i] * RatFunc(UPoly.const(fld, i % p)))
-    if all(c.is_zero() for c in deriv):
+    g = _trimmed(g_coeffs)
+    deriv = _trimmed([c * RatFunc(UPoly.const(fld, i % fld.p))
+                      for i, c in enumerate(g) if i])
+    if not deriv:
         return
-    g = _ratfunc_poly_gcd(g_coeffs, deriv)
-    if len(g) > 1:
+    dom = RatFuncField(fld)
+    if not det(_sylvester(g, deriv, dom.zero), dom):
         raise ValueError("g is not squarefree over k(t)")
 
 
-def _ratfunc_poly_gcd(a, b):
-    """Monic gcd of univariate polynomials with RatFunc coefficients."""
-    def trim(c):
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = 1 / b[-1]
-        bm = [c * inv for c in b]
-        # a mod bm
-        r = list(a)
-        while len(r) >= len(bm) and trim(r):
-            if len(r) < len(bm):
-                break
-            f = r[-1]
-            shift = len(r) - len(bm)
-            for i, c in enumerate(bm):
-                r[shift + i] = r[shift + i] - f * c
-            trim(r)
-        a, b = bm, trim(r)
-    return a
+def _trimmed(coeffs):
+    """Coefficient list (low to high) without its zero leading entries."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def _sylvester(a, b, zero):
+    """Sylvester matrix of two nonzero coefficient lists (low to high), of
+    degrees m and n: n shifted rows of a, then m shifted rows of b."""
+    m, n = len(a) - 1, len(b) - 1
+    return ([[zero] * i + a[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + b[::-1] + [zero] * (m - 1 - i) for i in range(m)])
 
 
 # -- sections of P^1 x P^1 avoiding a finite set -----------------------------------------
@@ -661,8 +646,11 @@ def xi_degree_of_fiber_coordinate(z, e_times_hH):
     return finite_poles + at_infinity
 
 
-def vojta_violation_demo(lift_bundle, max_degree, a_values=(1, 2, 5),
-                         c_values=(0, 10), seed=0):
+# The affine height bounds A*d + c that the Vojta demonstration violates.
+VIOLATED_BOUNDS = tuple((a, c) for a in (1, 2, 5) for c in (0, 10))
+
+
+def vojta_violation_demo(lift_bundle, max_degree, seed=0):
     """Family of K'-rational points with constant discriminant and
     unbounded canonical height.
 
@@ -680,7 +668,8 @@ def vojta_violation_demo(lift_bundle, max_degree, a_values=(1, 2, 5),
     coordinates and deg_xi the pole count of the fiber coordinate.  The
     discriminant term is literally constant (-2: the points are K'-rational
     and B = P^1), so every affine bound A*d + c is eventually violated; the
-    report exhibits the first violating member for each requested (A, c).
+    report exhibits the first violating member for each (A, c) in
+    VIOLATED_BOUNDS.
     """
     p, d, n = lift_bundle.p, lift_bundle.d, lift_bundle.n
     fld = lift_bundle.sfield
@@ -715,14 +704,13 @@ def vojta_violation_demo(lift_bundle, max_degree, a_values=(1, 2, 5),
               for i in range(len(entries) - 1)]
     predicted = kcls.h * p      # polynomial sections: h_H = p*m, xi-degree 0
     violations = []
-    for a_val in a_values:
-        for c_val in c_values:
-            bound = Fraction(a_val) * Fraction(-2) + c_val
-            hit = next((e for e in entries if e.canonical_height > bound), None)
-            if hit is not None:
-                violations.append(VojtaViolation(
-                    A=a_val, c=c_val, m=hit.m,
-                    height=hit.canonical_height, bound=bound))
+    for a_val, c_val in VIOLATED_BOUNDS:
+        bound = Fraction(a_val) * Fraction(-2) + c_val
+        hit = next((e for e in entries if e.canonical_height > bound), None)
+        if hit is not None:
+            violations.append(VojtaViolation(
+                A=a_val, c=c_val, m=hit.m,
+                height=hit.canonical_height, bound=bound))
     report = VojtaReport(
         p=p, d=d, n=n, entries=entries, violations=violations,
         slope_measured=slopes, slope_predicted=predicted,

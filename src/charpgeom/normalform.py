@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra.finitefield import FiniteField
 from .algebra.multipoly import MultiPoly, hessian_at, det
+from .algebra.linalg import mat_mul
 from .algebra.jets import Jet, jet_compose
 
 
@@ -41,21 +42,12 @@ class Diagonalization:
     embed: object
 
     def verify(self, q_matrix):
-        n = len(self.matrix)
-        emb = self.embed
-        q = [[emb(q_matrix[i][j]) for j in range(n)] for i in range(n)]
-        c = self.matrix
-        fld = self.fld
-        for i in range(n):
-            for j in range(n):
-                acc = fld.zero
-                for a in range(n):
-                    for b in range(n):
-                        acc = acc + c[a][i] * q[a][b] * c[b][j]
-                want = fld.one if i == j else fld.zero
-                if acc != want:
-                    return False
-        return True
+        """C^T Q C is the identity, with Q embedded into `fld`."""
+        fld, c = self.fld, self.matrix
+        q = [[self.embed(a) for a in row] for row in q_matrix]
+        ctqc = mat_mul([list(col) for col in zip(*c)], mat_mul(q, c, fld), fld)
+        return ctqc == [[fld.one if i == j else fld.zero for j in range(len(c))]
+                        for i in range(len(c))]
 
 
 def diagonalize_quadratic(q_matrix, fld):
@@ -138,7 +130,7 @@ class ChangeStep:
     matrix: list = None
     corrections: dict = dc_field(default_factory=dict)  # var index -> MultiPoly
 
-    def describe(self, names=None):
+    def describe(self):
         if self.kind == "linear":
             return f"linear change by the diagonalizing matrix ({len(self.matrix)}x{len(self.matrix)})"
         vars_touched = sorted(self.corrections)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .algebra.finitefield import FiniteField
 from .algebra.unipoly import RatFunc, UPoly
-from .algebra.linalg import det, inverse, solve
+from .algebra.linalg import det, inverse, mat_mul, mat_vec, solve
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,6 @@ def normalize_proj_tuple(field, pt):
     raise ValueError("zero vector is not a projective point")
 
 
-def _mat_vec(field, mat, vec):
-    return tuple(sum((mat[i][j] * vec[j] for j in range(len(vec))), field.zero)
-                 for i in range(len(mat)))
-
-
-def _mat_mul(field, a, b):
-    n, m, l = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), field.zero)
-             for j in range(l)] for i in range(n)]
-
-
 def in_general_position(field, points):
     """Every (N+1)-subset of the N+2 points spans; returns offending subset or None."""
     N = len(points[0]) - 1
@@ -245,9 +234,9 @@ def pgl_equivalence(config_a, config_b):
     mb = _frame_matrix(field, config_b.points[:N + 2])
     if ma is None or mb is None:
         return PGLResult(equivalent=False, degenerate_subset=())
-    m = _mat_mul(field, mb, inverse(ma, field))
+    m = mat_mul(mb, inverse(ma, field), field)
     for i in range(len(config_a)):
-        img = normalize_proj_tuple(field, _mat_vec(field, m, config_a[i]))
+        img = normalize_proj_tuple(field, mat_vec(m, config_a[i], field))
         if img != config_b[i]:
             return PGLResult(equivalent=False, matrix=m, mismatch_index=i)
     return PGLResult(equivalent=True, matrix=m)

@@ -253,7 +253,7 @@ def test_acceptance_8_genericity():
             fld, fld.elem(3), ea * 2, eb, fld.elem(6), ea * 2)
         if res == fld.zero:
             oracle_bad.add((c, b, a))    # census coefficient order (low->high)
-    good, bad, bad_list = covers.monic_univariate_census(fld, 3, 3)
+    good, bad, bad_list = covers.monic_univariate_census(fld, 3)
     assert good + bad == 343
     assert set(bad_list) == oracle_bad
     assert bad == len(oracle_bad) == 49      # fraction exactly 1/7

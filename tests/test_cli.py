@@ -25,7 +25,7 @@ def test_reports_are_versioned_and_pass():
 
 
 def test_byte_identical_reports():
-    kwargs = {"params": {"p": 3, "N": 2, "D": 2}, "seed": 7}
+    kwargs = {"params": {"p": 3, "N": 2}, "seed": 7}
     texts = set()
     blobs = set()
     for _ in range(3):
@@ -43,7 +43,7 @@ def test_desing_scenario_counts():
 
 
 def test_example1_scenario_values():
-    rep = run_scenario("northcott-example1", {"p": 3, "N": 2, "D": 2})
+    rep = run_scenario("northcott-example1", {"p": 3, "N": 2})
     assert rep.outputs["count"] == 13
     assert rep.outputs["max_height"] == 0
     assert rep.passed
@@ -110,6 +110,14 @@ def test_cli_isotriviality():
     assert "PASS" in buf.getvalue()
 
 
+def test_cover_reports_completeness_at_degree_9():
+    rep = run_scenario("cover", {"p": 3, "n": 3})
+    assert rep.passed and rep.outputs["degree"] == 9
+    completeness = rep.outputs["completeness"]
+    assert sorted(completeness) == [0, 1]
+    assert all("status" in chart for chart in completeness.values())
+
+
 def test_cli_cover_scenario():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -153,6 +161,8 @@ def test_cli_cover_scenario():
     # normal_form's preconditions
     (["normalform", "--p", "5", "--point", "g^2,1"], "--point"),
     (["normalform", "--poly", "x1^3+x2^2"], "--poly"),
+    (["northcott-demo", "--N", "-1"], "--N"),
+    (["height", "--coords", "0,0"], "--coords"),
 ])
 def test_cli_rejects_invalid_counts(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,7 @@ class TestBuildCover:
         for p in (3, 5):
             fld = FF(p)
             form = MultiPoly.monomial(fld, 2, (p - 1, 1), 1)
-            cov = covers.cover_of_projective_space(fld, 1, 1, 1, p, form)
+            cov = covers.cover_of_projective_space(1, 1, 1, p, form)
             assert cov.charts[0].f == MultiPoly.var(fld, 1, 0)
             assert cov.charts[1].f == MultiPoly.var(fld, 1, 0, p - 1)
             assert covers.verify_cocycle(cov) == []
@@ -55,7 +55,7 @@ class TestBuildCover:
     def test_bad_cocycle_detected(self):
         fld = FF(3)
         form = MultiPoly.monomial(fld, 2, (2, 1), 1)
-        cov = covers.cover_of_projective_space(fld, 1, 1, 1, 3, form)
+        cov = covers.cover_of_projective_space(1, 1, 1, 3, form)
         # corrupt one transition's cocycle entry
         g, cmap = cov.charts[0].transitions[1]
         from charpgeom.algebra.multipoly import RatExpr
@@ -84,7 +84,7 @@ class TestDifferential:
         for p in (3, 5, 7):
             fld = FF(p)
             form = MultiPoly.monomial(fld, 2, (p - 1, 1), 1)
-            cov = covers.cover_of_projective_space(fld, 1, 1, 1, p, form)
+            cov = covers.cover_of_projective_space(1, 1, 1, p, form)
             rep = covers.differential_of_section(cov)
             assert rep["overlaps_checked"] == 2
 
@@ -94,7 +94,7 @@ class TestDifferential:
         for _ in range(3):
             form = covers.random_homogeneous_form(fld, 3, 3, rng)
             try:
-                cov = covers.cover_of_projective_space(fld, 2, 1, 1, 3, form)
+                cov = covers.cover_of_projective_space(2, 1, 1, 3, form)
             except covers.NonReducedCover:
                 continue
             rep = covers.differential_of_section(cov)
@@ -333,3 +333,52 @@ def _eval_cover(bundle, lp):
                 term = term * x ** k
         value = value + term
     return value
+
+
+def random_poly(fld, rng, max_deg=3):
+    """Seeded polynomial in 2 variables of degree below max_deg in each."""
+    return MultiPoly(fld, 2, {
+        (i, j): fld.from_index(rng.randrange(fld.order))
+        for i in range(max_deg) for j in range(max_deg) if rng.random() < 0.4})
+
+
+class TestCommonZeros:
+    @staticmethod
+    def _seeded_polys(fld, count, rng):
+        """`count` polynomials in 2 variables, most through one shared
+        point, some zero or constant."""
+        x, y = MultiPoly.variables(fld, 2)
+        elems = list(fld.elements())
+        a, b = rng.choice(elems), rng.choice(elems)
+        through = [x - MultiPoly.const(fld, 2, a), y - MultiPoly.const(fld, 2, b)]
+        polys = []
+        for _ in range(count):
+            kind = rng.random()
+            if kind < 0.1:
+                polys.append(MultiPoly.zero(fld, 2))
+            elif kind < 0.15:
+                polys.append(MultiPoly.const(fld, 2, rng.choice(elems[1:])))
+            else:
+                f = sum((random_poly(fld, rng) * lin for lin in through),
+                        MultiPoly.zero(fld, 2))
+                if kind > 0.85:
+                    f = f + random_poly(fld, rng)
+                polys.append(f)
+        return polys
+
+    @pytest.mark.parametrize("order", [(5, 1), (3, 2)])
+    def test_two_variable_sweep_matches_product(self, order):
+        # the collapsed two-variable sweep against plain enumeration: the
+        # same points, in the same order
+        fld = FF(*order)
+        rng = random.Random(sum(order))
+        elems = list(fld.elements())
+        nonempty = 0
+        for count in (2, 3):
+            for _ in range(12):
+                polys = self._seeded_polys(fld, count, rng)
+                want = [pt for pt in itertools.product(elems, repeat=2)
+                        if all(g.evaluate(pt) == fld.zero for g in polys)]
+                assert list(covers.common_zeros(polys, fld, 2)) == want
+                nonempty += len(want) > 1
+        assert nonempty

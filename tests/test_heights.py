@@ -310,6 +310,15 @@ class TestExample3:
         g = [one, zero, one * 2, zero, one]
         with pytest.raises(ValueError):
             heights.example3_bounded_degree(g, [fld.zero])
+        # g = (x - t)^2 (x + 1) = x^3 + (1 - 2t) x^2 + (t^2 - 2t) x + t^2
+        t = RatFunc(UPoly.x(fld))
+        g = [t * t, t * t - t * 2, one - t * 2, one]
+        with pytest.raises(ValueError):
+            heights.example3_bounded_degree(g, [fld.zero])
+        # g = x^5 + t is inseparable (g' = 0): not certified, so accepted
+        g = [t, zero, zero, zero, zero, one]
+        fam = heights.example3_bounded_degree(g, [fld.zero])
+        assert len(fam.extras["records"]) == 1
 
 
 class TestSectionsAvoiding:

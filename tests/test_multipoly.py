@@ -1,9 +1,12 @@
 """Multivariate polynomials: ring laws, char-p calculus, text encoding."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import charpgeom
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly, RatExpr, parse_poly, hessian_at, det
 
@@ -217,3 +220,36 @@ def test_mixed_rings_raise():
     with pytest.raises(ValueError):
         x * MultiPoly.var(FF(3), 2, 0)
     assert x * MultiPoly.var(FF(5), 2, 1) == MultiPoly.monomial(fld, 2, (1, 1))
+
+
+def _writes_terms(target):
+    """Does an assignment or del target store into `<expr>.terms[...]`?"""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_terms(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_terms(target.value)
+    return (isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Attribute)
+            and target.value.attr == "terms")
+
+
+def test_terms_written_only_inside_algebra():
+    # outside algebra/, polynomials are built through the constructor, so
+    # `MultiPoly.terms` can become a read-only view
+    root = pathlib.Path(charpgeom.__file__).parent
+    writers = []
+    for path in sorted(root.rglob("*.py")):
+        if "algebra" in path.relative_to(root).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            else:
+                continue
+            if any(_writes_terms(t) for t in targets):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert not writers, f"assignments into .terms[...]: {writers}"

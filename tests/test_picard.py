@@ -6,6 +6,7 @@ import pytest
 
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.unipoly import UPoly, RatFunc
+from charpgeom.algebra.linalg import mat_vec
 from charpgeom import picard
 
 
@@ -85,7 +86,7 @@ class TestPGL:
         # the witness is projectively the chosen matrix: check action agrees
         for i in range(len(cfg)):
             img = picard.normalize_proj_tuple(
-                fld, picard._mat_vec(fld, res.matrix, cfg[i]))
+                fld, mat_vec(res.matrix, cfg[i], fld))
             assert img == moved[i]
 
     def test_cross_ratio_mismatch(self):
@@ -117,7 +118,7 @@ class TestPGL:
             # symmetric witness: ba's matrix inverts ab's action
             for i in range(len(cfg_a)):
                 img = picard.normalize_proj_tuple(
-                    fld, picard._mat_vec(fld, ba.matrix, cfg_b[i]))
+                    fld, mat_vec(ba.matrix, cfg_b[i], fld))
                 assert img == cfg_a[i]
 
     def test_degenerate_frame_reported(self):

@@ -2,6 +2,7 @@
 
 from charpgeom import picard
 from charpgeom.algebra.multipoly import det
+from charpgeom.algebra.linalg import mat_vec
 
 
 def random_config(fld, n_pts, rng, N=1):
@@ -29,5 +30,5 @@ def random_pgl(fld, N, rng):
 
 
 def apply_pgl(fld, mat, cfg):
-    pts = [picard._mat_vec(fld, mat, pt) for pt in cfg.points]
+    pts = [mat_vec(mat, pt, fld) for pt in cfg.points]
     return picard.PointConfig(fld, pts)
