@@ -13,6 +13,8 @@ Frobenius x -> x^p is an automorphism; its inverse (the exact p-th root) is
 x -> x^(p^(m-1)).  Square roots use Tonelli-Shanks with a scanned non-residue,
 and `FiniteField.extension` produces F_{p^(m*k)} together with an embedding,
 which is how callers "enlarge the field" for missing square roots.
+Fields of at most PRIME_TABLE_MAX elements keep tables for the kernels of
+`monomials.py`: F_p its residues' elements, F_{p^m} its Zech logarithms.
 """
 
 import functools
@@ -147,7 +149,7 @@ def _find_modulus(p, m):
     raise AssertionError("no irreducible polynomial found (impossible)")
 
 
-# Largest p for which FiniteField keeps a table of its p elements.
+# Largest order of a field with tables: prime_elements, or log_tables.
 PRIME_TABLE_MAX = 1 << 16
 
 
@@ -187,6 +189,7 @@ class FiniteField:
             self.one = FFElement(self, (1,) + (0,) * (m - 1))
         self._generator = None
         self._nonresidue = None
+        self._log_tables = None
 
     def __repr__(self):
         return f"FF({self.p})" if self.m == 1 else f"FF({self.p}^{self.m})"
@@ -294,6 +297,20 @@ class FiniteField:
                     self._generator = g
                     break
         return self._generator
+
+    def log_tables(self):
+        """(exp, log, zech), built on first use: code 0 is zero and 1 + k
+        is g^k for the generator g; exp[code] is the element, log maps
+        coefficient tuples to codes, and zech[d] is the code of 1 + g^d."""
+        if self._log_tables is None:
+            g, x, exp = self.generator().coeffs, self.one.coeffs, [self.zero]
+            for _ in range(self.order - 1):
+                exp.append(FFElement(self, x))
+                x = self._mul(x, g)
+            log = {a.coeffs: code for code, a in enumerate(exp)}
+            zech = [log[self._add(exp[1].coeffs, a.coeffs)] for a in exp[1:]]
+            self._log_tables = exp, log, zech
+        return self._log_tables
 
     def is_square(self, a):
         if a == self.zero:

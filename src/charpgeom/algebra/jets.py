@@ -11,8 +11,10 @@ Representation notes: terms are the packed polynomials of `monomials.py`,
 term's degree is `key >> top`.  Because the degree is the key's top field,
 the terms of degree < r are exactly the keys below r << top: truncation is
 one comparison, and a product sorted by key stops each row early.  The
-ring's kernel keeps residues over prime fields and domain elements
-elsewhere; this module has one path for both.
+ring's kernel keeps residues over F_p, Zech-log codes over F_{p^m} and
+domain elements elsewhere (`monomials.ring`); this module has one path for
+all three.  Jets over different domains or numbers of variables do not mix:
+arithmetic between them raises ValueError.
 """
 
 from .monomials import ring
@@ -47,7 +49,7 @@ class Jet:
         return out
 
     def _coeff(self, c):
-        return self.ring.coeff(self.domain.elem(c) if isinstance(c, int) else c)
+        return self.ring.coeff(self.domain.elem(c))   # raises on another field
 
     def _set(self, key, c):
         c = self._coeff(c)
@@ -116,15 +118,17 @@ class Jet:
         return self._like(self.ring.scale(self.terms, self.ring.minus_one))
 
     def _align(self, other):
-        if isinstance(other, Jet):
-            if other.order != self.order or other.n != self.n:
-                raise ValueError("jet order/variable mismatch")
-            return other
         if isinstance(other, MultiPoly):
-            return Jet.from_poly(other, self.order)
-        jet = self._like({})
-        jet._set(0, self.domain.elem(other))
-        return jet
+            other = Jet.from_poly(other, self.order)
+        elif not isinstance(other, Jet):
+            jet = self._like({})
+            jet._set(0, other)
+            return jet
+        if (other.order != self.order or other.n != self.n
+                or other.domain is not self.domain
+                and other.domain != self.domain):
+            raise ValueError("jet order, variable or domain mismatch")
+        return other
 
     def __mul__(self, other):
         other = self._align(other)
@@ -158,20 +162,23 @@ def jet_compose(f, phis, order):
     tails, and the call raises).  Powers of each phi are cached, so a sparse
     f costs about two jet multiplications per term.
     """
-    if isinstance(f, MultiPoly):
-        items = f.terms.items()
-    else:
-        items = [(f.ring.exponents(k), f.ring.element(c))
-                 for k, c in f.terms.items()]
     domain, n = f.domain, f.n
     if len(phis) != n:
         raise ValueError("need one substitution jet per variable")
     phis = [phi.truncate(order) if phi.order != order else phi for phi in phis]
     for phi in phis:
+        if phi.domain != domain or phi.n != phis[0].n:
+            raise ValueError("substitution jets must share f's domain and "
+                             "one number of variables")
         if phi.constant_term() != domain.zero:
             raise ValueError("substitution jets must have zero constant term")
     one_jet = phis[0]._like({})
     one_jet._set(0, domain.one)
+    ring = one_jet.ring                 # a Jet f's codes are already in it
+    if isinstance(f, MultiPoly):
+        items = [(e, ring.coeff(c)) for e, c in f.terms.items()]
+    else:
+        items = [(f.ring.exponents(k), c) for k, c in f.terms.items()]
     pow_cache = [{0: one_jet} for _ in range(n)]
 
     def power(i, e):
@@ -187,23 +194,18 @@ def jet_compose(f, phis, order):
             cache[k] = half * half * phis[i] if k & 1 else half * half
         return cache[e]
 
-    acc = one_jet._like({})
+    acc = {}
     for exps, c in items:
         # every phi has valuation >= 1, so x^e contributes valuation >= |e|
         if sum(exps) >= order:
             continue
-        term = None
+        term = one_jet
         for i, e in enumerate(exps):
             if e:
                 pw = power(i, e)
                 if pw.is_zero():
                     break
-                term = pw if term is None else term * pw
+                term = pw if term is one_jet else term * pw
         else:
-            if term is None:
-                cjet = one_jet._like({})
-                cjet._set(0, c)
-                acc = acc + cjet
-            else:
-                acc = acc + term.scale(c)
-    return acc
+            ring.submul(acc, term.terms, 0, c)      # acc -= c * term, in place
+    return one_jet._like(ring.scale(acc, ring.minus_one))

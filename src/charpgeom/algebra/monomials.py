@@ -8,12 +8,14 @@ subtraction (Monagan & Pearce, "Polynomial division using dynamic arrays,
 heaps, and packed exponent vectors", CASC 2007).  A degree above MAX_DEGREE
 raises ValueError, never wraps.
 
-A packed polynomial is a plain dict {key: coefficient}.  Over a prime field
-with a table of its elements the coefficients are residues 0..p-1, and
-domain elements otherwise; `ring(domain, n)` picks the kernel, and code on
-top of it has one path for both.
+A packed polynomial is a plain dict {key: coefficient}, in one of three
+coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
+(`Residues`), Zech-log codes over F_{p^m} with m > 1 (`ZechLogs`), both up
+to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
+on top of the kernel has one path for all three.
 """
 
+from .finitefield import PRIME_TABLE_MAX
 from .multipoly import MultiPoly
 
 FIELD_BITS = 16                            # per exponent, guard bit included
@@ -28,7 +30,8 @@ def _check_degree(d):
 
 class Ring:
     """Packed monomials in n variables, and the coefficient kernel on domain
-    elements; `Residues` replaces the kernel over prime fields."""
+    elements; `Residues` and `ZechLogs` replace the kernel over tabled
+    prime and extension fields."""
 
     def __init__(self, domain, n):
         self.domain, self.n = domain, n
@@ -65,6 +68,9 @@ class Ring:
         return (a & ge) | (b & ~ge)
 
     def pack(self, poly):
+        if poly.n != self.n or poly.domain != self.domain:
+            raise ValueError(f"polynomial over {poly.domain!r}, n = {poly.n}, "
+                             f"used in a ring over {self.domain!r}, n = {self.n}")
         return {self.monomial(exps): self.coeff(c)
                 for exps, c in poly.terms.items()}
 
@@ -190,8 +196,76 @@ class Residues(Ring):
         return {k: r for k, r in ((k, r % p) for k, r in out.items()) if r}
 
 
+class ZechLogs(Ring):
+    """The coefficient kernel over F_{p^m}, m > 1, on Zech-log codes: 0 for
+    zero and 1 + k for g^k (`FiniteField.log_tables`).  A product adds logs
+    mod q - 1, a sum g^i + g^j = g^i (1 + g^(j-i)) is one lookup in the Zech
+    table, and -1 = g^((q-1)/2).  A difference of two codes indexes the
+    table directly: Python's negative indices wrap it mod q - 1."""
+
+    def __init__(self, domain, n):
+        self.exp, self.log, self.zech = domain.log_tables()
+        self.units = domain.order - 1
+        super().__init__(domain, n)
+
+    def coeff(self, c):
+        return self.log[c.coeffs]
+
+    def element(self, c):
+        return self.exp[c]
+
+    def inverse(self, c):
+        return (1 - c) % self.units + 1
+
+    def scale(self, poly, c):
+        units, c = self.units, c - 2
+        return {k: (v + c) % units + 1 for k, v in poly.items()}
+
+    def add(self, a, b):
+        out = dict(a)
+        self.submul(out, b, 0, self.minus_one)
+        return out
+
+    def submul(self, work, poly, shift, c):
+        get, units, zech = work.get, self.units, self.zech
+        c += units // 2 - 2                   # the code of -c, less 2
+        for k, v in poly.items():
+            k += shift
+            t = (v + c) % units + 1
+            r = get(k)
+            if r is None:
+                work[k] = t
+            elif z := zech[t - r]:
+                work[k] = (r + z - 2) % units + 1
+            else:
+                del work[k]
+
+    def mul(self, a, b, bound):
+        out, units, zech = {}, self.units, self.zech
+        get = out.get
+        b = sorted(b.items())
+        for k1, c1 in a.items():
+            lim, c1 = bound - k1, c1 - 2
+            for k2, c2 in b:
+                if k2 >= lim:
+                    break
+                k = k1 + k2
+                t = (c1 + c2) % units + 1
+                r = get(k)
+                if r is None:
+                    out[k] = t
+                elif z := zech[t - r]:
+                    out[k] = (r + z - 2) % units + 1
+                else:
+                    del out[k]
+        return out
+
+
 def ring(domain, n):
-    """The ring of packed polynomials in n variables over `domain`."""
+    """The ring of packed polynomials in n variables over `domain`, with the
+    kernel of its coefficients (see the module docstring)."""
     if getattr(domain, "prime_elements", None) is not None:
         return Residues(domain, n)
+    if getattr(domain, "m", 1) > 1 and domain.order <= PRIME_TABLE_MAX:
+        return ZechLogs(domain, n)
     return Ring(domain, n)

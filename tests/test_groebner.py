@@ -203,3 +203,23 @@ def test_certificate_needs_one_cofactor_per_generator_in_one_ring():
     with pytest.raises(ValueError):
         IdealCertificate([MultiPoly.const(fld, 2, 1)],
                          [MultiPoly.var(fld, 3, 2)]).verify()
+
+
+def test_generators_from_other_rings_raise():
+    # residues mod 5 used to be reduced mod 7 (and codes of F_25 would read
+    # as codes of F_9): every generator must share the first one's ring
+    x7, y7 = MultiPoly.variables(FF(7), 2)
+    x5, y5 = MultiPoly.variables(FF(5), 2)
+    z = MultiPoly.var(FF(7), 3, 2)
+    with pytest.raises(ValueError, match="used in a ring over"):
+        groebner_membership_one([x7 + 1, y5])
+    with pytest.raises(ValueError, match="used in a ring over"):
+        groebner_membership_one([x7, z + 1])
+    with pytest.raises(ValueError, match="used in a ring over"):
+        reduce_poly(x7 * y7, [x5])
+    u9 = MultiPoly.var(FF(3, 2), 1, 0)
+    u25 = MultiPoly.var(FF(5, 2), 1, 0)
+    with pytest.raises(ValueError, match="used in a ring over"):
+        groebner_membership_one([u9, u25 + 1])
+    with pytest.raises(ValueError, match="used in a ring over"):
+        monomials.ring(FF(3, 2), 1).pack(u25)

@@ -1,10 +1,11 @@
 """The packed Buchberger engine against the frozen eager-representation one.
 
-On seeded ideals in 2-4 variables over F_3, F_5, F_7, F_{3^2} and F_{5^2},
-every field of the membership result must agree with the reference
-(`tests_support_groebner_reference`): status, pairs processed, basis and
-cofactors.  The trace replay must give every basis element the reference's
-representation, and `reduce_poly` the reference's quotients and remainder.
+On seeded ideals in 2-4 variables over F_3, F_5, F_7, F_{3^2}, F_{5^2},
+F_{3^3} and F_{7^2}, every field of the membership result must agree with
+the reference (`tests_support_groebner_reference`): status, pairs
+processed, basis and cofactors.  The trace replay must give every basis
+element the reference's representation, and `reduce_poly` the reference's
+quotients and remainder.
 """
 
 import random
@@ -19,7 +20,7 @@ from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 
 import tests_support_groebner_reference as reference
 
-FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
 
 
 def _random_poly(fld, n, rng, n_terms, max_deg):

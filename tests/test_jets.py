@@ -136,3 +136,39 @@ def test_jet_arithmetic_over_extension_field():
     b = Jet.from_poly(y * 2, 5)
     assert (a + b) - b == a
     assert (a * b).to_poly() == ((x * MultiPoly.const(fld, 2, g) + y ** 2) * (y * 2))
+
+
+def test_arithmetic_across_fields_raises():
+    # over F_p the residues of one field used to be reduced mod the other's
+    # p, and over F_{p^m} one field's Zech-log codes would read as the
+    # other's
+    x5 = MultiPoly.var(FF(5), 2, 0)
+    jet7 = Jet.variable(FF(7), 2, 0, 4)
+    with pytest.raises(ValueError, match="mismatch"):
+        jet7 + 4 * x5
+    with pytest.raises(ValueError, match="mismatch"):
+        jet7 * Jet.variable(FF(5), 2, 1, 4)
+    with pytest.raises(ValueError):
+        jet7.scale(FF(5).elem(3))
+    with pytest.raises(ValueError):
+        jet7 + FF(5).elem(3)
+    jet9, jet25 = Jet.variable(FF(3, 2), 1, 0, 4), Jet.variable(FF(5, 2), 1, 0, 4)
+    with pytest.raises(ValueError, match="mismatch"):
+        jet9 * jet25
+    with pytest.raises(ValueError, match="mismatch"):
+        jet9 - jet25
+    with pytest.raises(ValueError, match="mismatch"):
+        jet7 + Jet.variable(FF(7), 3, 0, 4)
+
+
+def test_compose_with_phis_over_another_field_raises():
+    x, y = MultiPoly.variables(FF(3, 2), 2)
+    phis25 = [Jet.variable(FF(5, 2), 2, i, 4) for i in range(2)]
+    with pytest.raises(ValueError, match="domain"):
+        jet_compose(x * y + x, phis25, 4)
+    with pytest.raises(ValueError, match="domain"):
+        jet_compose(Jet.from_poly(x * y, 4), phis25, 4)
+    # the phis must also share one number of variables
+    mixed = [Jet.variable(FF(3, 2), 2, 0, 4), Jet.variable(FF(3, 2), 3, 0, 4)]
+    with pytest.raises(ValueError, match="number of variables"):
+        jet_compose(x * y, mixed, 4)

@@ -1,7 +1,8 @@
 """Jet against the frozen jet on 6-bit packed exponents.
 
 On seeded jets in 1-3 variables over F_3, F_5, F_7, F_{3^2}, F_{5^2},
-F_3(t) and F_70001 (a prime beyond the residue table), every Jet operation
+F_{3^3}, F_{7^2}, F_3(t) and F_70001 (a prime beyond the residue table),
+so on each of the three coefficient kernels, every Jet operation
 must agree with the reference (`tests_support_jets_reference`) once both
 are read back as MultiPolys or domain elements.
 """
@@ -20,6 +21,7 @@ import tests_support_jets_reference as reference
 DOMAINS = {
     "F_3": lambda: FF(3), "F_5": lambda: FF(5), "F_7": lambda: FF(7),
     "F_3^2": lambda: FF(3, 2), "F_5^2": lambda: FF(5, 2),
+    "F_3^3": lambda: FF(3, 3), "F_7^2": lambda: FF(7, 2),
     "F_3(t)": lambda: RatFuncField(FF(3)), "F_70001": lambda: FF(70001),
 }
 

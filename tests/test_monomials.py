@@ -1,10 +1,18 @@
-"""Laws of the packed monomial keys, against exponent tuples.
+"""Laws of the packed monomial keys and of the coefficient kernels.
 
 Property tests (skipped without hypothesis): keys add like exponent
 vectors, the top field is the degree, lcm and divisibility agree with the
 tuple forms, integer order is grevlex order, and jet composition is
 associative.
+
+Kernel tests (seeded, always run): `ring()` picks residues over F_p,
+Zech-log codes over F_{p^m} and domain elements otherwise; each specialised
+kernel defines every coefficient method itself; the code kernel agrees with
+the element kernel over F_9, F_25, F_27, F_49 and F_81; and the Zech-log
+tables obey their laws.
 """
+
+import random
 
 import pytest
 
@@ -12,9 +20,21 @@ from charpgeom.algebra import groebner, monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.jets import Jet, jet_compose
 from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.unipoly import RatFuncField
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:                 # the property tests skip, the rest run
+    class _Absent:
+        def __getattr__(self, name):
+            return self
+
+        def __call__(self, *args, **kwargs):
+            return self
+
+    st = _Absent()
+    given = settings = lambda *a, **k: pytest.mark.skip(
+        reason="hypothesis is not installed")
 
 NVARS = 3
 _exps = st.lists(st.integers(0, 40), min_size=NVARS, max_size=NVARS).map(tuple)
@@ -72,3 +92,98 @@ def test_compose_is_associative(r, f, gs, hs):
     left = jet_compose(jet_compose(f, g_jets, r), h_jets, r)
     right = jet_compose(f, [jet_compose(g, h_jets, r) for g in gs], r)
     assert left == right
+
+
+# -- coefficient kernels -------------------------------------------------------
+
+KERNEL_METHODS = ("coeff", "element", "inverse", "scale", "add", "submul", "mul")
+CODE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
+
+
+def test_ring_selection():
+    assert type(monomials.ring(FF(5), 2)) is monomials.Residues
+    assert type(monomials.ring(FF(3, 2), 2)) is monomials.ZechLogs
+    assert type(monomials.ring(RatFuncField(FF(3)), 2)) is monomials.Ring
+    assert type(monomials.ring(FF(70001), 2)) is monomials.Ring
+    # order 66049, just above PRIME_TABLE_MAX: elements, and no table built
+    big = FF(257, 2)
+    assert type(monomials.ring(big, 2)) is monomials.Ring
+    assert big._log_tables is None
+
+
+@pytest.mark.parametrize("kernel", monomials.Ring.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_kernels_define_every_coefficient_method(kernel):
+    # an inherited element method would do int arithmetic on residues or
+    # codes, with no error
+    assert [m for m in KERNEL_METHODS if m not in vars(kernel)] == []
+
+
+@pytest.mark.parametrize("domain", [FF(5), FF(3, 2), FF(7, 2),
+                                    RatFuncField(FF(3)), FF(70001)],
+                         ids=repr)
+def test_one_and_minus_one_round_trip(domain):
+    r = monomials.ring(domain, 2)
+    assert r.element(r.one) == domain.one
+    assert r.element(r.minus_one) == domain.elem(-1)
+    assert r.coeff(r.element(r.minus_one)) == r.minus_one
+
+
+def _random_packed(fld, rng, element_ring, max_terms=12):
+    return {element_ring.monomial((rng.randrange(6), rng.randrange(6))):
+            fld.from_index(rng.randrange(1, fld.order))
+            for _ in range(rng.randrange(1, max_terms))}
+
+
+@pytest.mark.parametrize("p, m", CODE_FIELDS)
+def test_code_kernel_matches_element_ring(p, m):
+    fld = FF(p, m)
+    codes, elements = monomials.ring(fld, 2), monomials.Ring(fld, 2)
+    assert type(codes) is monomials.ZechLogs
+
+    def encode(poly):
+        return {k: codes.coeff(c) for k, c in poly.items()}
+
+    def decode(packed):
+        return {k: codes.element(c) for k, c in packed.items()}
+
+    rng = random.Random(f"kernel:{p}^{m}")
+    for _ in range(60):
+        a = _random_packed(fld, rng, elements)
+        b = _random_packed(fld, rng, elements)
+        c = fld.from_index(rng.randrange(1, fld.order))
+        ca, cb, cc = encode(a), encode(b), codes.coeff(c)
+        for degree in (1, 4, 9, 13):
+            bound = degree << elements.top
+            assert decode(codes.mul(ca, cb, bound)) == elements.mul(a, b, bound)
+        assert decode(codes.add(ca, cb)) == elements.add(a, b)
+        assert decode(codes.scale(ca, cc)) == elements.scale(a, c)
+        assert codes.element(codes.inverse(cc)) == elements.inverse(c)
+        shift = elements.monomial((1, 2))
+        work, ref = dict(ca), dict(a)
+        codes.submul(work, cb, shift, cc)
+        elements.submul(ref, b, shift, c)
+        assert decode(work) == ref
+        # c * b subtracted from c * b cancels every term
+        work = codes.scale(cb, cc)
+        codes.submul(work, cb, 0, cc)
+        assert work == {}
+        assert codes.add(ca, codes.scale(ca, codes.minus_one)) == {}
+
+
+@pytest.mark.parametrize("p, m", CODE_FIELDS)
+def test_log_table_laws(p, m):
+    fld = FF(p, m)
+    exp, log, zech = fld.log_tables()
+    q, g = fld.order, fld.generator()
+    assert len(exp) == len(log) == q and len(zech) == q - 1
+    assert {a.coeffs for a in exp} == {a.coeffs for a in fld.elements()}
+    assert all(log[a.coeffs] == code for code, a in enumerate(exp))
+    assert exp[0] == fld.zero and exp[1] == fld.one and exp[2] == g
+    zeros = [d for d, z in enumerate(zech) if z == 0]
+    assert zeros == [(q - 1) // 2]
+    x = fld.one
+    for d in range(q - 1):
+        assert exp[zech[d]] == fld.one + x
+        x = x * g
+    assert fld.log_tables() is fld.log_tables()
