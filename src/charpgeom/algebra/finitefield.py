@@ -20,6 +20,8 @@ Fields of at most PRIME_TABLE_MAX elements keep tables for the kernels of
 import functools
 import itertools
 
+from .powers import power
+
 
 def is_prime(n):
     if n < 2:
@@ -84,15 +86,16 @@ def _pdivmod(a, b, p):
 def _pmod(a, mod, p):
     return _pdivmod(a, mod, p)[1]
 
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
+class _Residue:
+    """The class of an int list mod a fixed modulus over F_p, for `power`."""
+
+    __slots__ = ("coeffs", "mod", "p")
+
+    def __init__(self, coeffs, mod, p):
+        self.coeffs, self.mod, self.p = _pmod(coeffs, mod, p), mod, p
+
+    def __mul__(self, other):
+        return _Residue(_pmul(self.coeffs, other.coeffs, self.p), self.mod, self.p)
 
 def _pgcd(a, b, p):
     """Monic gcd; [] when both inputs are zero."""
@@ -109,19 +112,14 @@ def _is_irreducible(f, p):
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1]
+    x, one = _Residue([0, 1], f, p), _Residue([1], f, p)
     # x^(p^m) == x mod f
-    xq = x
-    for _ in range(m):
-        xq = _ppowmod(xq, p, f, p)
-    if _psub(xq, x, p):
+    if _psub(power(x, p ** m, one).coeffs, x.coeffs, p):
         return False
     # gcd(x^(p^(m/l)) - x, f) == 1 for every prime l | m
     for l in set(_prime_factors(m)):
-        xq = x
-        for _ in range(m // l):
-            xq = _ppowmod(xq, p, f, p)
-        g = _pgcd(f, _psub(xq, x, p), p)
+        xq = power(x, p ** (m // l), one).coeffs
+        g = _pgcd(f, _psub(xq, x.coeffs, p), p)
         if len(g) != 1:
             return False
     return True
@@ -265,20 +263,6 @@ class FiniteField:
                 for i in range(m):
                     res[k - m + i] = (res[k - m + i] - c * mod[i]) % p
         return tuple(res[:m])
-
-    def _inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        # a^(q-2) by square-and-multiply on coefficient tuples
-        result = self.one.coeffs
-        base = a
-        e = self.order - 2
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
 
     # -- field-level operations ----------------------------------------------
 
@@ -483,25 +467,21 @@ class FFElement:
             other = self.field.elem(other)
         elif other.field is not self.field and other.field != self.field:
             raise _mixed(self, other)
-        return FFElement(self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.field.elem(other) / self
 
     def inverse(self):
-        return FFElement(self.field, self.field._inv(self.coeffs))
+        """a^(q-2), the inverse in F_q^*; ZeroDivisionError for zero."""
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero in " + repr(self.field))
+        return power(self, self.field.order - 2, self.field.one)
 
     def __pow__(self, e):
         if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return power(self.inverse(), -e, self.field.one)
+        return power(self, e, self.field.one)
 
 
 def _mixed(a, b):

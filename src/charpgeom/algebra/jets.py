@@ -19,6 +19,7 @@ arithmetic between them raises ValueError.
 
 from .monomials import ring
 from .multipoly import MultiPoly
+from .powers import cached_power, power
 
 MAX_ORDER = 32          # the CLI's --r bound; keys would pack up to MAX_DEGREE
 
@@ -140,15 +141,7 @@ class Jet:
         return self._like(self.ring.scale(self.terms, c) if c else {})
 
     def __pow__(self, e):
-        result = self._like({})
-        result._set(0, self.domain.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self._like({0: self.ring.one}))
 
     def __repr__(self):
         return f"Jet(order={self.order}, {self.to_poly()!r})"
@@ -180,20 +173,6 @@ def jet_compose(f, phis, order):
     else:
         items = [(f.ring.exponents(k), c) for k, c in f.terms.items()]
     pow_cache = [{0: one_jet} for _ in range(n)]
-
-    def power(i, e):
-        # phi_i^e by repeated squaring from the nearest cached power; not
-        # recursive, so the caches die with this call, not at the next
-        # garbage collection
-        cache, chain, k = pow_cache[i], [], e
-        while k not in cache:
-            chain.append(k)
-            k //= 2
-        for k in reversed(chain):
-            half = cache[k // 2]
-            cache[k] = half * half * phis[i] if k & 1 else half * half
-        return cache[e]
-
     acc = {}
     for exps, c in items:
         # every phi has valuation >= 1, so x^e contributes valuation >= |e|
@@ -202,7 +181,7 @@ def jet_compose(f, phis, order):
         term = one_jet
         for i, e in enumerate(exps):
             if e:
-                pw = power(i, e)
+                pw = cached_power(pow_cache[i], phis[i], e)
                 if pw.is_zero():
                     break
                 term = pw if term is one_jet else term * pw

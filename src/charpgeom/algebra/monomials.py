@@ -52,7 +52,9 @@ class Ring:
         return high << self.low_bits | low
 
     def monomial(self, exps):
-        """Key of an exponent tuple."""
+        """Key of an exponent tuple of length n with entries >= 0."""
+        if len(exps) != self.n or min(exps, default=0) < 0:
+            raise ValueError(f"exponents {tuple(exps)!r} of a monomial in {self.n} variables")
         _check_degree(sum(exps))
         return self.key(sum(e << s for e, s in zip(exps, self.shifts)))
 

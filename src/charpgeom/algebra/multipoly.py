@@ -16,6 +16,7 @@ import itertools
 import re
 
 from .linalg import det
+from .powers import cached_power, power
 
 
 class MultiPoly:
@@ -30,6 +31,8 @@ class MultiPoly:
         if terms:
             zero = domain.zero
             for exp, c in terms.items():
+                if len(exp) != n or min(exp, default=0) < 0:
+                    raise ValueError(f"exponents {exp!r} of a monomial in {n} variables")
                 if c != zero:
                     self.terms[exp] = c
 
@@ -166,14 +169,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        result = MultiPoly.const(self.domain, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, MultiPoly.const(self.domain, self.n, 1))
 
     def scale(self, c):
         return self * c
@@ -288,18 +284,6 @@ class MultiPoly:
 
     def __repr__(self):
         return self.format()
-
-
-def cached_power(cache, base, k):
-    """base^k, multiplying the highest power below k in `cache` ({exponent:
-    power}) by base once per missing step and caching each step.  Iterative,
-    so the cache dies with its owner, not at the next garbage collection."""
-    j = k
-    while j not in cache:
-        j -= 1
-    for j in range(j + 1, k + 1):
-        cache[j] = cache[j - 1] * base
-    return cache[k]
 
 
 _TERM_FACTOR = re.compile(r"^([a-zA-Z]\w*)(?:\^(\d+))?$")
@@ -461,23 +445,25 @@ class RatExpr:
         n = self.num.n
         if len(exprs) != n:
             raise ValueError("substitution needs one expression per variable")
+        one = MultiPoly.const(self.num.domain, exprs[0].num.n, 1)
+        # powers of each num_i and den_i, shared by numerator and denominator
+        num_pows = [{0: one} for _ in range(n)]
+        den_pows = [{0: one} for _ in range(n)]
         def subs_poly(poly):
-            m = exprs[0].num.n
-            one = MultiPoly.const(poly.domain, m, 1)
             deg = [poly.degree_in(i) for i in range(n)]
             # common denominator prod den_i^deg_i, numerators scaled to match
-            acc = MultiPoly(poly.domain, m)
+            acc = MultiPoly(poly.domain, one.n)
             for e, c in poly.terms.items():
-                term = MultiPoly.const(poly.domain, m, c)
+                term = MultiPoly.const(poly.domain, one.n, c)
                 for i, k in enumerate(e):
-                    if deg[i] <= 0:
-                        continue
-                    term = term * (exprs[i].num ** k) * (exprs[i].den ** (deg[i] - k))
+                    if deg[i] > 0:
+                        term = (term * cached_power(num_pows[i], exprs[i].num, k)
+                                * cached_power(den_pows[i], exprs[i].den, deg[i] - k))
                 acc = acc + term
             den = one
             for i in range(n):
                 if deg[i] > 0:
-                    den = den * (exprs[i].den ** deg[i])
+                    den = den * cached_power(den_pows[i], exprs[i].den, deg[i])
             return acc, den
         num_n, num_d = subs_poly(self.num)
         den_n, den_d = subs_poly(self.den)

@@ -1,0 +1,46 @@
+"""Powers in any ring with an exact `*`: field elements, polynomials, jets.
+
+`power` is binary exponentiation read from the low bit up (Knuth, TAOCP
+vol. 2, section 4.6.3, Algorithm A).  Two savings over the textbook loop
+matter for polynomials, where a product costs about the square of the
+operand size.  It never squares past the top bit, because that square
+would be thrown away: for a polynomial it is the largest product of the
+whole run, larger than the result itself.  And it never multiplies by
+`one`: the first set bit takes the current square itself.
+
+`cached_power` serves substitution, where one base is raised to every
+exponent from 0 up to a degree bound, term after term.  It steps one power
+at a time from the highest cached one, so each power costs one product with
+the base and is made once; every intermediate power is kept, since later
+terms ask for it too.
+"""
+
+
+def power(base, e, one):
+    """base^e for an int e >= 0, `one` when e = 0.
+
+    Raises ValueError on a negative exponent: a ring without inverses has
+    no answer, and callers that can invert (field elements, fractions) do
+    so before they call."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one if result is None else result
+
+
+def cached_power(cache, base, k):
+    """base^k, multiplying the highest power below k in `cache` ({exponent:
+    power}) by base once per missing step and caching each step.  Iterative,
+    so the cache dies with its owner, not at the next garbage collection."""
+    j = k
+    while j not in cache:
+        j -= 1
+    for j in range(j + 1, k + 1):
+        cache[j] = cache[j - 1] * base
+    return cache[k]

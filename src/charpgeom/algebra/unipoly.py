@@ -27,6 +27,7 @@ int path would otherwise read their residues as if they were this field's.
 """
 
 from .finitefield import pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
+from .powers import power
 
 
 def _ints(poly):
@@ -140,14 +141,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        result = UPoly.const(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, UPoly.const(self.field, 1))
 
     def _coerce(self, other):
         if isinstance(other, UPoly):

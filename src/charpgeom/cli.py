@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra.finitefield import FF, is_prime
 from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import (MultiPoly, det, hessian_at, parse_poly,
+from .algebra.multipoly import (MultiPoly, det, hessian_matrix, parse_poly,
                                split_terms)
 from .algebra.jets import MAX_ORDER
 from . import heights, covers, normalform, desing, picard
@@ -299,11 +299,11 @@ def _scenario_normalform(params, seed):
         f = f.subs(subs)
     # normal_form's preconditions, as invalid input of the flag that set f
     flag = "--point" if point_text else "--poly"
-    origin = (fld.zero,) * nvars
-    if any(g.evaluate(origin) for g in f.gradient()):
+    # values at the origin are constant terms
+    if any(g.constant_term() for g in f.gradient()):
         raise InvalidInput(f"argument {flag}: not a critical point of the "
                            f"polynomial")
-    if not hessian_at(f, origin)[1]:
+    if not det([[h.constant_term() for h in row] for row in hessian_matrix(f)], fld):
         raise InvalidInput(f"argument {flag}: degenerate Hessian at the "
                            f"critical point")
     res = normalform.normal_form(f, r)

@@ -31,8 +31,9 @@ from random import Random
 
 from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
-from .algebra.multipoly import (MultiPoly, RatExpr, cached_power,
-                                 hessian_matrix, monomials_of_degree)
+from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
+                                 monomials_of_degree)
+from .algebra.powers import cached_power
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from . import heights as heights_mod
@@ -187,6 +188,8 @@ def differential_of_section(cover):
             other = cover.charts[j]
             gp = g ** cover.p
             grads_j = diffs[other.index]
+            # d(f_j)/dx_k pulled back to this chart, independent of l
+            pulled = [RatExpr(g_k).subs(list(coord_map)) for g_k in grads_j]
             for l in range(ch.f.n):
                 lhs = RatExpr(ch.f.derivative(l))
                 rhs = RatExpr(MultiPoly.zero(ch.f.domain, ch.f.n))
@@ -194,7 +197,7 @@ def differential_of_section(cover):
                     dphi = coord_map[kvar].derivative(l)
                     if dphi.is_zero():
                         continue
-                    rhs = rhs + RatExpr(grads_j[kvar]).subs(list(coord_map)) * dphi
+                    rhs = rhs + pulled[kvar] * dphi
                 rhs = gp * rhs
                 if not lhs == rhs:
                     failures.append((ch.index, j, l))

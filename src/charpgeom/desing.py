@@ -85,10 +85,10 @@ def blowup_step(equation, step_index=0, names=None):
     """
     fld = equation.domain
     nv = equation.n
-    origin = tuple(fld.zero for _ in range(nv))
-    if equation.evaluate(origin) != fld.zero:
+    # values at the origin are constant terms
+    if equation.constant_term() != fld.zero:
         raise ValueError("center is not on the hypersurface")
-    if any(g.evaluate(origin) != fld.zero for g in equation.gradient()):
+    if any(g.constant_term() != fld.zero for g in equation.gradient()):
         raise ValueError("center is not a singular point")
     if names is None:
         names = tuple(f"y{i}" for i in range(nv))

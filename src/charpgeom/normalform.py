@@ -22,7 +22,7 @@ sum x_i^2 without trusting the solver's intermediate state.
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.finitefield import FiniteField
-from .algebra.multipoly import MultiPoly, hessian_at, det
+from .algebra.multipoly import MultiPoly, det, hessian_matrix
 from .algebra.linalg import mat_mul
 from .algebra.jets import Jet, jet_compose
 
@@ -213,13 +213,13 @@ def normal_form(f, r):
         raise ValueError("characteristic 2 is excluded")
     if r < 3:
         raise ValueError("order r must be at least 3")
-    origin = tuple(fld.zero for _ in range(n))
-    if any(not g.evaluate(origin) == fld.zero for g in f.gradient()):
+    # values at the origin are constant terms
+    if any(g.constant_term() != fld.zero for g in f.gradient()):
         raise ValueError("the origin is not a critical point")
-    hess, nondeg = hessian_at(f, origin)
-    if not nondeg:
+    hess = [[h.constant_term() for h in row] for row in hessian_matrix(f)]
+    if not det(hess, fld):
         raise ValueError("degenerate Hessian at the origin")
-    a0 = f.evaluate(origin)
+    a0 = f.constant_term()
 
     # normalize the quadratic part: C^T (H/2) C = I makes it sum x_i^2
     half = fld.elem(2).inverse()
