@@ -228,9 +228,6 @@ class FiniteField:
         """All p^m elements, in the deterministic base-p enumeration order."""
         return (self.from_index(k) for k in range(self.order))
 
-    def coerce(self, value):
-        return self.elem(value)
-
     # -- internal coefficient-tuple arithmetic --------------------------------
 
     def _add(self, a, b):
@@ -379,16 +376,11 @@ class FiniteField:
     # -- canonical text encoding ----------------------------------------------
 
     def format_element(self, a):
-        """Integer string for prime-field values, `g^k` otherwise."""
+        """Integer string for prime-field values, otherwise `g^k` with k
+        the discrete log of a (`log_tables`)."""
         if all(c == 0 for c in a.coeffs[1:]):
             return str(a.coeffs[0])
-        g = self.generator()
-        x = g
-        for k in range(1, self.order - 1):
-            if x == a:
-                return f"g^{k}"
-            x = x * g
-        raise AssertionError("element not in the multiplicative group sweep")
+        return f"g^{self.log_tables()[1][a.coeffs] - 1}"
 
     def parse_element(self, text):
         text = text.strip()

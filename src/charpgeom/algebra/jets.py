@@ -13,7 +13,9 @@ the terms of degree < r are exactly the keys below r << top: truncation is
 one comparison, and a product sorted by key stops each row early.  The
 ring's kernel keeps residues over F_p, Zech-log codes over F_{p^m} and
 domain elements elsewhere (`monomials.ring`); this module has one path for
-all three.  Jets over different domains or numbers of variables do not mix:
+all three.  All jets over equal (domain, n) hold one memoised ring, and
+every derived jet (a sum, a product, a truncation) is made by `_like`.
+Jets over different domains or numbers of variables do not mix:
 arithmetic between them raises ValueError.
 """
 
@@ -24,29 +26,35 @@ from .powers import cached_power, power
 MAX_ORDER = 32          # the CLI's --r bound; keys would pack up to MAX_DEGREE
 
 
+def _checked(order):
+    if order < 1 or order > MAX_ORDER:
+        raise ValueError(f"jet order must be in 1..{MAX_ORDER}")
+    return order
+
+
 class Jet:
     """Polynomial mod m^r: all stored monomials have total degree < r."""
 
     __slots__ = ("domain", "n", "order", "terms", "ring")
 
-    def __init__(self, domain, n, order, terms=None, _raw=None):
-        if order < 1 or order > MAX_ORDER:
-            raise ValueError(f"jet order must be in 1..{MAX_ORDER}")
-        self.domain = domain
-        self.n = n
-        self.order = order
+    def __init__(self, domain, n, order, terms=None):
+        self.domain, self.n, self.order = domain, n, _checked(order)
         self.ring = ring(domain, n)
-        self.terms = {} if _raw is None else _raw
+        self.terms = {}
         if terms:
+            bound = order << self.ring.top
             for exps, c in terms.items():
-                if sum(exps) < order:
-                    self._set(self.ring.monomial(exps), c)
+                key = self.ring.monomial(exps)      # raises on a bad tuple
+                if key < bound:
+                    self._set(key, c)
 
-    def _like(self, raw):
-        """A jet of this one's ring and order, with packed terms `raw`."""
+    def _like(self, raw, order=None):
+        """A jet of this one's ring, with packed terms `raw`, of this one's
+        order or of `order`."""
         out = Jet.__new__(Jet)
-        out.domain, out.n, out.order = self.domain, self.n, self.order
-        out.ring, out.terms = self.ring, raw
+        out.domain, out.n, out.ring = self.domain, self.n, self.ring
+        out.terms = raw
+        out.order = self.order if order is None else _checked(order)
         return out
 
     def _coeff(self, c):
@@ -63,9 +71,7 @@ class Jet:
 
     @classmethod
     def variable(cls, domain, n, i, order):
-        jet = cls(domain, n, order)
-        jet._set(jet.ring.key(1 << jet.ring.shifts[i]), domain.one)
-        return jet
+        return cls(domain, n, order, {tuple(int(j == i) for j in range(n)): 1})
 
     def to_poly(self):
         return self.ring.unpack(self.terms, {})
@@ -83,9 +89,7 @@ class Jet:
         return min(self.terms) >> self.ring.top if self.terms else None
 
     def coefficient(self, exps):
-        c = None
-        if sum(exps) < self.order:
-            c = self.terms.get(self.ring.monomial(exps))
+        c = self.terms.get(self.ring.monomial(exps))
         return self.domain.zero if c is None else self.ring.element(c)
 
     def homogeneous_part(self, d):
@@ -106,14 +110,16 @@ class Jet:
 
     def truncate(self, order):
         bound = order << self.ring.top
-        raw = {k: c for k, c in self.terms.items() if k < bound}
-        return Jet(self.domain, self.n, order, _raw=raw)
+        return self._like({k: c for k, c in self.terms.items() if k < bound},
+                          order)
 
     def __add__(self, other):
         return self._like(self.ring.add(self.terms, self._align(other).terms))
 
     def __sub__(self, other):
-        return self + (-self._align(other))
+        out = dict(self.terms)
+        self.ring.submul(out, self._align(other).terms, 0, self.ring.one)
+        return self._like(out)
 
     def __neg__(self):
         return self._like(self.ring.scale(self.terms, self.ring.minus_one))

@@ -12,8 +12,13 @@ A packed polynomial is a plain dict {key: coefficient}, in one of three
 coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
 (`Residues`), Zech-log codes over F_{p^m} with m > 1 (`ZechLogs`), both up
 to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
-on top of the kernel has one path for all three.
+on top of the kernel has one path for all three.  A kernel defines its
+conversions, `scale`, `submul` and `mul`; the sum `Ring.add` is one
+`submul` by -1 in all three.  `ring` is memoised, so every jet and every
+Buchberger run over equal (domain, n) share one ring.
 """
+
+import functools
 
 from .finitefield import PRIME_TABLE_MAX
 from .multipoly import MultiPoly
@@ -88,8 +93,8 @@ class Ring:
             out.terms[e] = self.element(c)
         return out
 
-    # -- coefficient kernel: conversions, inverse, scaling, sums, shifted
-    # -- multiply-subtract and truncated products
+    # -- coefficient kernel: conversions, inverse, scaling, shifted
+    # -- multiply-subtract and truncated products; sums are one submul
 
     def coeff(self, c):
         return c
@@ -105,15 +110,9 @@ class Ring:
         return {k: v * c for k, v in poly.items()}
 
     def add(self, a, b):
-        """a + b, as a new dict."""
-        out, zero = dict(a), self.domain.zero
-        get = out.get
-        for k, v in b.items():
-            r = get(k, zero) + v
-            if r:
-                out[k] = r
-            else:
-                del out[k]
+        """a + b, as a new dict: one `submul` by -1, in every kernel."""
+        out = dict(a)
+        self.submul(out, b, 0, self.minus_one)
         return out
 
     def submul(self, work, poly, shift, c):
@@ -162,17 +161,6 @@ class Residues(Ring):
     def scale(self, poly, c):
         p = self.domain.p
         return {k: v * c % p for k, v in poly.items()}
-
-    def add(self, a, b):
-        out, p = dict(a), self.domain.p
-        get = out.get
-        for k, v in b.items():
-            r = (get(k, 0) + v) % p
-            if r:
-                out[k] = r
-            else:
-                del out[k]
-        return out
 
     def submul(self, work, poly, shift, c):
         get, p = work.get, self.domain.p
@@ -223,11 +211,6 @@ class ZechLogs(Ring):
         units, c = self.units, c - 2
         return {k: (v + c) % units + 1 for k, v in poly.items()}
 
-    def add(self, a, b):
-        out = dict(a)
-        self.submul(out, b, 0, self.minus_one)
-        return out
-
     def submul(self, work, poly, shift, c):
         get, units, zech = work.get, self.units, self.zech
         c += units // 2 - 2                   # the code of -c, less 2
@@ -263,9 +246,11 @@ class ZechLogs(Ring):
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def ring(domain, n):
     """The ring of packed polynomials in n variables over `domain`, with the
-    kernel of its coefficients (see the module docstring)."""
+    kernel of its coefficients (see the module docstring); one per equal
+    (domain, n), like `FF`."""
     if getattr(domain, "prime_elements", None) is not None:
         return Residues(domain, n)
     if getattr(domain, "m", 1) > 1 and domain.order <= PRIME_TABLE_MAX:

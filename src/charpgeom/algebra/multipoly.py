@@ -16,7 +16,7 @@ import itertools
 import re
 
 from .linalg import det
-from .powers import cached_power, power
+from .powers import cached_power, power, substitute
 
 
 class MultiPoly:
@@ -171,9 +171,6 @@ class MultiPoly:
     def __pow__(self, e):
         return power(self, e, MultiPoly.const(self.domain, self.n, 1))
 
-    def scale(self, c):
-        return self * c
-
     # -- calculus -----------------------------------------------------------------
 
     def derivative(self, i):
@@ -200,29 +197,13 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Value at a tuple of domain elements."""
-        acc = self.domain.zero
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * (x ** k)
-            acc = acc + v
-        return acc
+        return substitute(self.terms, point, self.domain.zero)
 
     def subs(self, polys):
         """Full substitution x_i -> polys[i] (MultiPolys over the same domain)."""
         if len(polys) != self.n:
             raise ValueError("substitution needs one polynomial per variable")
-        m = polys[0].n
-        pows = [{0: MultiPoly.const(self.domain, m, 1)} for _ in range(self.n)]
-        acc = MultiPoly(self.domain, m)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(self.domain, m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * cached_power(pows[i], polys[i], k)
-            acc = acc + term
-        return acc
+        return substitute(self.terms, polys, MultiPoly(self.domain, polys[0].n))
 
     def map_coefficients(self, domain, func):
         """New polynomial over `domain` with coefficients func(c)."""
@@ -387,10 +368,6 @@ class RatExpr:
             raise ZeroDivisionError("RatExpr with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def of(cls, poly):
-        return cls(poly)
 
     def __add__(self, other):
         other = self._coerce(other)

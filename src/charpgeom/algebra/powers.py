@@ -13,6 +13,10 @@ exponent from 0 up to a degree bound, term after term.  It steps one power
 at a time from the highest cached one, so each power costs one product with
 the base and is made once; every intermediate power is kept, since later
 terms ask for it too.
+
+`substitute` sums terms c * v_1^e_1 * ... * v_n^e_n over one such cache per
+variable (Knuth, TAOCP vol. 2, section 4.6.4): polynomial evaluation and
+substitution and the Frobenius cover's lifted sums all run it.
 """
 
 
@@ -44,3 +48,23 @@ def cached_power(cache, base, k):
     for j in range(j + 1, k + 1):
         cache[j] = cache[j - 1] * base
     return cache[k]
+
+
+def substitute(terms, values, zero):
+    """The sum of c * values[0]^e_0 * ... over `terms` ({exponent tuple:
+    coefficient}), `zero` when there are none.
+
+    Each variable keeps one `cached_power` cache, seeded with {1: value},
+    so no power is made twice and none is multiplied by one.  A term
+    multiplies its powers in variable order and its coefficient last, from
+    the right: a polynomial value then scales by a domain element."""
+    caches = [{1: v} for v in values]
+    acc = zero
+    for exps, c in terms.items():
+        term = None
+        for cache, e in zip(caches, exps):
+            if e:
+                pw = cached_power(cache, cache[1], e)
+                term = pw if term is None else term * pw
+        acc = acc + (c if term is None else term * c)
+    return acc

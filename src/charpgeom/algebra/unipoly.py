@@ -425,8 +425,6 @@ class RatFuncField:
             return RatFunc(value)
         return RatFunc(UPoly.const(self.base, value))
 
-    coerce = elem
-
     def format_element(self, a):
         return a.format(self.varname)
 

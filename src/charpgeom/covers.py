@@ -33,7 +33,7 @@ from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
 from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
                                  monomials_of_degree)
-from .algebra.powers import cached_power
+from .algebra.powers import cached_power, substitute
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from . import heights as heights_mod
@@ -247,43 +247,36 @@ def singular_points(cover, ext=1):
 
 
 def common_zeros(polys, search, n):
-    """Common zeros of polynomials in n variables over the search field,
-    exhaustively and in `itertools.product` order.
+    """Common zeros of polynomials in n >= 1 variables over the search
+    field, exhaustively and in `itertools.product` order.
 
-    For two variables the sweep collapses the first coordinate and Horner-
-    evaluates the resulting univariates, each collapsed only once a point
-    reaches it, which makes exhaustive searches over quadratic extensions
-    cheap even for high-degree sections."""
+    For each prefix of the first n - 1 coordinates the sweep collapses
+    each polynomial to a univariate in the last one, only once a point
+    reaches it, and Horner-evaluates that, which makes exhaustive searches
+    over quadratic extensions cheap even for high-degree sections."""
     elems = list(search.elements())
-    if n != 2:
-        for point in itertools.product(elems, repeat=n):
-            if all(g.evaluate(point) == search.zero for g in polys):
-                yield point
-        return
-    for a in elems:
+    for prefix in itertools.product(elems, repeat=n - 1):
         collapsed = []
         for b in elems:
             for k, g in enumerate(polys):
                 if k == len(collapsed):
-                    collapsed.append(_collapse_first(g, a))
+                    collapsed.append(_collapse(g, prefix))
                 if collapsed[k].evaluate(b) != search.zero:
                     break
             else:
-                yield (a, b)
+                yield prefix + (b,)
 
 
-def _collapse_first(f, a):
-    """Substitute x_1 = a in a 2-variable polynomial; UPoly in x_2."""
+def _collapse(f, prefix):
+    """Substitute the first n - 1 coordinates of f by `prefix`; a UPoly in
+    the last."""
     fld = f.domain
-    if f.is_zero():
-        return UPoly(fld)
-    dega = max(e[0] for e in f.terms)
-    pows = [fld.one]
-    for _ in range(dega):
-        pows.append(pows[-1] * a)
-    coeffs = [fld.zero] * (max(e[1] for e in f.terms) + 1)
-    for (i, j), c in f.terms.items():
-        coeffs[j] = coeffs[j] + c * pows[i]
+    caches = [{0: fld.one} for _ in prefix]
+    coeffs = [fld.zero] * (f.degree_in(f.n - 1) + 1)
+    for e, c in f.terms.items():
+        for cache, a, k in zip(caches, prefix, e):
+            c = c * cached_power(cache, a, k)
+        coeffs[e[-1]] = coeffs[e[-1]] + c
     return UPoly(fld, coeffs)
 
 
@@ -545,22 +538,10 @@ def lift_point(fact, params):
     if len(us) != fact.h.n:
         raise ValueError("wrong number of parameters")
     xs = [u ** p for u in us]
-    upows = [{1: u} for u in us]
-    xpows = [{1: x} for x in xs]
-    z = RatFunc(UPoly(fld))
-    for e, c in fact.b.items():
-        term = c
-        for i, k in enumerate(e):
-            if k:
-                term = term * cached_power(upows[i], us[i], k)
-        z = z + term
-    value = RatFunc(UPoly(fld))
-    for e, c in fact.h.terms.items():
-        term = c.inflate(p)
-        for i, k in enumerate(e):
-            if k:
-                term = term * cached_power(xpows[i], xs[i], k)
-        value = value + term
+    zero = RatFunc(UPoly(fld))
+    z = substitute(fact.b, us, zero)
+    value = substitute({e: c.inflate(p) for e, c in fact.h.terms.items()},
+                       xs, zero)
     if z ** p != value:
         raise AssertionError("lifted point violates the cover equation")
     return LiftedPoint(params=tuple(us), base_coords=xs, z=z)
@@ -616,10 +597,6 @@ class VojtaLiftBundle:
     fact: FrobeniusFactorization
     singular_records: list            # over the quadratic extension (report)
     singular_records_base: list       # over k (drives the avoidance set)
-
-    @property
-    def sfield(self):
-        return self.fld
 
     def lift(self, params):
         return lift_point(self.fact, params)

@@ -672,7 +672,7 @@ def vojta_violation_demo(lift_bundle, max_degree, seed=0):
     VIOLATED_BOUNDS.
     """
     p, d, n = lift_bundle.p, lift_bundle.d, lift_bundle.n
-    fld = lift_bundle.sfield
+    fld = lift_bundle.fld
     kcls = picard.adjunction_class(p, d, n)
     w_pairs = lift_bundle.avoidance_pairs()
     # the fiber parameter must stay finite, so search affine constants only

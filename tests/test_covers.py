@@ -335,50 +335,59 @@ def _eval_cover(bundle, lp):
     return value
 
 
-def random_poly(fld, rng, max_deg=3):
-    """Seeded polynomial in 2 variables of degree below max_deg in each."""
-    return MultiPoly(fld, 2, {
-        (i, j): fld.from_index(rng.randrange(fld.order))
-        for i in range(max_deg) for j in range(max_deg) if rng.random() < 0.4})
+def random_poly(fld, rng, max_deg=3, n=2):
+    """Seeded polynomial in n variables of degree below max_deg in each."""
+    return MultiPoly(fld, n, {
+        e: fld.from_index(rng.randrange(fld.order))
+        for e in itertools.product(range(max_deg), repeat=n)
+        if rng.random() < 0.4})
 
 
 class TestCommonZeros:
     @staticmethod
-    def _seeded_polys(fld, count, rng):
-        """`count` polynomials in 2 variables, most through one shared
+    def _seeded_polys(fld, n, count, rng):
+        """`count` polynomials in n variables, most through one shared
         point, some zero or constant."""
-        x, y = MultiPoly.variables(fld, 2)
         elems = list(fld.elements())
-        a, b = rng.choice(elems), rng.choice(elems)
-        through = [x - MultiPoly.const(fld, 2, a), y - MultiPoly.const(fld, 2, b)]
+        through = [x - MultiPoly.const(fld, n, rng.choice(elems))
+                   for x in MultiPoly.variables(fld, n)]
+        max_deg = 3 if n < 3 else 2
         polys = []
         for _ in range(count):
             kind = rng.random()
             if kind < 0.1:
-                polys.append(MultiPoly.zero(fld, 2))
+                polys.append(MultiPoly.zero(fld, n))
             elif kind < 0.15:
-                polys.append(MultiPoly.const(fld, 2, rng.choice(elems[1:])))
+                polys.append(MultiPoly.const(fld, n, rng.choice(elems[1:])))
             else:
-                f = sum((random_poly(fld, rng) * lin for lin in through),
-                        MultiPoly.zero(fld, 2))
+                f = sum((random_poly(fld, rng, max_deg, n) * lin
+                         for lin in through), MultiPoly.zero(fld, n))
                 if kind > 0.85:
-                    f = f + random_poly(fld, rng)
+                    f = f + random_poly(fld, rng, max_deg, n)
                 polys.append(f)
         return polys
 
-    @pytest.mark.parametrize("order", [(5, 1), (3, 2)])
-    def test_two_variable_sweep_matches_product(self, order):
-        # the collapsed two-variable sweep against plain enumeration: the
+    def _check_sweep(self, fld, n, rng, cases):
+        # the collapsed sweep against plain enumeration and evaluation: the
         # same points, in the same order
-        fld = FF(*order)
-        rng = random.Random(sum(order))
         elems = list(fld.elements())
         nonempty = 0
         for count in (2, 3):
-            for _ in range(12):
-                polys = self._seeded_polys(fld, count, rng)
-                want = [pt for pt in itertools.product(elems, repeat=2)
+            for _ in range(cases):
+                polys = self._seeded_polys(fld, n, count, rng)
+                want = [pt for pt in itertools.product(elems, repeat=n)
                         if all(g.evaluate(pt) == fld.zero for g in polys)]
-                assert list(covers.common_zeros(polys, fld, 2)) == want
+                assert list(covers.common_zeros(polys, fld, n)) == want
                 nonempty += len(want) > 1
         assert nonempty
+
+    @pytest.mark.parametrize("order", [(5, 1), (3, 2)])
+    def test_two_variable_sweep_matches_product(self, order):
+        self._check_sweep(FF(*order), 2, random.Random(sum(order)), 12)
+
+    @pytest.mark.parametrize("order", [(3, 1), (3, 2)], ids=["F3", "F9"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_matches_product_in_n_variables(self, order, n):
+        # n = 1 sweeps the cover charts of P^1, n = 3 desing's witnesses
+        self._check_sweep(FF(*order), n, random.Random(f"{order}:{n}"),
+                          12 if n < 3 else 3)

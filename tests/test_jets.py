@@ -172,3 +172,27 @@ def test_compose_with_phis_over_another_field_raises():
     mixed = [Jet.variable(FF(3, 2), 2, 0, 4), Jet.variable(FF(3, 2), 3, 0, 4)]
     with pytest.raises(ValueError, match="number of variables"):
         jet_compose(x * y, mixed, 4)
+
+
+def test_malformed_exponent_tuples_raise_at_any_degree():
+    # the degree filter used to run before the tuple check, so a 3-entry
+    # tuple of degree >= order in 2 variables was dropped in silence
+    fld = FF(5)
+    with pytest.raises(ValueError, match="exponents"):
+        Jet(fld, 2, 3, {(0, 0, 9): 1})
+    with pytest.raises(ValueError, match="exponents"):
+        Jet(fld, 2, 3).coefficient((0, 0, 9))
+    with pytest.raises(ValueError, match="exponents"):
+        Jet(fld, 2, 3).coefficient((-1, 5))
+    # well-formed terms of degree >= order are still dropped, and read as 0
+    jet = Jet(fld, 2, 3, {(0, 4): 1, (1, 1): 2})
+    assert jet == Jet(fld, 2, 3, {(1, 1): 2})
+    assert jet.coefficient((0, 4)) == fld.zero
+
+
+def test_truncation_checks_the_order():
+    jet = Jet.variable(FF(5), 2, 0, 4)
+    assert jet.truncate(1).is_zero() and jet.truncate(1).order == 1
+    for order in (0, 33):
+        with pytest.raises(ValueError, match="order"):
+            jet.truncate(order)

@@ -6,10 +6,11 @@ tuple forms, integer order is grevlex order, and jet composition is
 associative.
 
 Kernel tests (seeded, always run): `ring()` picks residues over F_p,
-Zech-log codes over F_{p^m} and domain elements otherwise; each specialised
-kernel defines every coefficient method itself; the code kernel agrees with
-the element kernel over F_9, F_25, F_27, F_49 and F_81; and the Zech-log
-tables obey their laws.
+Zech-log codes over F_{p^m} and domain elements otherwise, once per equal
+(domain, n); each specialised kernel defines every coefficient method
+itself, except the one shared sum; the residue and code kernels agree with
+the element kernel over F_3, F_5, F_7, F_9, F_25, F_27, F_49 and F_81; and
+the Zech-log tables obey their laws.
 """
 
 import random
@@ -17,7 +18,7 @@ import random
 import pytest
 
 from charpgeom.algebra import groebner, monomials
-from charpgeom.algebra.finitefield import FF
+from charpgeom.algebra.finitefield import FF, FiniteField
 from charpgeom.algebra.jets import Jet, jet_compose
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.unipoly import RatFuncField
@@ -96,8 +97,9 @@ def test_compose_is_associative(r, f, gs, hs):
 
 # -- coefficient kernels -------------------------------------------------------
 
-KERNEL_METHODS = ("coeff", "element", "inverse", "scale", "add", "submul", "mul")
+KERNEL_METHODS = ("coeff", "element", "inverse", "scale", "submul", "mul")
 CODE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
+KERNEL_FIELDS = [(3, 1), (5, 1), (7, 1)] + CODE_FIELDS
 
 
 def test_ring_selection():
@@ -117,6 +119,32 @@ def test_kernels_define_every_coefficient_method(kernel):
     # an inherited element method would do int arithmetic on residues or
     # codes, with no error
     assert [m for m in KERNEL_METHODS if m not in vars(kernel)] == []
+    # ... and the sum is one submul by -1 in every kernel
+    assert "add" not in vars(kernel)
+
+
+@pytest.mark.parametrize("make", [lambda: FF(5), lambda: FF(3, 2),
+                                  lambda: RatFuncField(FF(3)),
+                                  lambda: RatFuncField(FF(3), "s")],
+                         ids=["F5", "F9", "F3(t)", "F3(s)"])
+def test_one_ring_per_domain_and_variable_count(make):
+    d1, d2 = make(), make()
+    if isinstance(d1, FiniteField):         # FF is memoised itself
+        d2 = FiniteField(d1.p, d1.m)
+    assert d1 is not d2 and d1 == d2
+    assert monomials.ring(d1, 2) is monomials.ring(d2, 2)
+    assert monomials.ring(d1, 2) is not monomials.ring(d1, 3)
+
+
+def test_derived_jets_share_the_ring():
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    shared = monomials.ring(fld, 2)
+    jet = Jet.from_poly(x + x * y + y ** 4, 4)
+    assert jet.ring is shared
+    assert jet.truncate(2).ring is shared
+    assert (jet * jet - jet).ring is shared
+    assert Jet.variable(fld, 2, 1, 3).ring is shared
 
 
 @pytest.mark.parametrize("domain", [FF(5), FF(3, 2), FF(7, 2),
@@ -135,11 +163,19 @@ def _random_packed(fld, rng, element_ring, max_terms=12):
             for _ in range(rng.randrange(1, max_terms))}
 
 
-@pytest.mark.parametrize("p, m", CODE_FIELDS)
+def _sum(a, b, zero):
+    """a + b term by term, the reference for the shared `Ring.add`."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, zero) + v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("p, m", KERNEL_FIELDS)
 def test_code_kernel_matches_element_ring(p, m):
     fld = FF(p, m)
     codes, elements = monomials.ring(fld, 2), monomials.Ring(fld, 2)
-    assert type(codes) is monomials.ZechLogs
+    assert type(codes) is (monomials.Residues if m == 1 else monomials.ZechLogs)
 
     def encode(poly):
         return {k: codes.coeff(c) for k, c in poly.items()}
@@ -156,7 +192,8 @@ def test_code_kernel_matches_element_ring(p, m):
         for degree in (1, 4, 9, 13):
             bound = degree << elements.top
             assert decode(codes.mul(ca, cb, bound)) == elements.mul(a, b, bound)
-        assert decode(codes.add(ca, cb)) == elements.add(a, b)
+        assert decode(codes.add(ca, cb)) == elements.add(a, b) \
+            == _sum(a, b, fld.zero)
         assert decode(codes.scale(ca, cc)) == elements.scale(a, c)
         assert codes.element(codes.inverse(cc)) == elements.inverse(c)
         shift = elements.monomial((1, 2))

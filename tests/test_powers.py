@@ -3,12 +3,16 @@ constructors reject.
 
 `power` is square-and-multiply from the low bit: it multiplies exactly
 floor(log2 e) squares plus popcount(e) - 1 partial products, never by
-`one`.  A negative exponent raises ValueError in the rings without
+`one`.  `substitute` makes each power of a value once, multiplies a term's
+powers in variable order and its coefficient last, and obeys the
+substitution laws over F_5, F_9 and F_3(t).  A negative exponent raises ValueError in the rings without
 inverses (it used to loop forever, since -1 >> 1 == -1), and inverts in
 the fields and fraction types.  Exponent tuples of the wrong length or
 with a negative entry raise ValueError instead of packing or multiplying
 into a wrong monomial.
 """
+
+import random
 
 import pytest
 
@@ -16,8 +20,8 @@ from charpgeom.algebra import monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.jets import Jet
 from charpgeom.algebra.multipoly import MultiPoly, RatExpr
-from charpgeom.algebra.powers import cached_power, power
-from charpgeom.algebra.unipoly import RatFunc, UPoly
+from charpgeom.algebra.powers import cached_power, power, substitute
+from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 
 
 class Counted:
@@ -52,6 +56,73 @@ def test_cached_power_steps_once_per_missing_power():
     assert cached_power(cache, Counted(2), 3).v == 8
     assert cached_power(cache, Counted(2), 7).v == 128
     assert Counted.products == 7
+
+
+class Word:
+    """A word under concatenation: products keep their order."""
+
+    products = 0
+
+    def __init__(self, s):
+        self.s = s
+
+    def __mul__(self, other):
+        Word.products += 1
+        return Word(self.s + other.s)
+
+    def __add__(self, other):
+        return Word(f"{self.s}+{other.s}")
+
+
+def test_substitute_orders_products_and_makes_each_power_once():
+    x, y, c = Word("x"), Word("y"), Word("c")
+    Word.products = 0
+    got = substitute({(3, 0): c, (2, 1): c, (1, 2): c, (0, 0): Word("d")},
+                     [x, y], Word("0"))
+    assert got.s == "0+xxxc+xxyc+xyyc+d"
+    # x^2, x^3 and y^2 once each, then 1 + 2 + 2 term products
+    assert Word.products == 3 + 5
+    assert substitute({}, [x, y], Word("0")).s == "0"
+    assert substitute({(2, 1): 5, (0, 0): 7}, [2, 3], 0) == 67
+
+
+def _random_element(domain, rng):
+    if isinstance(domain, RatFuncField):
+        fld = domain.base
+        return RatFunc(UPoly.from_ints(fld, [rng.randrange(3) for _ in range(3)]),
+                       UPoly.from_ints(fld, [1, rng.randrange(3)]))
+    return domain.from_index(rng.randrange(domain.order))
+
+
+def _random_poly(domain, n, rng, max_deg=3):
+    return MultiPoly(domain, n, {
+        tuple(rng.randrange(max_deg) for _ in range(n)):
+            _random_element(domain, rng) for _ in range(rng.randrange(5))})
+
+
+def _termwise(f, point):
+    """f at point, one `**` per variable and term."""
+    acc = f.domain.zero
+    for e, c in f.terms.items():
+        for x, k in zip(point, e):
+            c = c * x ** k
+        acc = acc + c
+    return acc
+
+
+@pytest.mark.parametrize("domain", [FF(5), FF(3, 2), RatFuncField(FF(3))],
+                         ids=["F5", "F9", "F3(t)"])
+def test_substitution_laws(domain):
+    rng = random.Random(repr(domain))
+    for _ in range(15):
+        f = _random_poly(domain, 2, rng)
+        gs = [_random_poly(domain, 3, rng, 2) for _ in range(2)]
+        point = [_random_element(domain, rng) for _ in range(3)]
+        assert f.subs(gs).evaluate(point) \
+            == f.evaluate([g.evaluate(point) for g in gs])
+        assert f.evaluate(point[:2]) == _termwise(f, point[:2])
+        for g in gs:
+            assert g.evaluate(point) == _termwise(g, point)
 
 
 def test_negative_powers_raise_in_rings_without_inverses():
