@@ -339,12 +339,15 @@ class FiniteField:
         return x
 
     def extension(self, k=2):
-        """F_{p^(m*k)} plus an embedding function of this field into it.
+        """F_{p^(m*k)} plus an embedding function of this field into it;
+        for k = 1, this field itself and the identity.
 
         The embedding sends the basis generator to a root of this field's
         modulus, found by scanning; scanning is only feasible for small
         fields, which is the regime this artifact works in.
         """
+        if k == 1:
+            return self, (lambda a: a)
         big = FF(self.p, self.m * k)
         if self.m == 1:
             def embed(a, _big=big):
@@ -424,7 +427,9 @@ class FFElement:
         return any(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FFElement:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.elem(other)
         elif other.field is not self.field and other.field != self.field:
             raise _mixed(self, other)
@@ -433,7 +438,9 @@ class FFElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FFElement:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.elem(other)
         elif other.field is not self.field and other.field != self.field:
             raise _mixed(self, other)
@@ -446,7 +453,9 @@ class FFElement:
         return FFElement(self.field, self.field._neg(self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FFElement:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.elem(other)
         elif other.field is not self.field and other.field != self.field:
             raise _mixed(self, other)
@@ -455,11 +464,11 @@ class FFElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FFElement:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.elem(other)
-        elif other.field is not self.field and other.field != self.field:
-            raise _mixed(self, other)
-        return self * other.inverse()
+        return self * other.inverse()       # __mul__ checks the fields
 
     def __rtruediv__(self, other):
         return self.field.elem(other) / self

@@ -157,13 +157,16 @@ def jet_compose(f, phis, order):
     """f(phi_1, ..., phi_n) truncated at total degree < order.
 
     f may be a MultiPoly or a Jet; each phi_i must have zero constant term
-    (otherwise the truncation of the composite would depend on discarded
-    tails, and the call raises).  Powers of each phi are cached, so a sparse
-    f costs about two jet multiplications per term.
+    and order at least `order` (otherwise the truncation of the composite
+    would depend on discarded tails, and the call raises).  Powers of each
+    phi are cached, so a sparse f costs about two jet multiplications per
+    term.
     """
     domain, n = f.domain, f.n
     if len(phis) != n:
         raise ValueError("need one substitution jet per variable")
+    if any(phi.order < order for phi in phis):
+        raise ValueError("substitution jets must have at least the target order")
     phis = [phi.truncate(order) if phi.order != order else phi for phi in phis]
     for phi in phis:
         if phi.domain != domain or phi.n != phis[0].n:

@@ -4,7 +4,9 @@ A covering datum is a chart list: on chart i the cover is z^p = f_i, and on
 overlaps z_i = g_ij z_j with f_i = g_ij^p * f_j.  Both identities are checked
 by exact cross-multiplied rational-expression arithmetic when a cover is
 built; no gluing is ever taken on faith.  The differential d(s) is the chart
-list of the d(f_i), compatible across overlaps by the same check.
+list of the d(f_i), compatible across overlaps by the same check.  On P^N,
+chart i has coordinates X_l/X_i (l != i, increasing l): charts are read off
+the form, and the avoidance set is read through the verified transitions.
 
 Singular points of the cover over a point x are exactly the common zeros of
 the gradient of the local f_i (the fiber derivative of z^p - f_i vanishes
@@ -139,36 +141,30 @@ def cover_of_projective_space(N, d, n, p, form):
 
     form: homogeneous MultiPoly in N+1 variables of degree n*d*p.  Chart i
     uses coordinates X_j/X_i (j != i, increasing j); the cocycle of L^n with
-    L = O(d) is g_ij = (X_j/X_i)^(n*d).
+    L = O(d) is g_ij = (X_j/X_i)^(n*d), and chart j's coordinates X_l/X_j
+    are (X_l/X_i) / (X_j/X_i) on chart i.
     """
-    domain = form.domain
     D = n * d * p
     if form.is_zero() or not form.is_homogeneous() or form.total_degree() != D:
         raise ValueError(f"need a nonzero homogeneous form of degree {D}")
     nv = N + 1
-
-    def pos(i, j):
-        return j if j < i else j - 1
-
     charts = [CoverChart(index=i, f=f_i,
                          names=tuple(f"x{j}_{i}" for j in range(nv) if j != i))
               for i, f_i in enumerate(dehomogenize_charts(form, N))]
-    for i in range(nv):
+    for i, ch in enumerate(charts):
+        x = [_chart_ratio(form.domain, N, i, l) for l in range(nv)]
         for j in range(nv):
-            if i == j:
-                continue
-            uj = MultiPoly.var(domain, N, pos(i, j))
-            g = RatExpr(uj ** (n * d))
-            cmap = []
-            for l in range(nv):
-                if l == j:
-                    continue
-                if l == i:
-                    cmap.append(RatExpr(MultiPoly.const(domain, N, 1), uj))
-                else:
-                    cmap.append(RatExpr(MultiPoly.var(domain, N, pos(i, l)), uj))
-            charts[i].transitions[j] = (g, tuple(cmap))
+            if j != i:
+                ch.transitions[j] = (RatExpr(x[j] ** (n * d)), tuple(
+                    RatExpr(x[l], x[j]) for l in range(nv) if l != j))
     return build_cover(charts, p, params={"N": N, "d": d, "n": n, "form": form})
+
+
+def _chart_ratio(domain, N, i, l):
+    """X_l/X_i as a polynomial on chart i of P^N, whose coordinates are the
+    X_j/X_i for j != i in increasing j: 1 for l = i, else a variable."""
+    return (MultiPoly.const(domain, N, 1) if l == i
+            else MultiPoly.var(domain, N, l - (l > i)))
 
 
 # -- differentials ---------------------------------------------------------------------
@@ -227,13 +223,10 @@ def singular_points(cover, ext=1):
     domain = cover.charts[0].f.domain
     if not isinstance(domain, FiniteField):
         raise TypeError("singular-point search needs constant coefficients")
-    if ext == 1:
-        search, embed = domain, (lambda a: a)
-    else:
-        search, embed = domain.extension(ext)
+    search, embed = domain.extension(ext)
     records = []
     for ch in cover.charts:
-        f = ch.f if ext == 1 else ch.f.map_coefficients(search, embed)
+        f = ch.f.map_coefficients(search, embed)
         hess = hessian_matrix(f)
         for point in common_zeros(f.gradient(), search, f.n):
             # two determinant algorithms on one evaluated matrix: the
@@ -364,17 +357,13 @@ def random_homogeneous_form(fld, nvars, deg, rng):
 
 
 def dehomogenize_charts(form, N):
-    charts = []
-    domain = form.domain
-    for i in range(N + 1):
-        subs = []
-        for j in range(N + 1):
-            if j == i:
-                subs.append(MultiPoly.const(domain, N, 1))
-            else:
-                subs.append(MultiPoly.var(domain, N, j if j < i else j - 1))
-        charts.append(form.subs(subs))
-    return charts
+    """The form on the N + 1 standard charts: X_i = 1 on chart i, which
+    drops exponent i from every term of a homogeneous form."""
+    if not form.is_homogeneous():
+        raise ValueError("dehomogenizing needs a homogeneous form")
+    return [MultiPoly(form.domain, N, {e[:i] + e[i + 1:]: c
+                                       for e, c in form.terms.items()})
+            for i in range(N + 1)]
 
 
 @dataclass
@@ -444,11 +433,9 @@ def monic_univariate_census(fld, deg=3):
     bad_list = []
     for coeffs in itertools.product(range(fld.order), repeat=deg):
         # f0 = x^deg + c_{deg-1} x^{deg-1} + ... + c_0
-        f0 = MultiPoly.var(fld, 1, 0, deg)
-        for i, c in enumerate(coeffs):
-            if c:
-                f0 = f0 + MultiPoly.monomial(fld, 1, (i,), fld.from_index(c))
-        verdict, _ = classify_section([f0])
+        terms = {(deg,): fld.one}
+        terms.update(((i,), fld.from_index(c)) for i, c in enumerate(coeffs))
+        verdict, _ = classify_section([MultiPoly(fld, 1, terms)])
         if verdict == "good":
             good += 1
         else:
@@ -628,23 +615,17 @@ class VojtaLiftBundle:
         return pairs
 
     def _to_chart0(self, rec):
-        i = rec.chart_index
-        if i == 0:
+        """The record's point in X_0-chart coordinates through the transition
+        `verify_cocycle` checked; None on X_0 = 0, where a denominator is 0."""
+        if rec.chart_index == 0:
             return rec.point
-        # chart i point with coords X_j/X_i: X_0/X_i sits at position 0
-        x0 = rec.point[0]
-        if not x0:
+        _, coord_map = self.cover.charts[rec.chart_index].transitions[0]
+        _, embed = self.fld.extension(rec.fld.m // self.fld.m)
+        values = [[q.map_coefficients(rec.fld, embed).evaluate(rec.point)
+                   for q in (r.num, r.den)] for r in coord_map]
+        if not all(den for _, den in values):
             return None
-        inv = x0.inverse()
-        pos = 0
-        full = []
-        for j in range(3):
-            if j == i:
-                full.append(self.fld.one)
-            else:
-                full.append(rec.point[pos])
-                pos += 1
-        return (full[1] * inv, full[2] * inv)
+        return tuple(num / den for num, den in values)
 
 
 def seeded_covers(fld, N, d, n, p, seed):
@@ -683,8 +664,7 @@ def make_vojta_bundle(p, d, n, fld, seed=0):
             continue
         f0 = cover.charts[0].f
         tdom = RatFuncField(fld, "t")
-        h = f0.map_coefficients(tdom, lambda c: tdom.elem(
-            RatFunc(UPoly.const(fld, c))))
+        h = f0.map_coefficients(tdom, tdom.elem)
         fact = frobenius_factorization(h)
         return VojtaLiftBundle(
             p=p, d=d, n=n, fld=fld, form=cover.params["form"], cover=cover,

@@ -69,10 +69,10 @@ def _variable_names(n):
 def local_model(p, n, fld=None):
     """The hypersurface z^p - (x_1^2 + ... + x_n^2) over F_p (or fld)."""
     fld = fld or FF(p)
-    eq = MultiPoly.var(fld, n + 1, 0, p)
+    terms = {(p,) + (0,) * n: fld.one}
     for i in range(1, n + 1):
-        eq = eq - MultiPoly.var(fld, n + 1, i, 2)
-    return eq
+        terms[(0,) * i + (2,) + (0,) * (n - i)] = -fld.one
+    return MultiPoly(fld, n + 1, terms)
 
 
 def blowup_step(equation, step_index=0, names=None):
@@ -147,11 +147,8 @@ def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000):
         for ext in search_exts:
             if fld.order ** (ext * equation.n) > WITNESS_SWEEP_MAX:
                 continue
-            if ext == 1:
-                search, eq = fld, equation
-            else:
-                search, embed = fld.extension(ext)
-                eq = equation.map_coefficients(search, embed)
+            search, embed = fld.extension(ext)
+            eq = equation.map_coefficients(search, embed)
             pt = next(common_zeros([eq] + eq.gradient(), search, eq.n), None)
             if pt is not None:
                 return "singular", {"witness": pt, "field": search}

@@ -104,11 +104,9 @@ def diagonalize_quadratic(q_matrix, fld):
     diag = [q[i][i] for i in range(n)]
 
     roots = [fld.sqrt(dv) for dv in diag]
-    if all(r is not None for r in roots):
-        big, embed, ext = fld, (lambda a: a), 1
-    else:
-        big, embed = fld.extension(2)
-        ext = 2
+    ext = 1 if all(r is not None for r in roots) else 2
+    big, embed = fld.extension(ext)
+    if ext == 2:
         roots = [big.sqrt(embed(dv)) for dv in diag]
         assert all(r is not None for r in roots), \
             "every element of F_q is a square in F_{q^2}"
@@ -233,11 +231,8 @@ def normal_form(f, r):
     shifted = work_f - MultiPoly.const(big, n, a0_big)
     g = jet_compose(shifted, _step_jets(big, n, r, steps[0]), r)
 
-    target = Jet(big, n, r)
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        target = target + Jet(big, n, r, {tuple(e): big.one})
+    target = Jet(big, n, r, {tuple(2 * (j == i) for j in range(n)): big.one
+                             for i in range(n)})
 
     two_inv = big.elem(2).inverse()
     for rp in range(3, r):

@@ -136,7 +136,7 @@ class TestSingularPoints:
         fld = FF(3)
         rng = random.Random(7)
         for ext in (1, 2):
-            search = fld if ext == 1 else fld.extension(2)[0]
+            search, embed = fld.extension(ext)
             for _ in range(4):
                 terms = {}
                 for _ in range(6):
@@ -150,9 +150,7 @@ class TestSingularPoints:
                     charts=[covers.CoverChart(0, ("x", "y"), f)], p=3)
                 recs = covers.singular_points(cov, ext=ext)
                 got = {tuple(c.coeffs for c in r.point) for r in recs}
-                fe = f if ext == 1 else f.map_coefficients(
-                    search, fld.extension(2)[1])
-                grads = fe.gradient()
+                grads = f.map_coefficients(search, embed).gradient()
                 want = set()
                 for ij in itertools.product(range(search.order), repeat=2):
                     pt = (search.from_index(ij[0]), search.from_index(ij[1]))
@@ -201,9 +199,9 @@ class TestGenericity:
 def _has_degenerate_point_somewhere(form, fld):
     charts = covers.dehomogenize_charts(form, 1)
     for ext in (1, 2, 3):
-        search, embed = (fld, lambda a: a) if ext == 1 else fld.extension(ext)
+        search, embed = fld.extension(ext)
         for f in charts:
-            fe = f if ext == 1 else f.map_coefficients(search, embed)
+            fe = f.map_coefficients(search, embed)
             gr = fe.gradient()[0]
             hd = covers.symbolic_hessian_det(fe)
             for k in range(search.order):
@@ -306,7 +304,98 @@ class TestLifting:
         assert fam.verify()
 
 
+def _pos(i, j):
+    """Position of X_j/X_i among chart i's coordinates."""
+    return j if j < i else j - 1
+
+
+def _charts_by_substitution(form, N):
+    """Chart i by substituting X_i -> 1 and X_j -> its chart variable."""
+    dom = form.domain
+    return [form.subs([MultiPoly.const(dom, N, 1) if j == i
+                       else MultiPoly.var(dom, N, _pos(i, j))
+                       for j in range(N + 1)])
+            for i in range(N + 1)]
+
+
+def _transition_by_hand(dom, N, i, j, nd):
+    """(g_ij, chart j's coordinates) on chart i, written out by position."""
+    uj = MultiPoly.var(dom, N, _pos(i, j))
+    cmap = [(MultiPoly.const(dom, N, 1) if l == i
+             else MultiPoly.var(dom, N, _pos(i, l)), uj)
+            for l in range(N + 1) if l != j]
+    return (uj ** nd, MultiPoly.const(dom, N, 1)), cmap
+
+
+class TestChartConvention:
+    @pytest.mark.parametrize("p,m", [(3, 1), (3, 2)])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_charts_read_off_the_form_match_substitution(self, p, m, N):
+        fld = FF(p, m)
+        rng = random.Random(10 * N + m)
+        for deg in (1, 2, 3, 5):
+            form = covers.random_homogeneous_form(fld, N + 1, deg, rng)
+            assert (covers.dehomogenize_charts(form, N)
+                    == _charts_by_substitution(form, N))
+
+    def test_non_homogeneous_form_rejected(self):
+        # x0*x1 + x1 would put two terms on x1 in chart 0
+        x0, x1 = MultiPoly.variables(FF(3), 2)
+        for form in (x0 * x1 + x1, x0 ** 2 + x1):
+            with pytest.raises(ValueError, match="homogeneous"):
+                covers.dehomogenize_charts(form, 1)
+
+    @pytest.mark.parametrize("N,d,n", [(1, 1, 1), (1, 2, 1), (2, 1, 1),
+                                       (2, 1, 2), (3, 1, 1)])
+    def test_transitions_match_hand_built_maps(self, N, d, n):
+        fld = FF(3)
+        cover = next(covers.seeded_covers(fld, N, d, n, 3, seed=N + d + n))
+        for ch in cover.charts:
+            assert sorted(ch.transitions) == [j for j in range(N + 1)
+                                              if j != ch.index]
+            for j, (g, cmap) in ch.transitions.items():
+                g_want, cmap_want = _transition_by_hand(fld, N, ch.index, j,
+                                                        n * d)
+                assert (g.num, g.den) == g_want
+                assert [(r.num, r.den) for r in cmap] == cmap_want
+
+
+def _chart0_by_hand(rec):
+    """X_0-chart coordinates of an N = 2 record by position, None on
+    X_0 = 0; the chart's own coordinate is the record field's one."""
+    i = rec.chart_index
+    if i == 0:
+        return rec.point
+    x0 = rec.point[0]
+    if not x0:
+        return None
+    inv = x0.inverse()
+    full = list(rec.point)
+    full.insert(i, rec.fld.one)
+    return (full[1] * inv, full[2] * inv)
+
+
 class TestVojtaBundle:
+    def test_chart0_reads_the_transitions(self):
+        fld = FF(3)
+        bundle = covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+        recs = []
+        for ext in (1, 2):
+            search, _ = fld.extension(ext)
+            found = covers.singular_points(bundle.cover, ext)
+            assert any(r.chart_index and bundle._to_chart0(r) for r in found)
+            # every point of charts 1 and 2, those on X_0 = 0 included
+            recs += found + [
+                covers.SingularPointRecord(i, pt, None, False, search)
+                for i in (1, 2)
+                for pt in itertools.product(search.elements(), repeat=2)]
+        nones = 0
+        for rec in recs:
+            want = _chart0_by_hand(rec)
+            assert bundle._to_chart0(rec) == want
+            nones += want is None
+        assert nones == 2 * (3 + 9)
+
     def test_bundle_and_avoidance(self):
         fld = FF(3)
         bundle = covers.make_vojta_bundle(3, 1, 5, fld, seed=1)

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from charpgeom.algebra.finitefield import FF, FiniteField, pth_root
+from charpgeom.algebra.jets import Jet
+from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.unipoly import UPoly, RatFunc
 
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2),
@@ -123,6 +126,14 @@ def test_extension_embedding_is_homomorphism():
         assert embed(fld.zero) == big.zero
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extension_of_degree_one_is_the_field_itself(m):
+    fld = FF(3, m)
+    big, embed = fld.extension(1)
+    assert big is fld
+    assert all(embed(a) is a for a in fld.elements())
+
+
 def test_every_base_element_square_in_quadratic_extension():
     fld = FF(7)
     big, embed = fld.extension(2)
@@ -166,3 +177,22 @@ def test_prime_field_element_table():
         assert fld.zero is fld.prime_elements[0] and fld.one is fld.prime_elements[1]
         assert fld.elem(-1) is fld.prime_elements[p - 1]
     assert FF(3, 2).prime_elements is None
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2)])
+def test_elements_defer_to_polynomial_operands(p, m):
+    # c op f falls back to f's reflected method, as 2 op f does
+    fld = FF(p, m)
+    c = fld.elem(2) if m == 1 else fld.generator()
+    u = UPoly(fld, [fld.one, c, fld.elem(3)])
+    x, y = MultiPoly.variables(fld, 2)
+    for f in (u, RatFunc(u, UPoly(fld, [c, fld.one])),
+              x * y + MultiPoly.const(fld, 2, c) * x ** 2 + 1):
+        assert c * f == f * c
+        assert c + f == f + c
+        assert c - f == -(f - c)
+    assert c / RatFunc(u) == RatFunc(UPoly.const(fld, c), u)
+    with pytest.raises(TypeError):
+        c * Jet.variable(fld, 2, 0, 3)
+    with pytest.raises(TypeError):
+        c + "1"

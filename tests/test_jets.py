@@ -128,6 +128,23 @@ def test_constant_term_violation_rejected():
         jet_compose(x, [bad, Jet.variable(fld, 2, 1, 4)], 4)
 
 
+def test_substitution_below_the_target_order_rejected():
+    # [x, y] and [x + x^2, y] agree to order 2 but compose x*y differently
+    # at order 4, so order-2 jets cannot give an order-4 composite
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    low = [Jet.variable(fld, 2, i, 2) for i in range(2)]
+    with pytest.raises(ValueError, match="order"):
+        jet_compose(x * y, low, 4)
+    bent = [Jet.from_poly(x + x ** 2, 4), Jet.variable(fld, 2, 1, 4)]
+    assert jet_compose(x * y, bent, 4).to_poly() == x ** 2 * y + x * y
+    # higher-order jets are truncated to the target order
+    high = [Jet.from_poly(x + x ** 2, 6), Jet.variable(fld, 2, 1, 6)]
+    assert jet_compose(x * y, high, 2) == Jet(fld, 2, 2)
+    assert jet_compose(x * y, high, 4) == jet_compose(x * y, bent, 4)
+    assert jet_compose(x * y, low, 2) == Jet.from_poly(x * y, 2)
+
+
 def test_jet_arithmetic_over_extension_field():
     fld = FF(3, 2)
     g = fld.generator()
