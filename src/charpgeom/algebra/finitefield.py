@@ -447,6 +447,8 @@ class FFElement:
         return FFElement(self.field, self.field._sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return self.field.elem(other) - self
 
     def __neg__(self):
@@ -471,6 +473,8 @@ class FFElement:
         return self * other.inverse()       # __mul__ checks the fields
 
     def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return self.field.elem(other) / self
 
     def inverse(self):

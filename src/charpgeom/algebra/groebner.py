@@ -13,10 +13,14 @@ its normalising inverse.  A unit certificate replays the trace for the
 ancestry of the unit only; its cofactors c_i with sum c_i * g_i = 1
 re-verify by plain polynomial expansion, with no trust in the engine itself.
 
-Buchberger terminates in theory; in practice a pair/reduction budget guards
-against runaway intermediate growth, and hitting the budget is reported as a
-distinct "exhausted" outcome, never conflated with a completed basis that
-genuinely lacks a unit (which proves 1 is not in the ideal).
+Pairs are pruned by Buchberger's product and chain criteria, the latter as
+the Gebauer-Moller update when an element joins the basis (Buchberger,
+EUROSAM 1979; Gebauer & Moller, JSC 1988); no basis element is dropped.
+Buchberger terminates in theory; in practice a budget of processed pairs
+guards against runaway intermediate growth, and reaching it with a pair
+still pending is reported as a distinct "exhausted" outcome, never conflated
+with a completed basis that genuinely lacks a unit (which proves 1 is not in
+the ideal).
 """
 
 import heapq
@@ -205,7 +209,8 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
     when stop_at_unit and a constant appeared, as the last basis element),
     or "exhausted"; basis is a list of monic MultiPolys; and
     trace.representation(k) replays the cofactors of basis[k] in terms of
-    the nonzero generators.  Each S-polynomial is reduced by `reduce_poly`.
+    the nonzero generators.  Each S-polynomial is reduced by `reduce_poly`;
+    max_pairs counts these, not the pairs the criteria prune.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -225,22 +230,41 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
             return finish("unit")
 
     counter = itertools.count()
-    heap = []
-    leads = basis.leads
-    def push_pairs(k):
-        b = leads[k]
-        for i in range(k):
-            low = ring.lcm(leads[i], b)
-            # product criterion: coprime leading monomials reduce to zero
-            if low != (leads[i] + b) & ring.low_mask:
-                heapq.heappush(heap, (ring.key(low), next(counter), i, k))
-    for k in range(len(leads)):
-        push_pairs(k)
+    heap, pending = [], {}            # pending: the live pairs {(i, j): lcm}
+    leads, lows, guard = basis.leads, basis.lows, ring.guard
 
-    while heap:
+    def divides(a, b):                # exponent fields: a | b
+        return ((b | guard) - a) & guard == guard
+
+    def update(k):
+        # Gebauer-Moller: drop the pending pairs that lead k chains past,
+        # then add the pairs (i, k) whose lcm no other one's divides
+        t = lows[k]
+        lcms = [ring.lcm(lead, t) for lead in leads[:k]]
+        for (i, j), low in list(pending.items()):
+            if divides(t, low) and lcms[i] != low and lcms[j] != low:
+                del pending[i, j]
+        overlaps = [low != lead + t for low, lead in zip(lcms, lows)]
+        minimal = []
+        # a divisor sorts first; of equal lcms, a coprime pair, else the newest
+        for i in sorted(reversed(range(k)), key=lambda i: (lcms[i], overlaps[i])):
+            low = lcms[i]
+            if not any(divides(m, low) for m in minimal):
+                minimal.append(low)
+                # product criterion: coprime leading monomials reduce to zero
+                if overlaps[i]:
+                    pending[i, k] = low
+                    heapq.heappush(heap, (ring.key(low), next(counter), i, k))
+    for k in range(len(leads)):
+        update(k)
+
+    while pending:
+        lcm, _, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:     # dropped by the chain criterion
+            continue
         if pairs >= max_pairs:
             return finish("exhausted")
-        lcm, _, i, j = heapq.heappop(heap)
+        del pending[i, j]
         pairs += 1
         # every term of m_i f_i and m_j f_j is at most lcm, as are the terms
         # of its reduction: no key formed below can exceed MAX_DEGREE
@@ -254,7 +278,7 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
         basis.append(ring.scale(rem, inv), _Step(inv, None, i, j, mi, mj, quotients))
         if stop_at_unit and max(rem) == 0:
             return finish("unit")
-        push_pairs(len(leads) - 1)
+        update(len(leads) - 1)
     return finish("done")
 
 

@@ -1,5 +1,6 @@
 """Finite field arithmetic: axioms, Frobenius roots, square roots, towers."""
 
+import operator
 import random
 
 import pytest
@@ -196,3 +197,16 @@ def test_elements_defer_to_polynomial_operands(p, m):
         c * Jet.variable(fld, 2, 0, 3)
     with pytest.raises(TypeError):
         c + "1"
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2)])
+def test_reflected_operators_take_only_ints(p, m):
+    # "x" - c and "x" / c used to reach field.elem and raise ValueError
+    fld = FF(p, m)
+    c = fld.elem(2) if m == 1 else fld.generator()
+    for other in ("x", 1.5):
+        for op in (operator.sub, operator.truediv):
+            with pytest.raises(TypeError):
+                op(other, c)
+    assert 3 - c == fld.elem(3) - c and 3 - c + c == fld.elem(3)
+    assert 3 / c == fld.elem(3) * c.inverse() and 3 / c * c == fld.elem(3)

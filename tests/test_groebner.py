@@ -229,3 +229,17 @@ def test_generators_from_other_rings_raise():
         groebner_membership_one([u9, u25 + 1])
     with pytest.raises(ValueError, match="used in a ring over"):
         monomials.ring(FF(3, 2), 1).pack(u25)
+
+
+def test_budget_reached_with_only_pruned_pairs_pending_is_done():
+    # the lead xy of the third generator divides lcm(x^2 y, x y^2) = x^2 y^2
+    # and differs from both other lcms, so the chain criterion drops that
+    # pair: two pairs are processed, and the dropped one is not pending
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    gens = [x ** 2 * y, x * y ** 2, x * y]
+    res = groebner_membership_one(gens, max_pairs=2)
+    assert (res.status, res.pairs_processed) == ("not_in_ideal", 2)
+    assert buchberger(gens, max_pairs=2)[:3] == ("done", gens, 2)
+    res = groebner_membership_one(gens, max_pairs=1)
+    assert (res.status, res.pairs_processed) == ("exhausted", 1)
