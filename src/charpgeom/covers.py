@@ -38,6 +38,8 @@ from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
 from .algebra.powers import cached_power, substitute
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
+from .algebra import monomials
+from .algebra.monomials import _check_degree
 from . import heights as heights_mod
 
 
@@ -310,8 +312,30 @@ def _chart_completeness(f, found):
 
 
 def symbolic_hessian_det(f):
-    """det of the symbolic Hessian matrix, by cofactor expansion (n small)."""
-    return cofactor_det(hessian_matrix(f))
+    """det of the symbolic Hessian matrix, by cofactor expansion along the
+    first row (n small), in the packed ring of f (`monomials.ring`, every
+    domain): each product is one `ring.mul`, with a bound above every key,
+    and each signed sum one `ring.submul`.  Equal to
+    `linalg.cofactor_det(hessian_matrix(f))`, which `singular_points` keeps
+    as the cross-check of `det`."""
+    ring = monomials.ring(f.domain, f.n)
+    mat = [[ring.pack(h) for h in row] for row in hessian_matrix(f)]
+    # a term of the determinant takes one entry per row: no key may wrap
+    _check_degree(sum(max((k >> ring.top for h in row for k in h), default=0)
+                      for row in mat))
+    bound = (monomials.MAX_DEGREE + 1) << ring.top
+
+    def expand(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = {}
+        for j, a in enumerate(rows[0]):
+            if a:
+                minor = expand([row[:j] + row[j + 1:] for row in rows[1:]])
+                ring.submul(acc, ring.mul(a, minor, bound), 0,
+                            ring.one if j % 2 else ring.minus_one)
+        return acc
+    return ring.unpack(expand(mat), {})
 
 
 def classify_section(chart_sections):

@@ -8,7 +8,8 @@ import pytest
 
 from charpgeom.algebra.finitefield import FF, pth_root
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField
-from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.linalg import cofactor_det
+from charpgeom.algebra.multipoly import MultiPoly, hessian_matrix
 from charpgeom import covers, heights
 
 
@@ -194,6 +195,45 @@ class TestGenericity:
         # brute-force search over F_q, F_{q^2}, F_{q^3}
         for fail in rep.failures:
             assert _has_degenerate_point_somewhere(fail["form"], fld)
+
+    @pytest.mark.parametrize("fld", [FF(3), FF(7), FF(3, 2), RatFuncField(FF(3)),
+                                     FF(70001)],
+                             ids=["F3", "F7", "F9", "F3(t)", "F70001"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symbolic_hessian_det_is_the_cofactor_det(self, fld, n):
+        # the packed-ring expansion against linalg.cofactor_det on MultiPolys
+        rng = random.Random(f"hessian:{n}:{fld!r}")
+        xs = MultiPoly.variables(fld, n)
+        fs = []
+        for _ in range(6):
+            terms = {}
+            for _ in range(rng.randrange(1, 9)):
+                exps = [0] * n
+                for _ in range(rng.randrange(6)):
+                    exps[rng.randrange(n)] += 1
+                terms[tuple(exps)] = _random_coeff(fld, rng)
+            fs.append(MultiPoly(fld, n, terms))
+        # zero entries (f linear, or sum c_i x_i^(i+2)), and a determinant
+        # that is zero by cancellation: the Hessian of (sum x_i)^5 has rank 1
+        fs.append(xs[0] + 1)
+        fs.append(sum((x ** (i + 2) * _random_coeff(fld, rng)
+                       for i, x in enumerate(xs)), MultiPoly.zero(fld, n)))
+        zero_det = sum(xs, MultiPoly.zero(fld, n)) ** 5
+        fs.append(zero_det)
+        for f in fs:
+            want = cofactor_det(hessian_matrix(f))
+            assert covers.symbolic_hessian_det(f).terms == want.terms
+        assert covers.symbolic_hessian_det(fs[-3]).is_zero()
+        if n > 1:
+            assert covers.symbolic_hessian_det(zero_det).is_zero()
+            assert any(h for row in hessian_matrix(zero_det) for h in row)
+
+
+def _random_coeff(fld, rng):
+    if isinstance(fld, RatFuncField):         # a + b t, not both 0
+        a, b = rng.choice([(a, b) for a in range(3) for b in range(3) if a or b])
+        return fld.elem(UPoly(fld.base, [fld.base.elem(a), fld.base.elem(b)]))
+    return fld.from_index(rng.randrange(1, fld.order))
 
 
 def _has_degenerate_point_somewhere(form, fld):

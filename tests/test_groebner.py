@@ -1,12 +1,15 @@
 """Membership-of-1 engine: certificates, negative proofs, budget honesty."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
-from charpgeom.algebra import monomials
+from charpgeom.algebra import groebner, monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.unipoly import RatFuncField, UPoly
 from charpgeom.algebra.groebner import (
     IdealCertificate, groebner_membership_one, buchberger, grevlex_key,
     leading_term, reduce_poly, standard_monomial_count,
@@ -243,3 +246,100 @@ def test_budget_reached_with_only_pruned_pairs_pending_is_done():
     assert buchberger(gens, max_pairs=2)[:3] == ("done", gens, 2)
     res = groebner_membership_one(gens, max_pairs=1)
     assert (res.status, res.pairs_processed) == ("exhausted", 1)
+
+
+def test_reduce_poly_skips_zero_basis_elements():
+    # a zero element gets a zero quotient, as buchberger drops zero
+    # generators; it used to raise "max() arg is an empty sequence"
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    zero = MultiPoly.zero(fld, 2)
+    f = x ** 3 * y + 2 * y ** 2 + x
+    qs, rem = reduce_poly(f, [zero, x ** 2 - y, zero, y ** 2 - 1])
+    assert len(qs) == 4 and qs[0].is_zero() and qs[2].is_zero()
+    (q1, q3), r = reduce_poly(f, [x ** 2 - y, y ** 2 - 1])
+    assert (qs[1], qs[3], rem) == (q1, q3, r)
+    assert q1 * (x ** 2 - y) + q3 * (y ** 2 - 1) + r == f
+    assert reduce_poly(f, [zero]) == ([zero], f)
+
+
+def _seeded_ideal(fld, n, rng):
+    """n + 1 random polynomials of degree <= 3 in n variables (mostly the
+    unit ideal); the first has every coefficient -1, the slot edge."""
+    gens = []
+    for g in range(n + 1):
+        terms = {}
+        for _ in range(rng.randrange(2, 7)):
+            exps = [0] * n
+            for _ in range(rng.randrange(4)):
+                exps[rng.randrange(n)] += 1
+            terms[tuple(exps)] = fld.elem(-1 if g == 0 else rng.randrange(1, fld.p))
+        gens.append(MultiPoly(fld, n, terms))
+    return gens
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slot_replay_matches_dict_replay(monkeypatch, p, n):
+    # the byte-slot replay against the dict replay on the same traces, term
+    # for term; over F_13 a slot takes one submul between reductions
+    assert groebner._slot_cadence(p) == {3: 63, 5: 15, 7: 6, 11: 2, 13: 1}[p]
+    fld = FF(p)
+    rng = random.Random(f"slots:{p}:{n}")
+    for _ in range(4):
+        gens = _seeded_ideal(fld, n, rng)
+        _, basis, _, trace = buchberger(gens)
+        slots = [trace.representation(k) for k in range(len(basis))]
+        assert not trace._reps                 # no dict replay ran
+        monkeypatch.setattr(groebner._Basis, "_slot_radix",
+                            lambda self, todo: None)
+        dicts = [trace.representation(k) for k in range(len(basis))]
+        monkeypatch.undo()
+        assert trace._reps
+        for a, b in zip(slots, dicts):
+            assert [c.terms for c in a] == [c.terms for c in b]
+
+
+def test_slot_replay_scope():
+    # F_{p^m} (Zech codes), k(t), p > 13 and slot counts above SLOT_CAP take
+    # the dict replay; their certificates still verify
+    k_t = RatFuncField(FF(3))
+    t = k_t.elem(UPoly(FF(3), [FF(3).zero, FF(3).one]))
+    cases = []
+    for fld in (FF(3, 2), k_t, FF(17), FF(70001)):
+        x, y = MultiPoly.variables(fld, 2)
+        c = t if fld is k_t else fld.elem(2)
+        cases.append([x ** 3 - y * c, x * y - 1, y ** 2 + x])
+    fld = FF(3)
+    x, y, z = MultiPoly.variables(fld, 3)
+    d = round(groebner.SLOT_CAP ** (1 / 3))     # cofactor degree 2(d - 1)
+    cases.append([x ** d, 1 - x * y, z])
+    assert (2 * d - 1) ** 3 > groebner.SLOT_CAP
+    for gens in cases:
+        status, basis, _, trace = buchberger(gens, stop_at_unit=True)
+        assert status == "unit"
+        cert = IdealCertificate(gens, trace.representation(len(basis) - 1))
+        assert cert.verify()
+        assert trace._reps                     # the dict replay ran
+
+
+def test_replay_refers_to_nothing_from_kronecker():
+    # the engine's replay and the verifier share no code: `_Basis`, and the
+    # module functions it calls, name neither `kronecker` nor what it holds
+    tree = ast.parse(inspect.getsource(groebner))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    kronecker = groebner.kronecker
+    forbidden = {"kronecker"} | {name for name, v in vars(kronecker).items()
+                                 if getattr(v, "__module__", None) == kronecker.__name__}
+    todo, seen = ["_Basis"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            assert ref not in forbidden, f"{name} refers to {ref}"
+            if ref in defs and ref not in seen:
+                todo.append(ref)
+    assert {"_Basis", "_slot_cadence", "_slot_tables"} <= seen
