@@ -34,36 +34,62 @@ def is_prime(n):
     return True
 
 
-# -- dense univariate arithmetic over F_p on plain int lists ------------------
+# -- dense univariate arithmetic over F_p on residues -------------------------
 #
-# Coefficient lists run low to high, with entries in 0..p-1 and no trailing
-# zeros; [] is the zero polynomial.  Sums of products are accumulated
-# unreduced and reduced mod p once per output coefficient.  The modulus
-# search below and UPoly's prime-field path share these routines.
+# Coefficients run low to high, in 0..p-1, no trailing zeros.  `_pmul` is one
+# Kronecker product: each factor one int with a residue per w-byte slot, the
+# slots of the product reduced mod p.  A slot sums at most
+# min(#a, #b) * (p-1)^2 < 256^w; a bound that does not fit raises, never
+# wraps.  At w = 1, as in `_padd` for p < 128, bytes pack and `translate` by
+# a table of i mod p (`_mod_table`, built on first use) reduces, both in C.
 
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
-def _padd(a, b, p):
-    """a + b mod p."""
-    return _ptrim([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+@functools.lru_cache(maxsize=None)
+def _mod_table(p, sign=1):
+    return bytes(sign * i % p for i in range(256))
+
+def _padd(a, b, p, sign=1):
+    """a + sign * b mod p, sign = 1 or -1."""
+    if p < 128:                         # a slot holds at most 2(p-1) < 256
+        x = (int.from_bytes(bytearray(a), "little")
+             + int.from_bytes(bytearray(b).translate(_mod_table(p, sign)), "little"))
+        raw = x.to_bytes(max(len(a), len(b)), "little")
+        return list(raw.translate(_mod_table(p)).rstrip(b"\0"))
+    return _ptrim([(x + sign * y) % p
+                   for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 def _psub(a, b, p):
     """a - b mod p."""
-    return _ptrim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+    return _padd(a, b, p, -1)
+
+def _slot_bytes(bound):
+    """Least slot width w in bytes with bound < 256^w."""
+    return (bound.bit_length() + 7) // 8
 
 def _pmul(a, b, p):
-    """a * b mod p."""
-    if not a or not b:
+    """a * b mod p, by one big-int product (Kronecker substitution)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
         return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                res[j] += ca * cb
-    return [c % p for c in res]
+    if len(a) == 1 and a[0] == 1:       # the unit: no product to take
+        return list(b)
+    n = len(a) + len(b) - 1
+    bound = len(a) * (p - 1) ** 2
+    w = _slot_bytes(bound)
+    if bound >> (8 * w):
+        raise OverflowError(f"slot bound {bound} does not fit {w} bytes")
+    if w == 1:
+        x = int.from_bytes(bytearray(a), "little") * int.from_bytes(bytearray(b), "little")
+        return list(x.to_bytes(n, "little").translate(_mod_table(p)))
+    x = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+         * int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little"))
+    raw = x.to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, n * w, w)]
 
 def _pdivmod(a, b, p):
     """(q, r) with a = q*b + r and deg r < deg b; b must be nonzero."""
@@ -83,16 +109,13 @@ def _pdivmod(a, b, p):
                 r[s + i] -= f * b[i]
     return q, _ptrim([c % p for c in r[:db]])
 
-def _pmod(a, mod, p):
-    return _pdivmod(a, mod, p)[1]
-
 class _Residue:
     """The class of an int list mod a fixed modulus over F_p, for `power`."""
 
     __slots__ = ("coeffs", "mod", "p")
 
     def __init__(self, coeffs, mod, p):
-        self.coeffs, self.mod, self.p = _pmod(coeffs, mod, p), mod, p
+        self.coeffs, self.mod, self.p = _pdivmod(coeffs, mod, p)[1], mod, p
 
     def __mul__(self, other):
         return _Residue(_pmul(self.coeffs, other.coeffs, self.p), self.mod, self.p)
@@ -101,7 +124,7 @@ def _pgcd(a, b, p):
     """Monic gcd; [] when both inputs are zero."""
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a and a[-1] != 1:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]

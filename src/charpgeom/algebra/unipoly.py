@@ -14,41 +14,33 @@ Characteristic-p specifics that live here:
   multiplicity prime to p, then recurse on the p-th root of the remainder),
   used for exact branch-place counts in the Hurwitz bookkeeping.
 
-Representation notes: `coeffs` is always a tuple of FFElements, since
-callers read it.  Over a prime field (one with a table of its p elements,
-`FiniteField.prime_elements`), sums, differences, products, divmod and gcd
-convert it to residues mod p, run the dense int-list routines of
-`finitefield` (shared with the modulus search) and map the result back
-through that table; over extension fields the loops run on the elements
-themselves.  `gcd` returns 1 at once when either
-input is a nonzero constant, the common case of a RatFunc with denominator
-1.  Coefficients from another field are rejected with ValueError, since the
-int path would otherwise read their residues as if they were this field's.
+Representation notes: over a prime field with a table of its elements
+(`FiniteField.prime_elements`) a UPoly stores its residues, a tuple of ints
+in 0..p-1, and every operation runs on them: the dense routines of
+`finitefield` (products by one Kronecker big-int product) and residue loops.
+`coeffs` is a read-only view that maps them through the table, so it holds
+the table's own objects.  Other fields store, and loop on, the elements.
+`gcd` returns 1 at once when either input is a nonzero constant, the common
+case of a RatFunc with denominator 1.  Coefficients from another field are
+rejected with ValueError, since their residues would be read as this field's.
 """
 
-from .finitefield import pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
+from .finitefield import FFElement, pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
 from .powers import power
 
 
-def _ints(poly):
-    """Residues of a polynomial over F_p, low to high."""
-    return [c.coeffs[0] for c in poly.coeffs]
-
-
-def _from_ints(field, ints):
-    """The UPoly over F_p with these residues in 0..p-1 (trailing zeros
-    allowed); the elements come from the field's table, unchecked."""
+def _new(field, stored):
+    """The UPoly with these stored coefficients (no trailing zeros), unchecked."""
     poly = object.__new__(UPoly)
     poly.field = field
-    elems = field.prime_elements
-    poly.coeffs = tuple([elems[c] for c in _ptrim(ints)])
+    poly._c = tuple(stored)
     return poly
 
 
 class UPoly:
     """Dense univariate polynomial over a FiniteField."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_c")
 
     def __init__(self, field, coeffs=()):
         cs = list(coeffs)
@@ -59,7 +51,13 @@ class UPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = tuple(cs if field.prime_elements is None else [c.coeffs[0] for c in cs])
+
+    @property
+    def coeffs(self):
+        """The coefficients as field elements, low to high (read-only)."""
+        elems = self.field.prime_elements
+        return self._c if elems is None else tuple([elems[c] for c in self._c])
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -75,38 +73,41 @@ class UPoly:
 
     def degree(self):
         """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self._c) <= 1
 
     def leading(self):
-        if not self.coeffs:
+        if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[-1]
 
     def __getitem__(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        if i >= len(self._c):
+            return self.field.zero
+        elems = self.field.prime_elements
+        return self._c[i] if elems is None else elems[self._c[i]]
 
     def __eq__(self, other):
         return (isinstance(other, UPoly)
                 and (self.field is other.field or self.field == other.field)
-                and self.coeffs == other.coeffs)
+                and self._c == other._c)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._c))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._c)
 
     def __add__(self, other):
         other = self._coerce(other)
         if self.field.prime_elements is not None:
-            return _from_ints(self.field, _padd(_ints(self), _ints(other), self.field.p))
-        n = max(len(self.coeffs), len(other.coeffs))
+            return _new(self.field, _padd(self._c, other._c, self.field.p))
+        n = max(len(self._c), len(other._c))
         return UPoly(self.field, [self[i] + other[i] for i in range(n)])
 
     __radd__ = __add__
@@ -114,27 +115,27 @@ class UPoly:
     def __sub__(self, other):
         other = self._coerce(other)
         if self.field.prime_elements is not None:
-            return _from_ints(self.field, _psub(_ints(self), _ints(other), self.field.p))
-        n = max(len(self.coeffs), len(other.coeffs))
+            return _new(self.field, _psub(self._c, other._c, self.field.p))
+        n = max(len(self._c), len(other._c))
         return UPoly(self.field, [self[i] - other[i] for i in range(n)])
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return UPoly(self.field, [-c for c in self.coeffs])
+        return UPoly(self.field) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return UPoly(self.field)
+        if not self._c or not other._c:
+            return _new(self.field, ())
         if self.field.prime_elements is not None:
-            return _from_ints(self.field, _pmul(_ints(self), _ints(other), self.field.p))
+            return _new(self.field, _pmul(self._c, other._c, self.field.p))
         zero = self.field.zero
-        res = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
+        res = [zero] * (len(self._c) + len(other._c) - 1)
+        for i, ca in enumerate(self._c):
             if ca:
-                for j, cb in enumerate(other.coeffs):
+                for j, cb in enumerate(other._c):
                     res[i + j] = res[i + j] + ca * cb
         return UPoly(self.field, res)
 
@@ -152,10 +153,12 @@ class UPoly:
         return UPoly(self.field, [self.field.elem(other)])
 
     def scale(self, c):
-        return UPoly(self.field, [c * a for a in self.coeffs])
+        if self.field.prime_elements is None:
+            return UPoly(self.field, [c * a for a in self._c])
+        return _new(self.field, _pmul(self._c, self._coerce(c)._c, self.field.p))
 
     def monic(self):
-        if not self.coeffs:
+        if not self._c:
             return self
         return self.scale(self.leading().inverse())
 
@@ -164,10 +167,10 @@ class UPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.field.prime_elements is not None:
-            q, r = _pdivmod(_ints(self), _ints(other), self.field.p)
-            return _from_ints(self.field, q), _from_ints(self.field, r)
-        rem = list(self.coeffs)
-        q = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
+            q, r = _pdivmod(self._c, other._c, self.field.p)
+            return _new(self.field, q), _new(self.field, r)
+        rem = list(self._c)
+        q = [self.field.zero] * max(0, len(rem) - len(other._c) + 1)
         inv = other.leading().inverse()
         d = other.degree()
         for k in range(len(rem) - 1, d - 1, -1):
@@ -175,7 +178,7 @@ class UPoly:
             if c:
                 f = c * inv
                 q[k - d] = f
-                for i, oc in enumerate(other.coeffs):
+                for i, oc in enumerate(other._c):
                     rem[k - d + i] = rem[k - d + i] - f * oc
         return UPoly(self.field, q), UPoly(self.field, rem)
 
@@ -188,50 +191,53 @@ class UPoly:
     def gcd(self, other):
         """Monic gcd; gcd with 0 is the monic associate of the other input."""
         a, b = self, self._coerce(other)
-        if len(a.coeffs) == 1 or len(b.coeffs) == 1:   # a nonzero constant
+        if len(a._c) == 1 or len(b._c) == 1:   # a nonzero constant
             return UPoly(self.field, [self.field.one])
         if self.field.prime_elements is not None:
-            return _from_ints(self.field, _pgcd(_ints(a), _ints(b), self.field.p))
+            return _new(self.field, _pgcd(a._c, b._c, self.field.p))
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
     def derivative(self):
-        p = self.field.p
-        return UPoly(self.field,
-                     [self.coeffs[i] * (i % p) for i in range(1, len(self.coeffs))])
+        p, cs = self.field.p, self._c
+        if self.field.prime_elements is not None:
+            return _new(self.field, _ptrim([cs[i] * i % p for i in range(1, len(cs))]))
+        return UPoly(self.field, [cs[i] * (i % p) for i in range(1, len(cs))])
 
     def evaluate(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if self.field.prime_elements is None:
+            acc = self.field.zero
+            for c in reversed(self._c):
+                acc = acc * x + c
+            return acc
+        p, r, acc = self.field.p, self.field.elem(x).coeffs[0], 0
+        for c in reversed(self._c):
+            acc = (acc * r + c) % p
+        return self.field.prime_elements[acc]
 
     def inflate(self, k):
         """Substitute t -> t^k (exponent spread, no coefficient change)."""
-        if not self.coeffs:
+        if not self._c:
             return self
-        zero = self.field.zero
-        res = [zero] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            res[i * k] = c
-        return UPoly(self.field, res)
+        zero = 0 if self.field.prime_elements is not None else self.field.zero
+        res = [zero] * ((len(self._c) - 1) * k + 1)
+        res[::k] = self._c
+        return _new(self.field, res)
 
     def is_pth_power(self):
         """True when the polynomial is g^p for some g (char-p criterion)."""
         p = self.field.p
-        return all(c == self.field.zero or i % p == 0
-                   for i, c in enumerate(self.coeffs))
+        return all(not c or i % p == 0 for i, c in enumerate(self._c))
 
     def pth_root_poly(self):
         """g with g^p = self; requires is_pth_power()."""
-        p = self.field.p
         if not self.is_pth_power():
             raise ValueError("polynomial is not a p-th power")
-        res = [self.field.zero] * (self.degree() // p + 1 if self.coeffs else 0)
-        for i in range(0, len(self.coeffs), p):
-            res[i // p] = pth_root(self.coeffs[i])
-        return UPoly(self.field, res)
+        roots = self._c[::self.field.p]
+        if self.field.prime_elements is None:
+            roots = [pth_root(c) for c in roots]
+        return _new(self.field, roots)
 
     def squarefree_decomposition(self):
         """Exact char-p squarefree decomposition.
@@ -267,14 +273,15 @@ class UPoly:
         return lc, parts
 
     def format(self, name="t"):
-        if not self.coeffs:
+        if not self._c:
             return "0"
+        tabled = self.field.prime_elements is not None
         bits = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(self._c) - 1, -1, -1):
+            c = self._c[i]
             if not c:
                 continue
-            cs = self.field.format_element(c)
+            cs = str(c) if tabled else self.field.format_element(c)
             if i == 0:
                 bits.append(cs)
             elif i == 1:
@@ -322,7 +329,8 @@ class RatFunc:
         return self.num.is_constant() and self.den.is_constant()
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -332,42 +340,51 @@ class RatFunc:
         return bool(self.num)
 
     def _coerce(self, other):
+        """other as a RatFunc; NotImplemented for an operand of another type."""
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, UPoly):
             return RatFunc(other)
-        return RatFunc(UPoly.const(self.field, other))
+        if isinstance(other, (int, FFElement)):
+            return RatFunc(UPoly.const(self.field, other))
+        return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, e):
         if e < 0:

@@ -4,7 +4,8 @@
 big-int product (`algebra/kronecker.py`) and expands term by term
 elsewhere.  These tests compare the two paths on seeded certificates,
 check the slot-width bound at its edge, pin which certificates take which
-path, and keep the Kronecker verifier free of the engine's modules.
+path, and keep the Kronecker verifier and the engine's Kronecker product
+(`finitefield._pmul`, under `UPoly`) free of each other's modules.
 """
 
 import ast
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from charpgeom.algebra import groebner, kronecker
+from charpgeom.algebra import finitefield, groebner, kronecker, unipoly
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.groebner import IdealCertificate
 from charpgeom.algebra.multipoly import MultiPoly
@@ -153,16 +154,29 @@ def test_other_domains_take_the_expansion_path(domain, monkeypatch):
     assert IdealCertificate(gens, [cofs[0], cofs[1], x]).verify() is False
 
 
-def test_kronecker_module_imports_no_engine_module():
-    path = pathlib.Path(kronecker.__file__)
-    forbidden = {"monomials", "groebner", "multipoly"}
+def imported_names(path):
+    """Every module and name an import statement of the file mentions."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [alias.name for alias in node.names]
-        else:
-            continue
-        for name in names:
-            assert not forbidden & set(name.split(".")), \
-                f"kronecker.py imports {name}"
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_kronecker_module_imports_no_engine_module():
+    # nor the dense F_p product and its helpers in finitefield, which the
+    # UPoly engine runs on
+    path = pathlib.Path(kronecker.__file__)
+    forbidden = {"monomials", "groebner", "multipoly", "unipoly", "finitefield"}
+    for name in imported_names(path):
+        assert not forbidden & set(name.split(".")), f"kronecker.py imports {name}"
+        assert not name.startswith("_p"), f"kronecker.py imports {name}"
+
+
+def test_engine_modules_import_nothing_from_kronecker():
+    for module in (finitefield, unipoly):
+        path = pathlib.Path(module.__file__)
+        for name in imported_names(path):
+            assert "kronecker" not in name.split("."), f"{path.name} imports {name}"
+            assert name not in {"sum_is_one", "slot_bytes"}, f"{path.name} imports {name}"

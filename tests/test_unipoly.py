@@ -5,6 +5,7 @@ import random
 import pytest
 
 from charpgeom.algebra.finitefield import FF
+from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
 
 
@@ -208,3 +209,26 @@ def test_gcd_with_a_nonzero_constant_is_one():
             assert a.gcd(b) == one
         assert f.gcd(UPoly(fld)) == f.monic()
         assert UPoly(fld).gcd(UPoly(fld)).is_zero()
+
+
+def test_ratfunc_defers_to_multipoly_operands():
+    # a MultiPoly right operand used to go on to UPoly.const and raise
+    # TypeError; RatFunc now returns NotImplemented and MultiPoly's
+    # reflected method runs
+    fld = FF(3)
+    tdom = RatFuncField(fld)
+    t = RatFunc(UPoly.x(fld))
+    x, y = MultiPoly.variables(tdom, 2)
+    y = y * y + x * t + 1
+    assert t * y == y * t
+    assert t + y == y + t
+    assert t - y == -(y - t)
+    assert RatFunc.__add__(t, y) is NotImplemented
+    assert RatFunc.__truediv__(t, y) is NotImplemented
+    assert (t == object()) is False
+    # ints, field elements and UPolys still coerce
+    assert t + 1 == RatFunc(UPoly.from_ints(fld, [1, 1]))
+    assert 1 - t == RatFunc(UPoly.from_ints(fld, [1, 2]))
+    assert fld.elem(2) * t == RatFunc(UPoly.from_ints(fld, [0, 2]))
+    assert t / UPoly.x(fld) == RatFunc.const(fld, 1)
+    assert 1 / t == RatFunc(UPoly.const(fld, 1), UPoly.x(fld))
