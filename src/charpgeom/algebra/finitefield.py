@@ -19,6 +19,8 @@ Fields of at most PRIME_TABLE_MAX elements keep tables for the kernels of
 
 import functools
 import itertools
+import sys
+from array import array
 
 from .powers import power
 
@@ -42,6 +44,8 @@ def is_prime(n):
 # min(#a, #b) * (p-1)^2 < 256^w; a bound that does not fit raises, never
 # wraps.  At w = 1, as in `_padd` for p < 128, bytes pack and `translate` by
 # a table of i mod p (`_mod_table`, built on first use) reduces, both in C.
+# Wider slots round up to a native-order `array` of 2-, 4- or 8-byte items (a
+# big-endian host reverses both factors, so their product); wider, `to_bytes`.
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -66,6 +70,8 @@ def _psub(a, b, p):
     """a - b mod p."""
     return _padd(a, b, p, -1)
 
+_ARRAY_CODES = {array(c).itemsize: c for c in "HILQ"}
+
 def _slot_bytes(bound):
     """Least slot width w in bytes with bound < 256^w."""
     return (bound.bit_length() + 7) // 8
@@ -86,6 +92,12 @@ def _pmul(a, b, p):
     if w == 1:
         x = int.from_bytes(bytearray(a), "little") * int.from_bytes(bytearray(b), "little")
         return list(x.to_bytes(n, "little").translate(_mod_table(p)))
+    w = next((k for k in (2, 4, 8) if k >= w), w)
+    if w in _ARRAY_CODES:
+        order, code = sys.byteorder, _ARRAY_CODES[w]
+        x = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
+        res = [c % p for c in array(code, x.to_bytes(n * w, order))]
+        return res if order == "little" else res[::-1]
     x = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
          * int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little"))
     raw = x.to_bytes(n * w, "little")

@@ -14,10 +14,12 @@ at a time from the highest cached one, so each power costs one product with
 the base and is made once; every intermediate power is kept, since later
 terms ask for it too.
 
-`substitute` sums terms c * v_1^e_1 * ... * v_n^e_n over one such cache per
-variable (Knuth, TAOCP vol. 2, section 4.6.4): polynomial evaluation and
-substitution and the Frobenius cover's lifted sums all run it.
+`substitute` sums terms c * v_1^e_1 * ... * v_n^e_n by nested Horner over
+one such cache per variable (Knuth, TAOCP vol. 2, section 4.6.4): polynomial
+evaluation and substitution and the Frobenius cover's lifted sums run it.
 """
+
+import itertools
 
 
 def power(base, e, one):
@@ -52,19 +54,25 @@ def cached_power(cache, base, k):
 
 def substitute(terms, values, zero):
     """The sum of c * values[0]^e_0 * ... over `terms` ({exponent tuple:
-    coefficient}), `zero` when there are none.
+    coefficient}), of `zero`'s type; `zero` when there are none.
 
-    Each variable keeps one `cached_power` cache, seeded with {1: value},
-    so no power is made twice and none is multiplied by one.  A term
-    multiplies its powers in variable order and its coefficient last, from
-    the right: a polynomial value then scales by a domain element."""
+    Terms equal before variable i, with exponents k_1 > ... > k_m of v_i,
+    sum as (...(S_1 * v_i^(k_1 - k_2) + S_2) * ... + S_m) * v_i^k_m, S_j
+    their sum in the later variables, coefficients added innermost: one
+    product per gap, a `cached_power` from the left (a value times a
+    coefficient), so each power is made once."""
     caches = [{1: v} for v in values]
-    acc = zero
-    for exps, c in terms.items():
-        term = None
-        for cache, e in zip(caches, exps):
-            if e:
-                pw = cached_power(cache, cache[1], e)
-                term = pw if term is None else term * pw
-        acc = acc + (c if term is None else term * c)
-    return acc
+    def horner(items, i):
+        if i == len(caches):
+            return items[0][1]
+        acc = prev = None
+        for k, group in itertools.groupby(items, lambda item: item[0][i]):
+            inner = horner(list(group), i + 1)
+            acc = inner if acc is None else cached_power(caches[i], caches[i][1], prev - k) * acc + inner
+            prev = k
+        return cached_power(caches[i], caches[i][1], prev) * acc if prev else acc
+
+    items = sorted(terms.items(), reverse=True)
+    if not items or not any(items[0][0]):   # no product gives zero's type
+        return zero + items[0][1] if items else zero
+    return horner(items, 0)

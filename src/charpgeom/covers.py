@@ -26,7 +26,9 @@ x_j = u_j^p, z = sum b_I u^I produces the K'-rational point families whose
 heights the Vojta demonstration measures.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
@@ -506,6 +508,25 @@ class FrobeniusFactorization:
         return (MultiPoly(fld, nvars, z_terms) ** self.p
                 == MultiPoly(fld, nvars, h_terms))
 
+    @functools.cached_property
+    def cleared(self):
+        """b, and h with t -> s^p, as (numerators, L, D) for `lift_point`: L
+        the monic lcm of the denominators, D_j the degree in x_j, c x^e as
+        c L keyed (e_1, D_1 - e_1, ..., e_n, D_n - e_n)."""
+        fld, p = self.sdomain.base, self.p
+        return (_cleared({e: (c.num, c.den) for e, c in self.b.items()}, fld),
+                _cleared({e: (c.num.inflate(p), c.den.inflate(p))
+                          for e, c in self.h.terms.items()}, fld))
+
+
+def _cleared(fracs, fld):
+    lcm = UPoly.const(fld, 1)
+    for _, den in fracs.values():
+        lcm = lcm * (den // lcm.gcd(den))
+    degs = [max(col) for col in zip(*fracs)]
+    return ({tuple(k for ej, dj in zip(e, degs) for k in (ej, dj - ej)):
+             num * (lcm // den) for e, (num, den) in fracs.items()}, lcm, degs)
+
 
 def frobenius_factorization(h):
     """Factor z^p = h(x) through Frobenius: coefficientwise p-th roots.
@@ -540,20 +561,19 @@ class LiftedPoint:
 def lift_point(fact, params):
     """Lift one parameter tuple: x_j = u_j^p, z = sum b_I u^I, checked.
 
-    The cover equation z^p = h(x) is verified exactly in k(s) before the
-    point is returned."""
+    With u_j = a_j/d_j, z = sum (b_I L) prod a_j^e_j d_j^(D_j - e_j) over L
+    prod d_j^D_j (`FrobeniusFactorization.cleared`), one `substitute` on
+    UPolys; h(x) likewise.  z^p = h(x) is verified exactly in k(s)."""
     fld = fact.sdomain.base
-    p = fact.p
     us = [u if isinstance(u, RatFunc) else RatFunc(UPoly.const(fld, u))
           for u in params]
     if len(us) != fact.h.n:
         raise ValueError("wrong number of parameters")
-    xs = [u ** p for u in us]
-    zero = RatFunc(UPoly(fld))
-    z = substitute(fact.b, us, zero)
-    value = substitute({e: c.inflate(p) for e, c in fact.h.terms.items()},
-                       xs, zero)
-    if z ** p != value:
+    xs = [u ** fact.p for u in us]
+    z, value = (RatFunc(substitute(terms, [v for u in fracs for v in (u.num, u.den)], UPoly(fld)),
+                        math.prod((u.den ** k for u, k in zip(fracs, degs)), start=den))
+                for (terms, den, degs), fracs in zip(fact.cleared, (us, xs)))
+    if z ** fact.p != value:
         raise AssertionError("lifted point violates the cover equation")
     return LiftedPoint(params=tuple(us), base_coords=xs, z=z)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import tests_support_powers_reference as reference
 from charpgeom.algebra.finitefield import FF, pth_root
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField
 from charpgeom.algebra.linalg import cofactor_det
@@ -342,6 +343,68 @@ class TestLifting:
         assert fam.extras["constant_parameter_height_bound"] == 1   # deg_s(b)
         assert all(d.d_L == Fraction(-2) for d in fam.discriminants)
         assert fam.verify()
+
+
+class TestLiftOnNumerators:
+    """`lift_point` sums z and h(x) on cleared numerators; the frozen
+    RatFunc substitution it replaced must give the same point for fractional,
+    constant and polynomial parameters and for b with denominators."""
+
+    @staticmethod
+    def factorizations(p):
+        fld = FF(p)
+        tdom = RatFuncField(fld, "t")
+        t = UPoly.x(fld)
+        rng = random.Random(f"lift:{p}")
+        consts = MultiPoly(tdom, 2, {
+            e: tdom.elem(rng.randrange(1, p)) for e in
+            ((0, 0), (1, 0), (0, 2), (3, 1), (2, 2), (0, 4))})
+        # frobenius-batch shaped: distinct linear denominators, so L != 1
+        dens = {(0, 0): t + 1, (1, 2): UPoly.const(fld, 1), (3, 1): t + 2,
+                (2, 0): (t + 1) * (t + 2)}
+        fracs = MultiPoly(tdom, 2, {
+            e: RatFunc(UPoly.from_ints(fld, [rng.randrange(1, p), 1, 1]), d)
+            for e, d in dens.items()})
+        return [covers.frobenius_factorization(h) for h in (consts, fracs)]
+
+    @staticmethod
+    def parameters(p):
+        fld = FF(p)
+        s = UPoly.x(fld)
+        inv = RatFunc(UPoly.const(fld, 1), s + 1)              # 1/(s+1)
+        quo = RatFunc(s * s + 1, s + 2)                        # (s^2+1)/(s+2)
+        return [[inv, quo], [quo, 2], [2, inv], [inv, inv], [RatFunc(s), 0],
+                [0, 1], [3, quo]]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_the_ratfunc_substitution(self, p):
+        consts, fracs = self.factorizations(p)
+        assert fracs.cleared[0][1].degree() > 0 and fracs.cleared[1][1].degree() > 0
+        assert consts.cleared[0][1].degree() == 0
+        fld = FF(p)
+        for fact in (consts, fracs):
+            for params in self.parameters(p):
+                lp = covers.lift_point(fact, params)
+                us = [u if isinstance(u, RatFunc) else RatFunc(UPoly.const(fld, u))
+                      for u in params]
+                z, xs, value = reference.lift(fact, us)
+                assert lp.z == z and lp.base_coords == xs and z ** p == value
+                assert list(lp.params) == us
+
+    @pytest.mark.parametrize("tampered", [0, 1])
+    def test_tampered_sum_fails_the_cover_equation(self, tampered, monkeypatch):
+        real = covers.substitute
+        calls = []
+
+        def substitute(terms, values, zero):
+            calls.append(terms)
+            out = real(terms, values, zero)
+            return out + 1 if len(calls) == tampered + 1 else out
+        monkeypatch.setattr(covers, "substitute", substitute)
+        fact = self.factorizations(3)[1]
+        with pytest.raises(AssertionError, match="violates the cover equation"):
+            covers.lift_point(fact, self.parameters(3)[0])
+        assert len(calls) == 2
 
 
 def _pos(i, j):

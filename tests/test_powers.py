@@ -3,15 +3,16 @@ constructors reject.
 
 `power` is square-and-multiply from the low bit: it multiplies exactly
 floor(log2 e) squares plus popcount(e) - 1 partial products, never by
-`one`.  `substitute` makes each power of a value once, multiplies a term's
-powers in variable order and its coefficient last, and obeys the
-substitution laws over F_5, F_9 and F_3(t).  A negative exponent raises ValueError in the rings without
+`one`.  `substitute` runs nested Horner: one product per exponent gap
+present in each group, each power of a value made once, coefficients added
+innermost; it obeys the substitution laws over F_5, F_9 and F_3(t).  A negative exponent raises ValueError in the rings without
 inverses (it used to loop forever, since -1 >> 1 == -1), and inverts in
 the fields and fraction types.  Exponent tuples of the wrong length or
 with a negative entry raise ValueError instead of packing or multiplying
 into a wrong monomial.
 """
 
+import math
 import random
 
 import pytest
@@ -25,7 +26,8 @@ from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 
 
 class Counted:
-    """An int under multiplication, counting the products taken."""
+    """An int under multiplication and addition, counting the products
+    taken."""
 
     products = 0
 
@@ -35,6 +37,9 @@ class Counted:
     def __mul__(self, other):
         Counted.products += 1
         return Counted(self.v * other.v)
+
+    def __add__(self, other):
+        return Counted(self.v + other.v)
 
 
 @pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 127, 1000])
@@ -58,8 +63,9 @@ def test_cached_power_steps_once_per_missing_power():
     assert Counted.products == 7
 
 
-class Word:
-    """A word under concatenation: products keep their order."""
+class Expr:
+    """A formal expression: products and sums keep their order and their
+    grouping, and products are counted."""
 
     products = 0
 
@@ -67,23 +73,66 @@ class Word:
         self.s = s
 
     def __mul__(self, other):
-        Word.products += 1
-        return Word(self.s + other.s)
+        Expr.products += 1
+        return Expr(f"{self.s}*{other.s}")
 
     def __add__(self, other):
-        return Word(f"{self.s}+{other.s}")
+        return Expr(f"({self.s}+{other.s})")
 
 
-def test_substitute_orders_products_and_makes_each_power_once():
-    x, y, c = Word("x"), Word("y"), Word("c")
-    Word.products = 0
-    got = substitute({(3, 0): c, (2, 1): c, (1, 2): c, (0, 0): Word("d")},
-                     [x, y], Word("0"))
-    assert got.s == "0+xxxc+xxyc+xyyc+d"
-    # x^2, x^3 and y^2 once each, then 1 + 2 + 2 term products
-    assert Word.products == 3 + 5
-    assert substitute({}, [x, y], Word("0")).s == "0"
+def test_substitute_is_nested_horner():
+    x, y, c = Expr("x"), Expr("y"), Expr("c")
+    Expr.products = 0
+    got = substitute({(3, 0): c, (2, 1): c, (1, 2): c, (0, 0): Expr("d")},
+                     [x, y], Expr("0"))
+    assert got.s == "(x*(x*(x*c+y*c)+y*y*c)+d)"
+    # gaps 1, 1, 1 in x, and gaps 1 and 2 in y in two groups; y^2 made once
+    assert Expr.products == 3 + 2 + 1
+    Expr.products = 0
+    got = substitute({(5, 2): Expr("a"), (2, 2): Expr("b")}, [x, y], Expr("0"))
+    assert got.s == "x*x*(x*x*x*y*y*a+y*y*b)"
+    # gaps 2 in y in two groups, 3 and 2 in x; y^2, x^2 and x^3 made once
+    assert Expr.products == 2 + 2 + 1 + 2
+    assert substitute({}, [x, y], Expr("0")).s == "0"
+    assert substitute({(0, 0): c}, [x, y], Expr("0")).s == "(0+c)"
     assert substitute({(2, 1): 5, (0, 0): 7}, [2, 3], 0) == 67
+
+
+def _horner_products(terms, n):
+    """Products nested Horner takes on `terms`: in each group of terms
+    equal before variable i, one per gap between the exponents of variable
+    i present, down to 0; plus k - 1 to make powers up to the widest gap k
+    of each variable."""
+    widest = [1] * n
+
+    def walk(exps, i):
+        if i == n:
+            return 0
+        groups = {}
+        for e in exps:
+            groups.setdefault(e[i], []).append(e)
+        ks = sorted(groups, reverse=True) + [0]
+        gaps = [a - b for a, b in zip(ks, ks[1:]) if a > b]
+        widest[i] = max([widest[i]] + gaps)
+        return len(gaps) + sum(walk(g, i + 1) for g in groups.values())
+    count = walk(list(terms), 0)
+    return count + sum(k - 1 for k in widest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_substitute_takes_one_product_per_gap_and_each_power_once(n):
+    rng = random.Random(f"horner:{n}")
+    for _ in range(40):
+        terms = {tuple(rng.choice((0, 1, 2, 4, 7)) for _ in range(n)):
+                 Counted(rng.randrange(1, 5)) for _ in range(rng.randrange(1, 9))}
+        if not any(map(any, terms)):
+            continue
+        values = [rng.randrange(2, 5) for _ in range(n)]
+        Counted.products = 0
+        got = substitute(terms, [Counted(v) for v in values], None)
+        assert Counted.products == _horner_products(terms, n), terms
+        assert got.v == sum(c.v * math.prod(v ** k for v, k in zip(values, e))
+                            for e, c in terms.items())
 
 
 def _random_element(domain, rng):

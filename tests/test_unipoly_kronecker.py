@@ -3,9 +3,10 @@
 `_pmul` is one Kronecker big-int product on w-byte slots, and `_padd` /
 `_psub` run on byte tables for p < 128.  These tests compare them with the
 schoolbook routines they replaced (`tests_support_unipoly_reference`) on
-seeded inputs, check the slot width at its edge with every coefficient p-1,
-and pin the residue storage of `UPoly` over tabled prime fields: the
-`coeffs` view, the constructors, equality and hashing.
+seeded inputs, check the slot widths at their edges with every coefficient
+p-1 (the first edge, and the 2-, 4- and 8-byte `array` slots), and pin the
+residue storage of `UPoly` over tabled prime fields: the `coeffs` view, the
+constructors, equality and hashing.
 """
 
 import random
@@ -95,6 +96,58 @@ def test_slot_width_at_its_edge(p, monkeypatch):
     for a, b in cases:
         with pytest.raises(OverflowError):
             finitefield._pmul(a, b, p)
+
+
+def array_edges():
+    """(p, bytes, short length) for p in 3, 257, 65521: the largest
+    shorter length whose all-(p-1) bound fits slots of that many bytes,
+    then the first that needs wider ones, where both are small enough to
+    build.  Between them they reach the 2-, 4- and 8-byte arrays."""
+    out = []
+    for p in (3, 257, 65521):
+        sq = (p - 1) ** 2
+        for below in (1, 2, 4):
+            fits = (256 ** below - 1) // sq
+            if 1 <= fits < 70000:
+                out += [(p, below, fits), (p, below, fits + 1)]
+    return out
+
+
+@pytest.mark.parametrize("p,below,short", array_edges())
+def test_array_slots_at_their_edges(p, below, short, monkeypatch):
+    """With every coefficient p-1 = -1, coefficient k of the product is
+    the number of index pairs summing to k, mod p."""
+    sq = (p - 1) ** 2
+    need = finitefield._slot_bytes(short * sq)
+    assert (need <= below) == (short == (256 ** below - 1) // sq)
+    widths = []
+    real = finitefield.array
+
+    def array(code, init=()):
+        widths.append(real(code).itemsize)
+        return real(code, init)
+    monkeypatch.setattr(finitefield, "array", array)
+    la, lb = short, short + 3
+    expected = [min(k + 1, la, lb, la + lb - 1 - k) % p for k in range(la + lb - 1)]
+    a, b = [p - 1] * la, [p - 1] * lb
+    assert finitefield._pmul(a, b, p) == expected
+    assert finitefield._pmul(b, a, p) == expected
+    # one width per product, the least of 2, 4, 8 that holds the slot
+    assert set(widths) == ({min(k for k in (2, 4, 8) if k >= need)}
+                           if need > 1 else set())
+
+
+def test_slots_above_eight_bytes_take_the_byte_path():
+    """p = 2^31 - 1: four all-(p-1) terms fit 8-byte slots, five need 9."""
+    p = 2 ** 31 - 1
+    assert finitefield._slot_bytes(4 * (p - 1) ** 2) == 8
+    assert finitefield._slot_bytes(5 * (p - 1) ** 2) == 9
+    rng = random.Random("wide")
+    for short in (4, 5):
+        for a in ([p - 1] * short, residues(rng, p, short)):
+            b = [p - 1] * (short + 2)
+            assert finitefield._pmul(a, b, p) == reference.pmul(a, b, p)
+            assert finitefield._pmul(b, a, p) == reference.pmul(b, a, p)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (13, 2)])
