@@ -13,8 +13,9 @@ coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
 (`Residues`), Zech-log codes over F_{p^m} with m > 1 (`ZechLogs`), both up
 to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
 on top of the kernel has one path for all three.  A kernel defines its
-conversions, `scale`, `submul` and `mul`; the sum `Ring.add` is one
-`submul` by -1 in all three.  `ring` is memoised, so every jet and every
+conversions, `scale`, `submul` and `mul`, and the scalar `times` and `plus`
+of the point sweeps in `covers`; the sum `Ring.add` is one `submul` by -1
+in all three.  `ring` is memoised, so every jet and every
 Buchberger run over equal (domain, n) share one ring.
 """
 
@@ -46,6 +47,7 @@ class Ring:
         self.prefix = sum(1 << (FIELD_BITS * i) for i in range(n))
         self.shifts = range(0, self.low_bits, FIELD_BITS)
         self.top = 2 * self.low_bits - FIELD_BITS     # key >> top is the degree
+        self.zero = self.coeff(domain.zero)
         self.one = self.coeff(domain.one)
         self.minus_one = self.coeff(domain.elem(-1))
 
@@ -93,8 +95,9 @@ class Ring:
             out.terms[e] = self.element(c)
         return out
 
-    # -- coefficient kernel: conversions, inverse, scaling, shifted
-    # -- multiply-subtract and truncated products; sums are one submul
+    # -- coefficient kernel: conversions, inverse, scalar product and sum,
+    # -- scaling, shifted multiply-subtract and truncated products; sums of
+    # -- polynomials are one submul
 
     def coeff(self, c):
         return c
@@ -104,6 +107,12 @@ class Ring:
 
     def inverse(self, c):
         return c.inverse()
+
+    def times(self, a, b):
+        return a * b
+
+    def plus(self, a, b):
+        return a + b
 
     def scale(self, poly, c):
         """c * poly, for a nonzero c."""
@@ -158,6 +167,12 @@ class Residues(Ring):
     def inverse(self, c):
         return pow(c, -1, self.domain.p)
 
+    def times(self, a, b):
+        return a * b % self.domain.p
+
+    def plus(self, a, b):
+        return (a + b) % self.domain.p
+
     def scale(self, poly, c):
         p = self.domain.p
         return {k: v * c % p for k, v in poly.items()}
@@ -206,6 +221,15 @@ class ZechLogs(Ring):
 
     def inverse(self, c):
         return (1 - c) % self.units + 1
+
+    def times(self, a, b):
+        return (a + b - 2) % self.units + 1 if a and b else 0
+
+    def plus(self, a, b):
+        if not (a and b):
+            return a or b
+        z = self.zech[b - a]
+        return (a + z - 2) % self.units + 1 if z else 0
 
     def scale(self, poly, c):
         units, c = self.units, c - 2

@@ -16,7 +16,7 @@ import itertools
 import re
 
 from .linalg import det
-from .powers import cached_power, power, substitute
+from .powers import power, substitute
 
 
 class MultiPoly:
@@ -418,33 +418,42 @@ class RatExpr:
                        self.den * self.den)
 
     def subs(self, exprs):
-        """Substitute RatExprs for the variables; exact, fully unreduced."""
+        """Substitute monomial fractions a x^u / (b x^v) for the variables:
+        exact, unreduced, by exponent arithmetic.  A term c x^e goes to
+        c prod (a_i/b_i)^e_i times x to the power sum e_i (u_i - v_i),
+        maybe negative; one shift by the least exponent of each variable,
+        over numerator and denominator, clears both.  ValueError for an
+        entry that is not a quotient of two monomials."""
         n = self.num.n
         if len(exprs) != n:
             raise ValueError("substitution needs one expression per variable")
-        one = MultiPoly.const(self.num.domain, exprs[0].num.n, 1)
-        # powers of each num_i and den_i, shared by numerator and denominator
-        num_pows = [{0: one} for _ in range(n)]
-        den_pows = [{0: one} for _ in range(n)]
-        def subs_poly(poly):
-            deg = [poly.degree_in(i) for i in range(n)]
-            # common denominator prod den_i^deg_i, numerators scaled to match
-            acc = MultiPoly(poly.domain, one.n)
+        domain, m = self.num.domain, exprs[0].num.n
+        maps = []
+        for r in exprs:
+            if len(r.num.terms) != 1 or len(r.den.terms) != 1:
+                raise ValueError(f"substitution needs quotients of monomials, not {r!r}")
+            (u, a), = r.num.terms.items()
+            (v, b), = r.den.terms.items()
+            maps.append((tuple(x - y for x, y in zip(u, v)),
+                         None if a == b else a / b))
+
+        def laurent(poly):
+            out, zero = {}, domain.zero
             for e, c in poly.terms.items():
-                term = MultiPoly.const(poly.domain, one.n, c)
-                for i, k in enumerate(e):
-                    if deg[i] > 0:
-                        term = (term * cached_power(num_pows[i], exprs[i].num, k)
-                                * cached_power(den_pows[i], exprs[i].den, deg[i] - k))
-                acc = acc + term
-            den = one
-            for i in range(n):
-                if deg[i] > 0:
-                    den = den * cached_power(den_pows[i], exprs[i].den, deg[i])
-            return acc, den
-        num_n, num_d = subs_poly(self.num)
-        den_n, den_d = subs_poly(self.den)
-        return RatExpr(num_n * den_d, num_d * den_n)
+                exps = [0] * m
+                for k, (shift, ratio) in zip(e, maps):
+                    if k:
+                        exps = [x + k * y for x, y in zip(exps, shift)]
+                        if ratio is not None:
+                            c = c * ratio ** k
+                exps = tuple(exps)
+                out[exps] = out.get(exps, zero) + c
+            return out
+        num, den = laurent(self.num), laurent(self.den)
+        low = [min(col) for col in zip(*num, *den)] or [0] * m
+        return RatExpr(*(MultiPoly(domain, m, {
+            tuple(x - y for x, y in zip(e, low)): c for e, c in part.items()})
+            for part in (num, den)))
 
     def __repr__(self):
         if self.den.is_constant():

@@ -387,9 +387,18 @@ class RatFunc:
         return other if other is NotImplemented else other / self
 
     def __pow__(self, e):
+        """num^e / den^e with no gcd: coprime parts stay coprime under
+        powers, and a monic denominator stays monic.  For e < 0 the parts
+        swap first, scaled to keep the denominator monic."""
+        num, den = self.num, self.den
         if e < 0:
-            return (1 / self) ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+            if num.is_zero():
+                raise ZeroDivisionError("division by zero rational function")
+            inv = num.leading().inverse()
+            num, den, e = den.scale(inv), num.scale(inv), -e
+        out = object.__new__(RatFunc)
+        out.num, out.den = num ** e, den ** e
+        return out
 
     def inverse(self):
         return 1 / self

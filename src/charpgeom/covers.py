@@ -16,7 +16,16 @@ which keeps it meaningful also when the covering exponent p is used purely
 as a degree parameter over a field of different characteristic (the
 genericity sampling below does exactly that); operations that genuinely use
 Frobenius (reducedness rejection, p-th-root factorization, point lifting)
-require char(k) = p and enforce it.
+require char(k) = p and enforce it.  The sweeps for those zeros run on the
+coefficient codes of `monomials.ring` (residues, Zech logarithms, or
+elements on untabled fields); only the points found become field elements.
+
+The Vojta bundle search screens each seeded form before it builds a cover:
+first the checks that need no overlap, then the sweeps of the form's charts
+over F_q and F_{q^2}.  Only the first form with no degenerate singular point
+found has its cover built and its cocycle verified.  The bundle's
+nondegeneracy is still a searched outcome over those two fields, never a
+closure certificate.
 
 Frobenius factorization rewrites z with z^p = h(x) as z = sum b_I T^I over
 K' = k(s), s^p = t, using perfectness of k; the certificate is the exact
@@ -37,7 +46,7 @@ from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
 from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
                                  monomials_of_degree)
-from .algebra.powers import cached_power, substitute
+from .algebra.powers import substitute
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from .algebra import monomials
@@ -102,21 +111,27 @@ def build_cover(charts, p, params=None):
     """
     if not charts:
         raise ValueError("no charts")
-    domain = charts[0].f.domain
-    if domain.p != p:
-        raise ValueError(f"covering exponent {p} != field characteristic {domain.p}")
-    for ch in charts:
-        if ch.f.is_zero():
-            raise ValueError(f"chart {ch.index}: zero section")
-    witness = charts[0].f.is_pth_power(
-        lambda c: _coefficient_pth_root(domain, c))
-    if witness is not None:
-        raise NonReducedCover(witness)
+    _check_sections([ch.f for ch in charts], p)
     cover = Cover(charts=list(charts), p=p, params=params or {})
     bad = verify_cocycle(cover)
     if bad:
         raise ValueError(f"cocycle inconsistency on overlaps {bad}")
     return cover
+
+
+def _check_sections(sections, p):
+    """The checks of `build_cover` that need no overlap, on the chart
+    sections in chart order: ValueError, NonReducedCover included."""
+    domain = sections[0].domain
+    if domain.p != p:
+        raise ValueError(f"covering exponent {p} != field characteristic {domain.p}")
+    for index, f in enumerate(sections):
+        if f.is_zero():
+            raise ValueError(f"chart {index}: zero section")
+    witness = sections[0].is_pth_power(
+        lambda c: _coefficient_pth_root(domain, c))
+    if witness is not None:
+        raise NonReducedCover(witness)
 
 
 class NonReducedCover(ValueError):
@@ -148,13 +163,10 @@ def cover_of_projective_space(N, d, n, p, form):
     L = O(d) is g_ij = (X_j/X_i)^(n*d), and chart j's coordinates X_l/X_j
     are (X_l/X_i) / (X_j/X_i) on chart i.
     """
-    D = n * d * p
-    if form.is_zero() or not form.is_homogeneous() or form.total_degree() != D:
-        raise ValueError(f"need a nonzero homogeneous form of degree {D}")
     nv = N + 1
     charts = [CoverChart(index=i, f=f_i,
                          names=tuple(f"x{j}_{i}" for j in range(nv) if j != i))
-              for i, f_i in enumerate(dehomogenize_charts(form, N))]
+              for i, f_i in enumerate(_form_sections(N, d, n, p, form))]
     for i, ch in enumerate(charts):
         x = [_chart_ratio(form.domain, N, i, l) for l in range(nv)]
         for j in range(nv):
@@ -162,6 +174,15 @@ def cover_of_projective_space(N, d, n, p, form):
                 ch.transitions[j] = (RatExpr(x[j] ** (n * d)), tuple(
                     RatExpr(x[l], x[j]) for l in range(nv) if l != j))
     return build_cover(charts, p, params={"N": N, "d": d, "n": n, "form": form})
+
+
+def _form_sections(N, d, n, p, form):
+    """The chart sections of a degree-n*d*p form on P^N; ValueError when
+    the form is zero, not homogeneous or of another degree."""
+    D = n * d * p
+    if form.is_zero() or not form.is_homogeneous() or form.total_degree() != D:
+        raise ValueError(f"need a nonzero homogeneous form of degree {D}")
+    return dehomogenize_charts(form, N)
 
 
 def _chart_ratio(domain, N, i, l):
@@ -220,24 +241,34 @@ class SingularPointRecord:
 
 
 def singular_points(cover, ext=1):
-    """All gradient zeros over the search field F_{q^ext}, chart by chart.
+    """All gradient zeros over the search field F_{q^ext}, chart by chart,
+    of a Cover or of the chart sections f_0, f_1, ... of one, in chart
+    order (`make_vojta_bundle` sweeps a form's charts before it builds a
+    cover).
 
     Exhaustive over the stated field; `gradient_completeness` says what
-    lies beyond it."""
-    domain = cover.charts[0].f.domain
+    lies beyond it.  Each section is packed once into the sweep's codes,
+    where its gradient, the sweep and the Hessian at each point found are
+    computed; only the records hold field elements."""
+    sections = [ch.f for ch in cover.charts] if isinstance(cover, Cover) else cover
+    domain = sections[0].domain
     if not isinstance(domain, FiniteField):
         raise TypeError("singular-point search needs constant coefficients")
     search, embed = domain.extension(ext)
     records = []
-    for ch in cover.charts:
-        f = ch.f.map_coefficients(search, embed)
-        hess = hessian_matrix(f)
-        for point in common_zeros(f.gradient(), search, f.n):
+    for index, f in enumerate(sections):
+        sweep = _Sweep(search, f.n)
+        grads = sweep.gradient(sweep.pack(f, embed))
+        hess = None
+        for idx in sweep.zeros(grads):
+            if hess is None:
+                hess = [sweep.gradient(g) for g in grads]
             # two determinant algorithms on one evaluated matrix: the
             # report's Hessian determinant cross-checks the verdict
-            mat = [[h.evaluate(point) for h in row] for row in hess]
+            mat = [[sweep.element(sweep.evaluate(h, idx)) for h in row]
+                   for row in hess]
             records.append(SingularPointRecord(
-                chart_index=ch.index, point=point,
+                chart_index=index, point=sweep.point(idx),
                 hessian_det=cofactor_det(mat),
                 degenerate=not det(mat, search), fld=search))
     return records
@@ -245,36 +276,100 @@ def singular_points(cover, ext=1):
 
 def common_zeros(polys, search, n):
     """Common zeros of polynomials in n >= 1 variables over the search
-    field, exhaustively and in `itertools.product` order.
-
-    For each prefix of the first n - 1 coordinates the sweep collapses
-    each polynomial to a univariate in the last one, only once a point
-    reaches it, and Horner-evaluates that, which makes exhaustive searches
-    over quadratic extensions cheap even for high-degree sections."""
-    elems = list(search.elements())
-    for prefix in itertools.product(elems, repeat=n - 1):
-        collapsed = []
-        for b in elems:
-            for k, g in enumerate(polys):
-                if k == len(collapsed):
-                    collapsed.append(_collapse(g, prefix))
-                if collapsed[k].evaluate(b) != search.zero:
-                    break
-            else:
-                yield prefix + (b,)
+    field, exhaustively and in `itertools.product` order (see `_Sweep`)."""
+    sweep = _Sweep(search, n)
+    return map(sweep.point, sweep.zeros([sweep.pack(g) for g in polys]))
 
 
-def _collapse(f, prefix):
-    """Substitute the first n - 1 coordinates of f by `prefix`; a UPoly in
-    the last."""
-    fld = f.domain
-    caches = [{0: fld.one} for _ in prefix]
-    coeffs = [fld.zero] * (f.degree_in(f.n - 1) + 1)
-    for e, c in f.terms.items():
-        for cache, a, k in zip(caches, prefix, e):
-            c = c * cached_power(cache, a, k)
-        coeffs[e[-1]] = coeffs[e[-1]] + c
-    return UPoly(fld, coeffs)
+class _Sweep:
+    """Exhaustive point sweeps over a finite field on the coefficient codes
+    of `monomials.ring(search, n)`: residues over F_p, Zech-log codes over
+    F_{p^m}, elements on untabled fields, with the kernel's `times` and
+    `plus` as the only arithmetic.  A packed polynomial is a dict
+    {exponents: code}; a point is an index tuple into the field's
+    enumeration, and only the points yielded become field elements.
+
+    For each prefix of the first n - 1 coordinates the sweep collapses a
+    polynomial to the codes of a univariate in the last one, only once a
+    point reaches it, and Horner-evaluates that, which makes exhaustive
+    searches over quadratic extensions cheap even for high-degree
+    sections."""
+
+    def __init__(self, search, n):
+        ring = monomials.ring(search, n)
+        self.times, self.plus, self.zero = ring.times, ring.plus, ring.zero
+        self.coeff, self.element = ring.coeff, ring.element
+        self.search, self.n = search, n
+        self.elems = list(search.elements())
+        self.codes = [ring.coeff(a) for a in self.elems]
+        # pows[i][k]: the code of the i-th element to the k-th power, for
+        # the exponents of the first n - 1 variables packed so far
+        self.pows = [[ring.one] for _ in self.codes] if n > 1 else []
+        # ints[k]: the code of the integer k, for the exponents packed so
+        # far, which derivatives bring down
+        self.ints = []
+
+    def pack(self, poly, embed=None):
+        """A polynomial over the search field, or over a subfield through
+        `embed`, in codes."""
+        packed = {e: self.coeff(c if embed is None else embed(c))
+                  for e, c in poly.terms.items()}
+        top = max((k for e in packed for k in e[:-1]), default=0)
+        for row, a in zip(self.pows, self.codes):
+            while len(row) <= top:
+                row.append(self.times(row[-1], a))
+        top = max((k for e in packed for k in e), default=0)
+        while len(self.ints) <= top:
+            self.ints.append(self.coeff(self.search.elem(len(self.ints))))
+        return packed
+
+    def gradient(self, packed):
+        """The partial derivatives of a packed polynomial, each exponent
+        brought down as a field element, so multiples of p drop out."""
+        ints, times = self.ints, self.times
+        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: times(c, ints[e[i]])
+                 for e, c in packed.items() if ints[e[i]]}
+                for i in range(self.n)]
+
+    def point(self, idx):
+        return tuple(self.elems[i] for i in idx)
+
+    def collapse(self, packed, prefix):
+        """Codes of the univariate in the last variable, low to high, left
+        by substituting the points with indices `prefix` for the others."""
+        times, plus, pows = self.times, self.plus, self.pows
+        coeffs = [self.zero] * (max((e[-1] for e in packed), default=-1) + 1)
+        for e, c in packed.items():
+            for i, j in zip(prefix, e):
+                c = times(c, pows[i][j])
+            coeffs[e[-1]] = plus(coeffs[e[-1]], c)
+        return coeffs
+
+    def horner(self, coeffs, b):
+        times, plus = self.times, self.plus
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = plus(times(acc, b), c)
+        return acc
+
+    def evaluate(self, packed, idx):
+        """The code of a packed polynomial's value at a point."""
+        return self.horner(self.collapse(packed, idx[:-1]), self.codes[idx[-1]])
+
+    def zeros(self, packed):
+        """Index tuples of the common zeros of packed polynomials, in
+        `itertools.product` order."""
+        last = list(enumerate(self.codes))
+        for prefix in itertools.product(range(len(self.codes)), repeat=self.n - 1):
+            collapsed = []
+            for j, b in last:
+                for k, g in enumerate(packed):
+                    if k == len(collapsed):
+                        collapsed.append(self.collapse(g, prefix))
+                    if self.horner(collapsed[k], b):
+                        break
+                else:
+                    yield prefix + (j,)
 
 
 def gradient_completeness(cover, records):
@@ -676,14 +771,29 @@ def seeded_covers(fld, N, d, n, p, seed):
     """Covers of P^N from the successive forms of degree n*d*p that
     Random(seed) draws, skipping the forms no cover is built from; raises
     RuntimeError once SEARCH_TRIES forms have been drawn."""
+    for form, _ in _seeded_sections(fld, N, d, n, p, seed):
+        try:
+            cover = cover_of_projective_space(N, d, n, p, form)
+        except ValueError:          # a cocycle failure
+            continue
+        yield cover
+
+
+def _seeded_sections(fld, N, d, n, p, seed):
+    """(form, chart sections) for the successive forms of degree n*d*p
+    that Random(seed) draws, skipping those that fail a check of
+    `build_cover` that needs no overlap (zero, not homogeneous, a p-th
+    power section); raises RuntimeError once SEARCH_TRIES forms have been
+    drawn."""
     rng = Random(seed)
     for _ in range(SEARCH_TRIES):
         form = random_homogeneous_form(fld, N + 1, n * d * p, rng)
         try:
-            cover = cover_of_projective_space(N, d, n, p, form)
+            sections = _form_sections(N, d, n, p, form)
+            _check_sections(sections, p)
         except ValueError:          # NonReducedCover included
             continue
-        yield cover
+        yield form, sections
     raise RuntimeError(f"no suitable section found in {SEARCH_TRIES} "
                        f"seeded tries")
 
@@ -691,26 +801,36 @@ def seeded_covers(fld, N, d, n, p, seed):
 def make_vojta_bundle(p, d, n, fld, seed=0):
     """Seeded search for a degree-n*d*p cover of P^2 with clean singularities.
 
-    Accepts the first cover of `seeded_covers` whose singular points found
-    over F_q and F_{q^2} (all charts, exhaustive sweeps) are all
-    nondegenerate; a sample with a found degenerate point is rejected.  This
-    is a searched outcome: no closure certificate on (grad f, det Hess f) is
-    attempted.
+    Screens the forms of `seeded_covers`, in its draw order, before any
+    cover is built: the checks that need no overlap first (a zero or
+    non-homogeneous form, a p-th-power section), then the exhaustive sweeps
+    of the form's charts for singular points over F_q and then F_{q^2}; a
+    found degenerate point rejects the form.  Only the first form that
+    passes has its cover built and its cocycle verified, and a form whose
+    cover fails verification is skipped like any other, so no unverified
+    cover is returned.  Acceptance is the AND of these filters, so the
+    order finds the bundle that verifying every cover first would find.
+    This is a searched outcome: no closure certificate on
+    (grad f, det Hess f) is attempted.
     """
     if fld.p != p:
         raise ValueError("the Frobenius lifting needs char(k) = p")
-    for cover in seeded_covers(fld, 2, d, n, p, seed):
-        recs1 = singular_points(cover, ext=1)
+    for form, sections in _seeded_sections(fld, 2, d, n, p, seed):
+        recs1 = singular_points(sections, ext=1)
         if any(r.degenerate for r in recs1):
             continue
-        recs2 = singular_points(cover, ext=2)
+        recs2 = singular_points(sections, ext=2)
         if any(r.degenerate for r in recs2):
+            continue
+        try:
+            cover = cover_of_projective_space(2, d, n, p, form)
+        except ValueError:          # a cocycle failure
             continue
         f0 = cover.charts[0].f
         tdom = RatFuncField(fld, "t")
         h = f0.map_coefficients(tdom, tdom.elem)
         fact = frobenius_factorization(h)
         return VojtaLiftBundle(
-            p=p, d=d, n=n, fld=fld, form=cover.params["form"], cover=cover,
+            p=p, d=d, n=n, fld=fld, form=form, cover=cover,
             f0=f0, fact=fact, singular_records=recs2,
             singular_records_base=recs1)

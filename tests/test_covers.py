@@ -9,7 +9,7 @@ import pytest
 import tests_support_powers_reference as reference
 from charpgeom.algebra.finitefield import FF, pth_root
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField
-from charpgeom.algebra.linalg import cofactor_det
+from charpgeom.algebra.linalg import cofactor_det, det
 from charpgeom.algebra.multipoly import MultiPoly, hessian_matrix
 from charpgeom import covers, heights
 
@@ -337,6 +337,26 @@ class TestLifting:
         fam = covers.lift_rational_points(self.fact, [[RatFunc(self.s), 0]])
         assert fam.heights == [3]      # base point (1 : s^3 : 0)
 
+    def test_fractional_parameters_on_a_degree_seven_h(self):
+        # the check z^p = h(x) takes powers of reduced fractions, which
+        # must equal the fractions __init__ rebuilds from num^p and den^p
+        fld, s = self.fld, self.s
+        tdom = RatFuncField(fld, "t")
+        rng = random.Random(7)
+        h = MultiPoly(tdom, 2, {
+            (i, j): tdom.elem(UPoly.from_ints(fld, [rng.randrange(3) for _ in range(3)]))
+            for i in range(8) for j in range(8 - i) if rng.random() < 0.5})
+        h = h + MultiPoly.monomial(tdom, 2, (4, 3), 1)
+        fact = covers.frobenius_factorization(h)
+        u = [RatFunc(s ** 5 + s ** 2 + 1, s ** 6 + s + 2),
+             RatFunc(s + 1, s ** 4 + 2)]
+        lp = covers.lift_point(fact, u)
+        for r in [lp.z] + u:
+            cube, rebuilt = r ** 3, RatFunc(r.num ** 3, r.den ** 3)
+            assert (cube.num, cube.den) == (rebuilt.num, rebuilt.den)
+        assert lp.base_coords == [RatFunc(r.num ** 3, r.den ** 3) for r in u]
+        assert lp.z ** 3 == _eval_cover_h(h, lp.base_coords)
+
     def test_family_bound_reported(self):
         fam = covers.lift_rational_points(
             self.fact, [[1, 1], [2, 0], [0, 1]])
@@ -515,6 +535,77 @@ class TestVojtaBundle:
         assert lp.z ** 3 == _eval_cover(bundle, lp)
 
 
+def _clean_covers_verified_first(fld, p, d, n, seed):
+    """The bundle search as it ran before screening: every drawn form's
+    cover built and cocycle-verified, then swept; yields each clean one."""
+    for cover in covers.seeded_covers(fld, 2, d, n, p, seed):
+        recs1 = covers.singular_points(cover, ext=1)
+        if any(r.degenerate for r in recs1):
+            continue
+        recs2 = covers.singular_points(cover, ext=2)
+        if not any(r.degenerate for r in recs2):
+            yield cover, recs1, recs2
+
+
+def _record_tuples(records):
+    return [(r.chart_index, r.point, r.hessian_det, r.degenerate, r.fld)
+            for r in records]
+
+
+def _count_cocycle_checks(monkeypatch, fail_first=0):
+    """Count `verify_cocycle` calls; the first `fail_first` report a bad
+    overlap."""
+    calls, real = [], covers.verify_cocycle
+
+    def verify_cocycle(cover):
+        calls.append(cover)
+        return [(0, 1)] if len(calls) <= fail_first else real(cover)
+    monkeypatch.setattr(covers, "verify_cocycle", verify_cocycle)
+    return calls
+
+
+class TestScreenedSearch:
+    """`make_vojta_bundle` sweeps a form's charts before it builds a cover;
+    the accepted bundle is the one that verifying every cover first finds."""
+
+    @pytest.mark.parametrize("p,n,seed", [(3, 5, s) for s in range(1, 7)]
+                             + [(5, 3, 1)])
+    def test_same_bundle_as_verifying_every_cover_first(self, p, n, seed):
+        fld = FF(p)
+        bundle = covers.make_vojta_bundle(p, 1, n, fld, seed=seed)
+        cover, recs1, recs2 = next(
+            _clean_covers_verified_first(fld, p, 1, n, seed))
+        assert bundle.form == cover.params["form"]
+        assert [ch.f for ch in bundle.cover.charts] == [ch.f for ch in cover.charts]
+        assert _record_tuples(bundle.singular_records_base) == _record_tuples(recs1)
+        assert _record_tuples(bundle.singular_records) == _record_tuples(recs2)
+
+    def test_one_cocycle_check_per_bundle(self, monkeypatch):
+        fld = FF(3)
+        calls = _count_cocycle_checks(monkeypatch)
+        bundle = covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+        assert calls == [bundle.cover]
+        # verifying first checks the cover of every drawn form
+        del calls[:]
+        next(_clean_covers_verified_first(fld, 3, 1, 5, 1))
+        assert len(calls) == 4
+
+    def test_a_failed_cocycle_check_is_never_returned(self, monkeypatch):
+        fld = FF(3)
+        clean = _clean_covers_verified_first(fld, 3, 1, 5, 1)
+        first, second = next(clean)[0], next(clean)[0]
+        calls = _count_cocycle_checks(monkeypatch, fail_first=1)
+        bundle = covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+        assert calls[0].params["form"] == first.params["form"]
+        assert bundle.form == second.params["form"] != first.params["form"]
+        assert calls[-1] is bundle.cover and len(calls) == 2
+        # every check failing: the search gives up, with no bundle
+        monkeypatch.setattr(covers, "SEARCH_TRIES", 12)
+        _count_cocycle_checks(monkeypatch, fail_first=12)
+        with pytest.raises(RuntimeError, match="no suitable section"):
+            covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+
+
 def _eval_cover(bundle, lp):
     fld = bundle.fld
     value = RatFunc(UPoly(fld))
@@ -523,6 +614,19 @@ def _eval_cover(bundle, lp):
         for x, k in zip(lp.base_coords, e):
             if k:
                 term = term * x ** k
+        value = value + term
+    return value
+
+
+def _eval_cover_h(h, base_coords):
+    """h(x) in k(s), term by term with t -> s^p, by products only."""
+    p = h.domain.p
+    value = RatFunc(UPoly(h.domain.base))
+    for e, c in h.terms.items():
+        term = c.inflate(p)
+        for x, k in zip(base_coords, e):
+            for _ in range(k):
+                term = term * x
         value = value + term
     return value
 
@@ -583,3 +687,116 @@ class TestCommonZeros:
         # n = 1 sweeps the cover charts of P^1, n = 3 desing's witnesses
         self._check_sweep(FF(*order), n, random.Random(f"{order}:{n}"),
                           12 if n < 3 else 3)
+
+
+def _brute_value(poly, point):
+    """poly at point by element arithmetic only, term by term."""
+    acc = poly.domain.zero
+    for e, c in poly.terms.items():
+        for x, k in zip(point, e):
+            for _ in range(k):
+                c = c * x
+        acc = acc + c
+    return acc
+
+
+def _brute_records(sections, ext):
+    """`singular_points` by enumeration and element evaluation."""
+    search, embed = sections[0].domain.extension(ext)
+    out = []
+    for index, f in enumerate(sections):
+        f = f.map_coefficients(search, embed)
+        grads, hess = f.gradient(), hessian_matrix(f)
+        for pt in itertools.product(list(search.elements()), repeat=f.n):
+            if all(not _brute_value(g, pt) for g in grads):
+                mat = [[_brute_value(h, pt) for h in row] for row in hess]
+                out.append((index, pt, cofactor_det(mat),
+                            not det(mat, search), search))
+    return out
+
+
+# 65537 is the least prime above PRIME_TABLE_MAX: its ring is on elements
+SWEEP_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
+
+
+class TestCodeSweep:
+    """The sweep on residues, Zech-log codes and elements against
+    enumeration with element arithmetic: the same points in the same order,
+    and the same records."""
+
+    @staticmethod
+    def _polys(fld, n, rng):
+        """Lists of polynomials in n variables: through a shared point,
+        with a zero or a constant among them, and with no common zero;
+        fewer and smaller ones where the oracle has many points."""
+        big = fld.order ** n > 1000
+        elems = list(fld.elements())
+        shifted = [x - MultiPoly.const(fld, n, rng.choice(elems))
+                   for x in MultiPoly.variables(fld, n)]
+
+        def small():
+            return MultiPoly(fld, n, {
+                tuple(rng.randrange(2 if big else 4) for _ in range(n)):
+                fld.from_index(rng.randrange(1, fld.order))
+                for _ in range(2 if big else 3)})
+        through = [sum((small() * lin for lin in shifted), MultiPoly.zero(fld, n))
+                   for _ in range(2)]
+        g = small() * shifted[0]
+        if big:
+            return [through, [g, g + 1]]
+        return [through, through + [MultiPoly.zero(fld, n)],
+                [through[0], MultiPoly.const(fld, n, 2)],
+                [g, g + 1], [small(), small()]]
+
+    @pytest.mark.parametrize("p,m", SWEEP_FIELDS,
+                             ids=[f"F{p ** m}" for p, m in SWEEP_FIELDS])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_common_zeros_match_enumeration(self, p, m, n):
+        fld = FF(p, m)
+        rng = random.Random(f"sweep:{p}^{m}:{n}")
+        elems = list(fld.elements())
+        found = 0
+        for polys in self._polys(fld, n, rng):
+            want = [pt for pt in itertools.product(elems, repeat=n)
+                    if all(not _brute_value(g, pt) for g in polys)]
+            assert list(covers.common_zeros(polys, fld, n)) == want
+            found += bool(want)
+        assert found
+
+    def test_untabled_prime_in_one_variable(self):
+        fld = FF(65537)
+        assert type(covers.monomials.ring(fld, 1)) is covers.monomials.Ring
+        x = MultiPoly.var(fld, 1, 0)
+        f = (x - 5) * (x - 60000)
+        polys = [f, f.derivative(0) * (x - 5)]
+        want = [(a,) for a in fld.elements()
+                if all(not _brute_value(g, (a,)) for g in polys)]
+        assert list(covers.common_zeros(polys, fld, 1)) == want == [(fld.elem(5),)]
+        # x^3 - 3x: critical at 1 and -1
+        sections = [x ** 3 - x * 3]
+        recs = covers.singular_points(sections, ext=1)
+        assert _record_tuples(recs) == _brute_records(sections, 1)
+        assert [r.point for r in recs] == [(fld.one,), (fld.elem(-1),)]
+
+    @pytest.mark.parametrize("p,m,ext,n", [
+        (p, m, ext, n) for p, m, ext in [(3, 1, 1), (3, 1, 2), (5, 1, 1),
+                                         (5, 1, 2), (3, 2, 1), (3, 3, 1)]
+        for n in (1, 2, 3) if p ** (m * ext * n) <= 1000])
+    def test_singular_records_match_enumeration(self, p, m, ext, n):
+        fld = FF(p, m)
+        rng = random.Random(f"records:{p}^{m}:{ext}:{n}")
+        elems = list(fld.elements())
+        sections = []
+        for k in range(3):
+            # critical at a chosen point: nondegenerate there on chart 0,
+            # degenerate on chart 1, either on chart 2
+            shifted = [x - MultiPoly.const(fld, n, rng.choice(elems))
+                       for x in MultiPoly.variables(fld, n)]
+            exps = [2] * n if k == 0 else [3] + [2] * (n - 1) if k == 1 \
+                else [rng.choice((2, 3)) for _ in range(n)]
+            f = sum((lin ** e for lin, e in zip(shifted, exps)),
+                    MultiPoly.zero(fld, n))
+            sections.append(f + random_poly(fld, rng, 3, n) * shifted[0] ** 3)
+        want = _brute_records(sections, ext)
+        assert _record_tuples(covers.singular_points(sections, ext)) == want
+        assert {(w[0], w[3]) for w in want} >= {(0, False), (1, True)}

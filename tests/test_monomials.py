@@ -8,8 +8,8 @@ associative.
 Kernel tests (seeded, always run): `ring()` picks residues over F_p,
 Zech-log codes over F_{p^m} and domain elements otherwise, once per equal
 (domain, n); each specialised kernel defines every coefficient method
-itself, except the one shared sum; the residue and code kernels agree with
-the element kernel over F_3, F_5, F_7, F_9, F_25, F_27, F_49 and F_81; and
+itself, except the one shared sum; the residue and code kernels, their
+scalar products and sums included, agree with the element kernel over F_3, F_5, F_7, F_9, F_25, F_27, F_49 and F_81; and
 the Zech-log tables obey their laws.
 """
 
@@ -97,7 +97,8 @@ def test_compose_is_associative(r, f, gs, hs):
 
 # -- coefficient kernels -------------------------------------------------------
 
-KERNEL_METHODS = ("coeff", "element", "inverse", "scale", "submul", "mul")
+KERNEL_METHODS = ("coeff", "element", "inverse", "times", "plus", "scale",
+                  "submul", "mul")
 CODE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 KERNEL_FIELDS = [(3, 1), (5, 1), (7, 1)] + CODE_FIELDS
 
@@ -152,6 +153,7 @@ def test_derived_jets_share_the_ring():
                          ids=repr)
 def test_one_and_minus_one_round_trip(domain):
     r = monomials.ring(domain, 2)
+    assert r.element(r.zero) == domain.zero and not r.zero
     assert r.element(r.one) == domain.one
     assert r.element(r.minus_one) == domain.elem(-1)
     assert r.coeff(r.element(r.minus_one)) == r.minus_one
@@ -206,6 +208,20 @@ def test_code_kernel_matches_element_ring(p, m):
         codes.submul(work, cb, 0, cc)
         assert work == {}
         assert codes.add(ca, codes.scale(ca, codes.minus_one)) == {}
+
+
+@pytest.mark.parametrize("p, m", KERNEL_FIELDS)
+def test_scalar_times_and_plus_match_elements(p, m):
+    # every pair, zero included: the scalar ops of the point sweeps
+    fld = FF(p, m)
+    r = monomials.ring(fld, 2)
+    elems = list(fld.elements())
+    for a in elems:
+        ca = r.coeff(a)
+        for b in elems:
+            cb = r.coeff(b)
+            assert r.element(r.times(ca, cb)) == a * b
+            assert r.element(r.plus(ca, cb)) == a + b
 
 
 @pytest.mark.parametrize("p, m", CODE_FIELDS)

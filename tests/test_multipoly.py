@@ -208,6 +208,54 @@ def test_ratexpr_substitution():
     assert sub == RatExpr(MultiPoly.const(fld, 2, 1), y)
 
 
+def test_ratexpr_subs_rejects_entries_that_are_not_monomial_fractions():
+    fld = FF(5)
+    x, y = MultiPoly.variables(fld, 2)
+    r = RatExpr(x * y + 1, y)
+    for bad in (RatExpr(x + 1, y), RatExpr(x, x + y),
+                RatExpr(MultiPoly.zero(fld, 2), y)):
+        with pytest.raises(ValueError, match="quotients of monomials"):
+            r.subs([RatExpr(x), bad])
+
+
+def test_ratexpr_subs_of_monomial_fractions_agrees_pointwise():
+    # coefficients other than 1, maps that merge terms and cancel them
+    fld = FF(7)
+    rng = random.Random(13)
+    points = [(a, b) for a in fld.elements() if a for b in fld.elements() if b]
+
+    def fraction():
+        def mono():
+            return MultiPoly.monomial(
+                fld, 2, (rng.randrange(3), rng.randrange(3)),
+                rng.randrange(1, 7))
+        return RatExpr(mono(), mono())
+
+    for _ in range(40):
+        f = rand_mpoly(fld, 2, rng)
+        h = rand_mpoly(fld, 2, rng)
+        if h.is_zero():
+            continue
+        cmap = [fraction(), fraction()]
+        try:
+            sub = RatExpr(f, h).subs(cmap)
+        except ZeroDivisionError:       # h maps to zero: no fraction
+            continue
+        for pt in points:
+            mapped = tuple(c.num.evaluate(pt) / c.den.evaluate(pt) for c in cmap)
+            hv = h.evaluate(mapped)
+            assert (sub.den.evaluate(pt) == 0) == (hv == 0)
+            if hv:
+                assert (sub.num.evaluate(pt) / sub.den.evaluate(pt)
+                        == f.evaluate(mapped) / hv)
+    x, y = MultiPoly.variables(fld, 2)
+    # x -> y, y -> y merges x + 6y to zero
+    zero = RatExpr(x + y * 6).subs([RatExpr(y), RatExpr(y)])
+    assert zero.num.is_zero()
+    with pytest.raises(ZeroDivisionError):
+        RatExpr(x, x + y * 6).subs([RatExpr(y), RatExpr(y)])
+
+
 def test_mixed_rings_raise():
     # exponent tuples of another length used to be truncated by zip:
     # x * z returned x

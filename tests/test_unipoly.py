@@ -119,6 +119,29 @@ def test_ratfunc_reduction_invariants():
     assert r == RatFunc((t + 1) * 3, (t + 3) * 6)
 
 
+def test_ratfunc_powers_are_the_rebuilt_fractions():
+    # powers skip the gcd of __init__; they must be what it would build
+    fld = FF(3)
+    s = UPoly.x(fld)
+    u = [RatFunc(s ** 5 + s ** 2 + 1, s ** 6 + s + 2),
+         RatFunc(s + 1, s ** 4 + 2), RatFunc(s * 2 + 1, s),
+         RatFunc(UPoly.const(fld, 2)), RatFunc(UPoly(fld))]
+    for r in u:
+        for e in range(-4, 5):
+            if e < 0 and r.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    r ** e
+                continue
+            got = r ** e
+            want = (RatFunc(r.num ** e, r.den ** e) if e >= 0
+                    else RatFunc(r.den ** -e, r.num ** -e))
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.leading() == fld.one
+    # (2s + 1)/s inverted: s/(2s + 1) with its denominator made monic
+    inv = u[2] ** -1
+    assert (inv.num, inv.den) == (s * 2, s + 2)
+
+
 def test_ratfunc_field_ops():
     fld = FF(7)
     t = UPoly.x(fld)
