@@ -7,24 +7,25 @@ a prime field and domain elements otherwise.  A degree above MAX_DEGREE
 raises ValueError, never wraps.
 
 Instead of carrying representations in terms of the generators, the engine
-records a reduction trace: for each new basis element its parents i and j,
-the S-polynomial multipliers m_i and m_j, the quotients of its reduction and
-its normalising inverse.  A unit certificate replays the trace for the
-ancestry of the unit only; its cofactors c_i with sum c_i * g_i = 1
+records a reduction trace: for each new basis element its normalising
+inverse and one flat list of submuls, (x, shift, c) for
+acc -= c * x^shift * basis_x: the S-polynomial's two multipliers, then the
+quotient terms in reduction order.  A unit certificate replays the trace for
+the ancestry of the unit only; its cofactors c_i with sum c_i * g_i = 1
 re-verify by plain polynomial expansion, with no trust in the engine itself.
 
-A replay step is a run of submuls acc -= c * x^shift * rep, one per
-S-polynomial multiplier and quotient term.  Over F_p with p <= 13 it runs on
-byte slots, as SIMD within a register (Fisher & Dietz, LCPC 1998): each
-cofactor is one int with x^e at byte sum_j e_j D^j, where D - 1 bounds the
-top degree of every cofactor in the ancestry (a degree-only pass over the
-trace finds it before any product), and a submul is
-acc += (rep << 8 * offset(shift)) * (-c mod p).  A slot below p takes
-floor((255 - (p-1)) / (p-1)^2) submuls before it could pass 255; then every
-slot is reduced by one `bytes.translate`, and the step ends with one more
-that reduces and scales by its inverse (a table per inverse).  F_{p^m}
-(Zech codes do not add as ints), k(t), p > 13, a bound above MAX_DEGREE and
-more than SLOT_CAP slots replay on packed dicts instead.
+A degree-only pass over the ancestry bounds the top degree of every
+cofactor before any product (a parent's bound plus the degree of its
+shift); a bound above MAX_DEGREE raises.  Over F_p with p <= 13 the replay
+then runs on byte slots, as SIMD within a register (Fisher & Dietz, LCPC
+1998): each cofactor is one int with x^e at byte sum_j e_j D^j, where D - 1
+is that bound, and a submul is acc += (rep << 8 * offset(shift)) *
+(-c mod p).  A slot below p takes floor((255 - (p-1)) / (p-1)^2) submuls
+before it could pass 255; then every slot is reduced by one
+`bytes.translate`, and the step ends with one more that reduces and scales
+by its inverse (a table per inverse).  F_{p^m} (Zech codes do not add as
+ints), k(t), p > 13 and more than SLOT_CAP slots replay on packed dicts
+instead.
 
 Pairs are pruned by Buchberger's product and chain criteria, the latter as
 the Gebauer-Moller update when an element joins the basis (Buchberger,
@@ -73,9 +74,9 @@ def _divides(a, b):
 
 
 # How a basis element came about: `gen` is the generator index of an input
-# element inv * g, and None for inv * (m_i f_i - m_j f_j - sum_k q_k f_k).
-_Step = namedtuple("_Step", "inv gen i j mi mj quotients",
-                   defaults=(None,) * 5)
+# element inv * g, with no submuls, and None for
+# inv * -(sum c * x^shift * basis_x over the submuls (x, shift, c)).
+_Step = namedtuple("_Step", "inv gen submuls", defaults=((),))
 
 
 class _Basis:
@@ -85,7 +86,7 @@ class _Basis:
 
     def __init__(self, ring, ngens=0):
         self.ring, self.ngens, self.exps = ring, ngens, {}
-        self.polys, self.leads, self.lows, self.steps, self._reps = [], [], [], [], {}
+        self.polys, self.leads, self.lows, self.steps = [], [], [], []
 
     def append(self, poly, step=None):
         lm = max(poly)
@@ -95,91 +96,60 @@ class _Basis:
         self.steps.append(step)
 
     def reduce(self, f):
+        """(submuls, remainder): f = sum c * x^shift * basis_i over the
+        submuls (i, shift, c), in reduction order, plus the remainder.  The
+        leading monomial falls strictly, so no (i, shift) occurs twice."""
         low_mask, guard = self.ring.low_mask, self.ring.guard
         submul = self.ring.submul
-        work, rem, quotients = dict(f), {}, {}
+        work, rem, submuls = dict(f), {}, []
         while work:
             lm = max(work)
             g = (lm & low_mask) | guard
             for i, low in enumerate(self.lows):
                 if (g - low) & guard == guard:       # lead i divides lm
                     c, shift = work[lm], lm - self.leads[i]
-                    quotients.setdefault(i, {})[shift] = c
+                    submuls.append((i, shift, c))
                     submul(work, self.polys[i], shift, c)
                     break
             else:
                 rem[lm] = work.pop(lm)
-        return quotients, rem
+        return submuls, rem
 
     def representation(self, k):
         """Cofactors, one MultiPoly per generator, with element k equal to
-        sum c_i g_i.  Replays the ancestry of k only: on byte slots (see
-        the module docstring) when `_slot_radix` finds a radix D for it,
-        each cofactor one int of D^n slots, reduced mod p every
-        `_slot_cadence(p)` submuls; else on dicts, with the degree of every
-        step checked, and memoised."""
-        todo, stack = set(), [k]
+        sum c_i g_i.  Replays the ancestry of k only, after one degree pass
+        that bounds every cofactor in it by D - 1 (see the module
+        docstring): on byte slots when the ring is `Residues`, a slot takes
+        `_slot_cadence(p)` >= 1 submuls and D^n <= SLOT_CAP; else on
+        packed dicts."""
+        ring, todo, stack = self.ring, set(), [k]
         while stack:
             x = stack.pop()
             if x not in todo:
                 todo.add(x)
-                st = self.steps[x]
-                if st.gen is None:
-                    stack += [st.i, st.j, *st.quotients]
+                stack += [y for y, _, _ in self.steps[x].submuls]
         todo = sorted(todo)                # parents before children
-        radix = self._slot_radix(todo)
-        if radix is not None:
-            return self._replay_slots(todo, radix)
-        for x in todo:
-            if x not in self._reps:
-                self._reps[x] = self._replay(self.steps[x])
-        rep = self._reps[k][0]
-        return [self.ring.unpack(rep.get(g, {}), self.exps)
-                for g in range(self.ngens)]
-
-    def _submuls(self, st):
-        """The (element x, shift, c) of each acc -= c * x^shift * rep_x that
-        step st is made of."""
-        yield st.i, st.mi, self.ring.minus_one
-        yield st.j, st.mj, self.ring.one
-        for x, q in st.quotients.items():
-            for shift, c in q.items():
-                yield x, shift, c
-
-    def _replay(self, st):
-        """({generator index: packed cofactor}, top degree) of one step."""
-        ring, acc = self.ring, {}
-        if st.gen is not None:
-            return {st.gen: {0: st.inv}}, 0
-        for x, shift, c in self._submuls(st):
-            rep, deg = self._reps[x]
-            _check_degree(deg + (shift >> ring.top))
-            for g, poly in rep.items():
-                ring.submul(acc.setdefault(g, {}), poly, shift, c)
-        rep = {g: ring.scale(poly, st.inv) for g, poly in acc.items() if poly}
-        return rep, max((max(poly) >> ring.top for poly in rep.values()), default=0)
-
-    def _slot_radix(self, todo):
-        """The radix D of the byte-slot replay of `todo`, an ancestry with
-        parents first, or None for the dict replay.  A degree-only pass
-        bounds the top degree of every cofactor (a parent's bound plus the
-        degree of its shift); D - 1 is the bound of the last element, which
-        is above every other.  None unless the ring is `Residues` with one
-        submul fitting a slot, the bound is within MAX_DEGREE (the dict
-        replay checks each step exactly) and D^n is at most SLOT_CAP."""
-        ring = self.ring
-        if not isinstance(ring, monomials.Residues) or \
-                _slot_cadence(ring.domain.p) < 1:
-            return None
         top = {}
+        for x in todo:                     # top[k] is above every other
+            top[x] = max((top[y] + (shift >> ring.top)
+                          for y, shift, _ in self.steps[x].submuls), default=0)
+        _check_degree(top[k])
+        if isinstance(ring, monomials.Residues) and \
+                _slot_cadence(ring.domain.p) >= 1 and \
+                (top[k] + 1) ** ring.n <= SLOT_CAP:
+            return self._replay_slots(todo, top[k] + 1)
+        reps = {}                          # x: {generator index: cofactor}
         for x in todo:
-            st = self.steps[x]
-            top[x] = 0 if st.gen is not None else max(
-                top[y] + (shift >> ring.top) for y, shift, _ in self._submuls(st))
-        bound = top[todo[-1]]
-        if bound > monomials.MAX_DEGREE or (bound + 1) ** ring.n > SLOT_CAP:
-            return None
-        return bound + 1
+            st, acc = self.steps[x], {}
+            if st.gen is not None:
+                reps[x] = {st.gen: {0: st.inv}}
+                continue
+            for y, shift, c in st.submuls:
+                for g, poly in reps[y].items():
+                    ring.submul(acc.setdefault(g, {}), poly, shift, c)
+            reps[x] = {g: ring.scale(poly, st.inv) for g, poly in acc.items() if poly}
+        return [ring.unpack(reps[k].get(g, {}), self.exps)
+                for g in range(self.ngens)]
 
     def _replay_slots(self, todo, radix):
         """representation(todo[-1]) with each cofactor one int of D^n
@@ -198,7 +168,7 @@ class _Basis:
                 reps[x] = {st.gen: st.inv}
                 continue
             acc, left = {}, cadence
-            for y, shift, c in self._submuls(st):
+            for y, shift, c in st.submuls:
                 bits = offsets.get(shift)
                 if bits is None:
                     bits = offsets[shift] = sum(
@@ -249,8 +219,8 @@ def reduce_poly(f, basis):
     term goes to the first basis element whose leading monomial divides it.
     On MultiPolys the quotients are a list, one per basis element, and a
     zero basis element gets a zero quotient and divides nothing.  Inside
-    the engine f is packed, basis is a `_Basis`, and the quotients are a dict
-    {basis index: packed quotient} of the nonzero ones.
+    the engine f is packed, basis is a `_Basis`, and the quotients are its
+    flat trace: the submuls (basis index, shift, c) in reduction order.
     """
     if isinstance(basis, _Basis):
         return basis.reduce(f)
@@ -261,11 +231,11 @@ def reduce_poly(f, basis):
         if b:                  # a zero element divides nothing: q_i = 0
             rows.append((i, ring.inverse(b[max(b)])))
             packed.append(ring.scale(b, rows[-1][1]))
-    found, rem = packed.reduce(ring.pack(f))
-    # f = sum q_i * (inv_i b_i) + rem
-    quotients = [{}] * len(basis)
-    for r, (i, inv) in enumerate(rows):
-        quotients[i] = ring.scale(found.get(r, {}), inv)
+    submuls, rem = packed.reduce(ring.pack(f))
+    quotients = [{} for _ in basis]    # f = sum c x^shift (inv_i b_i) + rem
+    for r, shift, c in submuls:
+        i, inv = rows[r]
+        quotients[i][shift] = ring.times(c, inv)
     return ([ring.unpack(q, packed.exps) for q in quotients],
             ring.unpack(rem, packed.exps))
 
@@ -390,11 +360,12 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
         mi, mj = lcm - leads[i], lcm - leads[j]
         s = {k + mi: c for k, c in basis.polys[i].items()}
         ring.submul(s, basis.polys[j], mj, ring.one)
-        quotients, rem = reduce_poly(s, basis)
+        submuls, rem = reduce_poly(s, basis)
         if not rem:
             continue
         inv = ring.inverse(rem[max(rem)])
-        basis.append(ring.scale(rem, inv), _Step(inv, None, i, j, mi, mj, quotients))
+        basis.append(ring.scale(rem, inv), _Step(inv, None, (
+            (i, mi, ring.minus_one), (j, mj, ring.one), *submuls)))
         if stop_at_unit and max(rem) == 0:
             return finish("unit")
         update(len(leads) - 1)

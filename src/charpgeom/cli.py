@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .algebra.finitefield import FF, is_prime
 from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import (MultiPoly, det, hessian_matrix, parse_poly,
-                               split_terms)
+from .algebra.multipoly import MultiPoly, det, parse_poly, split_terms
 from .algebra.jets import MAX_ORDER
 from . import heights, covers, normalform, desing, picard
 
@@ -297,16 +296,8 @@ def _scenario_normalform(params, seed):
         subs = [MultiPoly.var(fld, nvars, i) + MultiPoly.const(fld, nvars, shift[i])
                 for i in range(nvars)]
         f = f.subs(subs)
-    # normal_form's preconditions, as invalid input of the flag that set f
-    flag = "--point" if point_text else "--poly"
-    # values at the origin are constant terms
-    if any(g.constant_term() for g in f.gradient()):
-        raise InvalidInput(f"argument {flag}: not a critical point of the "
-                           f"polynomial")
-    if not det([[h.constant_term() for h in row] for row in hessian_matrix(f)], fld):
-        raise InvalidInput(f"argument {flag}: degenerate Hessian at the "
-                           f"critical point")
-    res = normalform.normal_form(f, r)
+    # normal_form's preconditions fail as invalid input of the flag that set f
+    res = _parsed("--point" if point_text else "--poly", normalform.normal_form, f, r)
     work = f if res.extension_degree == 1 else f.map_coefficients(
         res.fld, res.embed)
     assertions = [

@@ -213,10 +213,10 @@ def normal_form(f, r):
         raise ValueError("order r must be at least 3")
     # values at the origin are constant terms
     if any(g.constant_term() != fld.zero for g in f.gradient()):
-        raise ValueError("the origin is not a critical point")
+        raise ValueError("not a critical point")
     hess = [[h.constant_term() for h in row] for row in hessian_matrix(f)]
     if not det(hess, fld):
-        raise ValueError("degenerate Hessian at the origin")
+        raise ValueError("degenerate Hessian at the critical point")
     a0 = f.constant_term()
 
     # normalize the quadratic part: C^T (H/2) C = I makes it sum x_i^2

@@ -9,7 +9,7 @@ import pytest
 from charpgeom.algebra import groebner, monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
-from charpgeom.algebra.unipoly import RatFuncField, UPoly
+from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 from charpgeom.algebra.groebner import (
     IdealCertificate, groebner_membership_one, buchberger, grevlex_key,
     leading_term, reduce_poly, standard_monomial_count,
@@ -263,9 +263,10 @@ def test_reduce_poly_skips_zero_basis_elements():
     assert reduce_poly(f, [zero]) == ([zero], f)
 
 
-def _seeded_ideal(fld, n, rng):
+def _seeded_ideal(fld, n, rng, pool=None):
     """n + 1 random polynomials of degree <= 3 in n variables (mostly the
-    unit ideal); the first has every coefficient -1, the slot edge."""
+    unit ideal); the first has every coefficient -1, the slot edge, and the
+    others draw theirs from `pool`, by default the nonzero residues."""
     gens = []
     for g in range(n + 1):
         terms = {}
@@ -273,9 +274,21 @@ def _seeded_ideal(fld, n, rng):
             exps = [0] * n
             for _ in range(rng.randrange(4)):
                 exps[rng.randrange(n)] += 1
-            terms[tuple(exps)] = fld.elem(-1 if g == 0 else rng.randrange(1, fld.p))
+            terms[tuple(exps)] = fld.elem(-1) if g == 0 else \
+                rng.choice(pool) if pool else fld.elem(rng.randrange(1, fld.p))
         gens.append(MultiPoly(fld, n, terms))
     return gens
+
+
+def _spy_slot_replays(monkeypatch):
+    """A list that gets one entry per call of the byte-slot replay."""
+    calls, replay = [], groebner._Basis._replay_slots
+
+    def spy(self, todo, radix):
+        calls.append(radix)
+        return replay(self, todo, radix)
+    monkeypatch.setattr(groebner._Basis, "_replay_slots", spy)
+    return calls
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -286,23 +299,25 @@ def test_slot_replay_matches_dict_replay(monkeypatch, p, n):
     assert groebner._slot_cadence(p) == {3: 63, 5: 15, 7: 6, 11: 2, 13: 1}[p]
     fld = FF(p)
     rng = random.Random(f"slots:{p}:{n}")
+    calls = _spy_slot_replays(monkeypatch)
     for _ in range(4):
         gens = _seeded_ideal(fld, n, rng)
         _, basis, _, trace = buchberger(gens)
         slots = [trace.representation(k) for k in range(len(basis))]
-        assert not trace._reps                 # no dict replay ran
-        monkeypatch.setattr(groebner._Basis, "_slot_radix",
-                            lambda self, todo: None)
-        dicts = [trace.representation(k) for k in range(len(basis))]
-        monkeypatch.undo()
-        assert trace._reps
+        assert len(calls) == len(basis)        # every replay ran on slots
+        with monkeypatch.context() as patch:   # no slot fits: dicts
+            patch.setattr(groebner, "SLOT_CAP", 0)
+            dicts = [trace.representation(k) for k in range(len(basis))]
+        assert len(calls) == len(basis)
+        calls.clear()
         for a, b in zip(slots, dicts):
             assert [c.terms for c in a] == [c.terms for c in b]
 
 
-def test_slot_replay_scope():
+def test_slot_replay_scope(monkeypatch):
     # F_{p^m} (Zech codes), k(t), p > 13 and slot counts above SLOT_CAP take
     # the dict replay; their certificates still verify
+    calls = _spy_slot_replays(monkeypatch)
     k_t = RatFuncField(FF(3))
     t = k_t.elem(UPoly(FF(3), [FF(3).zero, FF(3).one]))
     cases = []
@@ -320,7 +335,49 @@ def test_slot_replay_scope():
         assert status == "unit"
         cert = IdealCertificate(gens, trace.representation(len(basis) - 1))
         assert cert.verify()
-        assert trace._reps                     # the dict replay ran
+        assert not calls                       # the dict replay ran
+
+
+def _trace_fields():
+    """Each field with a pool of nonzero coefficients to draw from."""
+    f3, f9, f70001 = FF(3), FF(3, 2), FF(70001)
+    k_t = RatFuncField(f3)
+    t = UPoly.x(f3)
+    return [
+        (FF(5), [FF(5).elem(c) for c in range(1, 5)]),
+        (f9, [c for c in f9.elements() if c]),                   # Zech codes
+        (k_t, [k_t.elem(c) for c in (1, 2, t, t + 1, RatFunc(t, t + 2))]),
+        (f70001, [f70001.elem(c) for c in (1, 2, 35000, 70000, 12345)]),
+    ]
+
+
+@pytest.mark.parametrize("fld, pool", _trace_fields(),
+                         ids=["F_5", "F_9", "F_3(t)", "F_70001"])
+def test_trace_steps_rebuild_their_elements(fld, pool):
+    # an element from an S-pair is inv * -(sum c * x^shift * basis_x) over
+    # its submuls, the S-polynomial's two multipliers first; a generator's
+    # step has no submuls.  On the packed dicts the engine keeps.
+    rng = random.Random(f"trace-format:{fld!r}")
+    built = 0
+    for _ in range(5):
+        gens = _seeded_ideal(fld, rng.choice((2, 3)), rng, pool)
+        _, _, _, trace = buchberger(gens, max_pairs=60)
+        ring = trace.ring
+        for poly, st in zip(trace.polys, trace.steps):
+            if st.gen is not None:
+                assert st.submuls == ()
+                assert ring.scale(ring.pack(gens[st.gen]), st.inv) == poly
+                continue
+            (i, _, minus_one), (j, _, one) = st.submuls[:2]
+            assert (minus_one, one) == (ring.minus_one, ring.one) and i < j
+            reductions = [(x, shift) for x, shift, _ in st.submuls[2:]]
+            assert len(set(reductions)) == len(reductions)
+            acc = {}
+            for x, shift, c in st.submuls:
+                ring.submul(acc, trace.polys[x], shift, c)
+            assert ring.scale(acc, st.inv) == poly
+            built += 1
+    assert built
 
 
 def test_replay_refers_to_nothing_from_kronecker():
