@@ -48,7 +48,7 @@ def is_prime(n):
 # big-endian host reverses both factors, so their product); wider, `to_bytes`.
 
 def _ptrim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 

@@ -8,11 +8,11 @@ would be thrown away: for a polynomial it is the largest product of the
 whole run, larger than the result itself.  And it never multiplies by
 `one`: the first set bit takes the current square itself.
 
-`cached_power` serves substitution, where one base is raised to every
-exponent from 0 up to a degree bound, term after term.  It steps one power
-at a time from the highest cached one, so each power costs one product with
-the base and is made once; every intermediate power is kept, since later
-terms ask for it too.
+`cached_power` serves substitution, where one base is raised to exponent
+after exponent, term after term.  It steps one power at a time from the
+highest cached one, keeping each, since dense terms ask for them all; across
+a wide gap (x^81 in a sparse polynomial) it squares instead.  Each power it
+makes costs one product and is made once.
 
 `substitute` sums terms c * v_1^e_1 * ... * v_n^e_n by nested Horner over
 one such cache per variable (Knuth, TAOCP vol. 2, section 4.6.4): polynomial
@@ -41,14 +41,28 @@ def power(base, e, one):
 
 
 def cached_power(cache, base, k):
-    """base^k, multiplying the highest power below k in `cache` ({exponent:
-    power}) by base once per missing step and caching each step.  Iterative,
+    """base^k from `cache` ({exponent: power}; base^1 = base is added),
+    caching each power made.  From the highest cached power below k it steps
+    by base, unless the missing squares below the gap plus one product per
+    set bit of it cost less: then it spans the gap by squares.  Iterative,
     so the cache dies with its owner, not at the next garbage collection."""
+    if k in cache:
+        return cache[k]
+    cache.setdefault(1, base)
     j = k
     while j not in cache:
         j -= 1
-    for j in range(j + 1, k + 1):
-        cache[j] = cache[j - 1] * base
+    squares = [1 << i for i in range(1, (k - j).bit_length())]
+    wide = sum(sq not in cache for sq in squares) + bin(k - j).count("1") < k - j
+    if wide:
+        for sq in squares:
+            if sq not in cache:
+                cache[sq] = cache[sq >> 1] * cache[sq >> 1]
+        j = max(j, squares[-1])
+    while j < k:
+        step = 1 << ((k - j).bit_length() - 1) if wide else 1
+        cache[j + step] = cache[j] * cache[step]
+        j += step
     return cache[k]
 
 

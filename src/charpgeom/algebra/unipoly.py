@@ -25,6 +25,9 @@ case of a RatFunc with denominator 1.  Coefficients from another field are
 rejected with ValueError, since their residues would be read as this field's.
 """
 
+import itertools
+import operator
+
 from .finitefield import FFElement, pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
 from .powers import power
 
@@ -62,6 +65,18 @@ class UPoly:
     @classmethod
     def from_ints(cls, field, ints):
         return cls(field, [field.elem(c) for c in ints])
+
+    @classmethod
+    def lincomb(cls, field, pairs):
+        """The sum of w * f over (w, f) in `pairs`, one sum of products per
+        column; w is an int or a field element.  Over a tabled prime field
+        the columns are summed as ints and reduced once."""
+        ws, fs = list(zip(*pairs)) or ((), ())
+        tabled = field.prime_elements is not None
+        zero = 0 if tabled else field.zero
+        acc = [sum(map(operator.mul, ws, col), zero)
+               for col in itertools.zip_longest(*[f._c for f in fs], fillvalue=zero)]
+        return _new(field, _ptrim([a % field.p for a in acc] if tabled else acc))
 
     @classmethod
     def x(cls, field):
@@ -108,7 +123,7 @@ class UPoly:
         if self.field.prime_elements is not None:
             return _new(self.field, _padd(self._c, other._c, self.field.p))
         n = max(len(self._c), len(other._c))
-        return UPoly(self.field, [self[i] + other[i] for i in range(n)])
+        return _new(self.field, _ptrim([self[i] + other[i] for i in range(n)]))
 
     __radd__ = __add__
 
@@ -117,7 +132,7 @@ class UPoly:
         if self.field.prime_elements is not None:
             return _new(self.field, _psub(self._c, other._c, self.field.p))
         n = max(len(self._c), len(other._c))
-        return UPoly(self.field, [self[i] - other[i] for i in range(n)])
+        return _new(self.field, _ptrim([self[i] - other[i] for i in range(n)]))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -137,7 +152,7 @@ class UPoly:
             if ca:
                 for j, cb in enumerate(other._c):
                     res[i + j] = res[i + j] + ca * cb
-        return UPoly(self.field, res)
+        return _new(self.field, _ptrim(res))
 
     __rmul__ = __mul__
 
@@ -154,7 +169,7 @@ class UPoly:
 
     def scale(self, c):
         if self.field.prime_elements is None:
-            return UPoly(self.field, [c * a for a in self._c])
+            return _new(self.field, _ptrim([c * a for a in self._c]))
         return _new(self.field, _pmul(self._c, self._coerce(c)._c, self.field.p))
 
     def monic(self):
@@ -180,7 +195,7 @@ class UPoly:
                 q[k - d] = f
                 for i, oc in enumerate(other._c):
                     rem[k - d + i] = rem[k - d + i] - f * oc
-        return UPoly(self.field, q), UPoly(self.field, rem)
+        return _new(self.field, _ptrim(q)), _new(self.field, _ptrim(rem))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]

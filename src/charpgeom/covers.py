@@ -38,6 +38,7 @@ heights the Vojta demonstration measures.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
@@ -607,7 +608,8 @@ class FrobeniusFactorization:
     def cleared(self):
         """b, and h with t -> s^p, as (numerators, L, D) for `lift_point`: L
         the monic lcm of the denominators, D_j the degree in x_j, c x^e as
-        c L keyed (e_1, D_1 - e_1, ..., e_n, D_n - e_n)."""
+        c L keyed (e_1, D_1 - e_1, ..., e_n, D_n - e_n), one exponent per
+        slot a_j or d_j, so `_fold` can drop a constant slot's exponent."""
         fld, p = self.sdomain.base, self.p
         return (_cleared({e: (c.num, c.den) for e, c in self.b.items()}, fld),
                 _cleared({e: (c.num.inflate(p), c.den.inflate(p))
@@ -657,20 +659,46 @@ def lift_point(fact, params):
     """Lift one parameter tuple: x_j = u_j^p, z = sum b_I u^I, checked.
 
     With u_j = a_j/d_j, z = sum (b_I L) prod a_j^e_j d_j^(D_j - e_j) over L
-    prod d_j^D_j (`FrobeniusFactorization.cleared`), one `substitute` on
-    UPolys; h(x) likewise.  z^p = h(x) is verified exactly in k(s)."""
+    prod d_j^D_j (`FrobeniusFactorization.cleared`), h(x) likewise: one
+    `substitute` on UPolys over the a_j and d_j that `_fold` leaves, the
+    nonconstant ones.  z^p = h(x) is verified exactly in k(s)."""
     fld = fact.sdomain.base
     us = [u if isinstance(u, RatFunc) else RatFunc(UPoly.const(fld, u))
           for u in params]
     if len(us) != fact.h.n:
         raise ValueError("wrong number of parameters")
     xs = [u ** fact.p for u in us]
-    z, value = (RatFunc(substitute(terms, [v for u in fracs for v in (u.num, u.den)], UPoly(fld)),
+    z, value = (RatFunc(substitute(*_fold(terms, [v for u in fracs for v in (u.num, u.den)]), UPoly(fld)),
                         math.prod((u.den ** k for u, k in zip(fracs, degs)), start=den))
                 for (terms, den, degs), fracs in zip(fact.cleared, (us, xs)))
     if z ** fact.p != value:
         raise AssertionError("lifted point violates the cover equation")
     return LiftedPoint(params=tuple(us), base_coords=xs, z=z)
+
+
+def _fold(terms, values):
+    """`substitute`'s terms and values with each constant value c (degree
+    <= 0) folded in: a term's coefficient is weighted by c^e, its key keeps
+    the other values' exponents, and terms with equal keys are summed by one
+    `UPoly.lincomb`.  Over F_p weights are residues; units are skipped."""
+    live = [i for i, v in enumerate(values) if v.degree() > 0]
+    if not terms or len(live) == len(values):
+        return terms, values
+    fld = values[0].field
+    p, one = (fld.p, 1) if fld.m == 1 else (None, fld.one)
+    cols = list(zip(*terms))
+    weights = [one] * len(terms)
+    for i, v in enumerate(values):
+        c = v[0].coeffs[0] if p else v[0]
+        if i not in live and c != one:
+            pows = [pow(c, k, p) for k in range(max(cols[i]) + 1)]
+            weights = list(map(operator.mul, weights, map(pows.__getitem__, cols[i])))
+    groups = {}
+    keys = zip(*[cols[i] for i in live]) if live else itertools.repeat(())
+    for k, w, c in zip(keys, weights, terms.values()):
+        groups.setdefault(k, []).append((w, c))
+    folded = ((k, UPoly.lincomb(fld, pairs)) for k, pairs in groups.items())
+    return {k: c for k, c in folded if c}, [values[i] for i in live]
 
 
 def lift_rational_points(fact, params_list, provenance="lifted points"):

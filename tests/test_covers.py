@@ -1,5 +1,6 @@
 """Covering data: gluing, differentials, singular loci, Frobenius, lifting."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -366,9 +367,10 @@ class TestLifting:
 
 
 class TestLiftOnNumerators:
-    """`lift_point` sums z and h(x) on cleared numerators; the frozen
-    RatFunc substitution it replaced must give the same point for fractional,
-    constant and polynomial parameters and for b with denominators."""
+    """`lift_point` sums z and h(x) on cleared numerators, its constant
+    slots folded in; the frozen RatFunc substitution it replaced must give
+    the same point for fractional, constant and polynomial parameters and
+    for b with denominators."""
 
     @staticmethod
     def factorizations(p):
@@ -425,6 +427,126 @@ class TestLiftOnNumerators:
         with pytest.raises(AssertionError, match="violates the cover equation"):
             covers.lift_point(fact, self.parameters(3)[0])
         assert len(calls) == 2
+
+    # `lift_point` folds the constant slots a_j or d_j into the cleared
+    # numerators before `substitute`.  A fault shared by z and h(x) passes
+    # the check z^p = h(x), since Frobenius is a ring map, so each shape the
+    # fold changes is compared with the frozen RatFunc lift.
+
+    @staticmethod
+    def fold_factorizations(fld):
+        """Constant coefficients (the demo's shape) and fractional ones with
+        L != 1, over F_q."""
+        tdom = RatFuncField(fld, "t")
+        t = UPoly.x(fld)
+        rng = random.Random(f"fold:{fld.order}")
+        elem = lambda: fld.from_index(rng.randrange(1, fld.order))
+        consts = MultiPoly(tdom, 2, {
+            e: tdom.elem(elem()) for e in
+            ((0, 0), (1, 0), (0, 2), (3, 1), (2, 2), (0, 4), (5, 0), (1, 3))})
+        dens = {(0, 0): t + 1, (1, 2): UPoly.const(fld, 1), (3, 1): t + 2,
+                (2, 0): (t + 1) * (t + 2)}
+        fracs = MultiPoly(tdom, 2, {
+            e: RatFunc(UPoly(fld, [elem(), fld.one, elem()]), d)
+            for e, d in dens.items()})
+        return [covers.frobenius_factorization(h) for h in (consts, fracs)]
+
+    @staticmethod
+    def fold_shapes(fld):
+        rng = random.Random(f"shapes:{fld.order}")
+        s = UPoly.x(fld)
+        c = fld.from_index(fld.order - 1)
+        monic = [s ** m + UPoly(fld, [fld.from_index(rng.randrange(fld.order))
+                                      for _ in range(m)]) for m in range(1, 9)]
+        consts = [fld.from_index(k) for k in range(fld.order)]
+        frac = RatFunc(s * s + 1, s + 2)
+        return {
+            "monic and constant": [[RatFunc(f), c] for f in monic] + [[c, RatFunc(monic[2])]],
+            "all constant": [[a, b] for a in consts for b in consts[::2]],
+            "zero and one": [[0, 1], [1, 0], [0, 0], [1, 1], [0, RatFunc(monic[1])],
+                             [RatFunc(monic[1]), 1]],
+            "constant and fractional": [[c, frac], [frac, 2], [1, frac],
+                                        [0, RatFunc(UPoly.const(fld, 1), s + 1)]],
+        }
+
+    @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("shape", ["monic and constant", "all constant",
+                                       "zero and one", "constant and fractional"])
+    def test_folded_lift_matches_the_reference(self, p, m, shape):
+        fld = FF(p, m)
+        for fact in self.fold_factorizations(fld):
+            for params in self.fold_shapes(fld)[shape]:
+                lp = covers.lift_point(fact, params)
+                us = [u if isinstance(u, RatFunc) else RatFunc(UPoly.const(fld, u))
+                      for u in params]
+                z, xs, value = reference.lift(fact, us)
+                assert lp.z == z and lp.base_coords == xs and z ** p == value
+
+    def test_demo_family_matches_the_reference(self):
+        bundle = _default_bundle()
+        fld = bundle.fld
+        rng = random.Random("demo family")
+        for m in range(1, 9):
+            u1 = RatFunc(UPoly.x(fld) ** m + UPoly(fld, [fld.elem(rng.randrange(3))
+                                                        for _ in range(m)]))
+            u2 = RatFunc.const(fld, rng.randrange(3))
+            z, xs, value = reference.lift(bundle.fact, [u1, u2])
+            assert bundle.lift([u1, u2]).z == z and z ** 3 == value
+
+    @pytest.mark.parametrize("tampered", [0, 1])
+    @pytest.mark.parametrize("params", ["polynomial", "constant"])
+    def test_tampered_fold_fails_the_cover_equation(self, tampered, params, monkeypatch):
+        real = covers._fold
+        calls = []
+
+        def fold(terms, values):
+            folded, live = real(terms, values)
+            calls.append(len(live))
+            if len(calls) == tampered + 1:     # an empty sum folds to {}
+                key = next(iter(folded), ())
+                folded = {**folded, key: folded.get(key, UPoly(fld)) + 1}
+            return folded, live
+        monkeypatch.setattr(covers, "_fold", fold)
+        fld = FF(3)
+        fact = self.fold_factorizations(fld)[0]
+        u = {"polynomial": [RatFunc(UPoly.from_ints(fld, [1, 2, 0, 1])), 2],
+             "constant": [2, 1]}[params]
+        with pytest.raises(AssertionError, match="violates the cover equation"):
+            covers.lift_point(fact, u)
+        assert calls == ([1, 1] if params == "polynomial" else [0, 0])
+
+    def test_demo_lift_horner_takes_no_product_by_a_constant_power(self, monkeypatch):
+        """A default-bundle lift with u1 of degree 8 and constant u2: each
+        sum folds to one live value, so every Horner product multiplies a
+        power of u1 (or x_1 = u1^3).  Only the top coefficient, a constant
+        since b's are, is multiplied in: one product per sum.  Unfolded, the
+        Horner took 444 products here, 416 of them of two constants."""
+        bundle = _default_bundle()
+        fld = bundle.fld
+        u1 = RatFunc(UPoly.from_ints(fld, [2, 0, 1, 1, 0, 2, 0, 1, 1]))
+        products = []
+        real_mul, real_sub = UPoly.__mul__, covers.substitute
+
+        def mul(a, b):
+            products.append((a.degree(), b.degree()))
+            return real_mul(a, b)
+
+        def substitute(terms, values, zero):
+            monkeypatch.setattr(UPoly, "__mul__", mul)
+            try:
+                return real_sub(terms, values, zero)
+            finally:
+                monkeypatch.setattr(UPoly, "__mul__", real_mul)
+        monkeypatch.setattr(covers, "substitute", substitute)
+        bundle.lift([u1, 2])
+        assert len(products) == 24
+        assert not [pr for pr in products if pr[0] <= 0]
+        assert len([pr for pr in products if pr[1] <= 0]) == 2
+
+
+@functools.cache
+def _default_bundle():
+    return covers.make_vojta_bundle(3, 1, 5, FF(3), seed=1)
 
 
 def _pos(i, j):

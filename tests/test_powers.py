@@ -3,7 +3,8 @@ constructors reject.
 
 `power` is square-and-multiply from the low bit: it multiplies exactly
 floor(log2 e) squares plus popcount(e) - 1 partial products, never by
-`one`.  `substitute` runs nested Horner: one product per exponent gap
+`one`.  `cached_power` steps across narrow gaps and squares across wide
+ones.  `substitute` runs nested Horner: one product per exponent gap
 present in each group, each power of a value made once, coefficients added
 innermost; it obeys the substitution laws over F_5, F_9 and F_3(t).  A negative exponent raises ValueError in the rings without
 inverses (it used to loop forever, since -1 >> 1 == -1), and inverts in
@@ -17,8 +18,8 @@ import random
 
 import pytest
 
-from charpgeom.algebra import monomials
-from charpgeom.algebra.finitefield import FF
+from charpgeom.algebra import monomials, powers
+from charpgeom.algebra.finitefield import FF, FFElement
 from charpgeom.algebra.jets import Jet
 from charpgeom.algebra.multipoly import MultiPoly, RatExpr
 from charpgeom.algebra.powers import cached_power, power, substitute
@@ -54,13 +55,49 @@ def test_power_takes_the_binary_method_product_count(e):
 
 
 def test_cached_power_steps_once_per_missing_power():
+    # a narrow gap steps one power at a time, caching each
     Counted.products = 0
     cache = {0: Counted(1)}
-    assert cached_power(cache, Counted(2), 5).v == 32
-    assert Counted.products == 5 and sorted(cache) == [0, 1, 2, 3, 4, 5]
     assert cached_power(cache, Counted(2), 3).v == 8
-    assert cached_power(cache, Counted(2), 7).v == 128
+    assert Counted.products == 2 and sorted(cache) == [0, 1, 2, 3]
+    # a wide one makes the missing squares below it (4, 8) and spans the
+    # rest from the highest cached power by cached squares: 8 * 4 * 1
+    assert cached_power(cache, cache[1], 13).v == 2 ** 13
+    assert Counted.products == 2 + 4 and sorted(cache) == [0, 1, 2, 3, 4, 8, 12, 13]
+    assert cached_power(cache, cache[1], 5).v == 32
+    assert cached_power(cache, cache[1], 12).v == 2 ** 12
     assert Counted.products == 7
+    # where squaring costs what stepping does (gap 3: square 2, then 2 * 1),
+    # it steps and caches every power
+    cache = {1: Counted(3)}
+    assert cached_power(cache, cache[1], 4).v == 81
+    assert Counted.products == 10 and sorted(cache) == [1, 2, 3, 4]
+
+
+def test_sparse_evaluation_squares_across_wide_gaps():
+    """x^81 + x y^27 + 1 over F_9: the gaps 80 and 27 by squares, not by
+    one product per degree (108 products when it stepped)."""
+    fld = FF(3, 2)
+    x, y = MultiPoly.variables(fld, 2)
+    f = x ** 81 + x * y ** 27 + 1
+    real = FFElement.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append(None)
+        return real(a, b)
+    for a, b in [(fld.generator(), fld.elem(2)), (fld.generator() ** 3, fld.generator())]:
+        want = power(a, 81, fld.one) + a * power(b, 27, fld.one) + fld.one
+        products.clear()
+        FFElement.__mul__ = counted
+        try:
+            got = f.evaluate([a, b])
+        finally:
+            FFElement.__mul__ = real
+        assert got == want
+        # x^64 * x^16 after six squares, y^16 * y^8 * y^2 * y after four, and
+        # one product per Horner gap
+        assert len(products) == 7 + 7 + 3
 
 
 class Expr:
@@ -99,10 +136,10 @@ def test_substitute_is_nested_horner():
 
 
 def _horner_products(terms, n):
-    """Products nested Horner takes on `terms`: in each group of terms
-    equal before variable i, one per gap between the exponents of variable
-    i present, down to 0; plus k - 1 to make powers up to the widest gap k
-    of each variable."""
+    """Products nested Horner takes on `terms` apart from making powers: in
+    each group of terms equal before variable i, one per gap between the
+    exponents of variable i present, down to 0.  Also the widest gap of each
+    variable: stepping to it makes every power up to it."""
     widest = [1] * n
 
     def walk(exps, i):
@@ -115,12 +152,19 @@ def _horner_products(terms, n):
         gaps = [a - b for a, b in zip(ks, ks[1:]) if a > b]
         widest[i] = max([widest[i]] + gaps)
         return len(gaps) + sum(walk(g, i + 1) for g in groups.values())
-    count = walk(list(terms), 0)
-    return count + sum(k - 1 for k in widest)
+    return walk(list(terms), 0), widest
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_substitute_takes_one_product_per_gap_and_each_power_once(n):
+def test_substitute_takes_one_product_per_gap_and_each_power_once(n, monkeypatch):
+    caches = []
+    real = powers.cached_power
+
+    def cached_power(cache, base, k):
+        if cache not in caches:
+            caches.append(cache)
+        return real(cache, base, k)
+    monkeypatch.setattr(powers, "cached_power", cached_power)
     rng = random.Random(f"horner:{n}")
     for _ in range(40):
         terms = {tuple(rng.choice((0, 1, 2, 4, 7)) for _ in range(n)):
@@ -129,8 +173,14 @@ def test_substitute_takes_one_product_per_gap_and_each_power_once(n):
             continue
         values = [rng.randrange(2, 5) for _ in range(n)]
         Counted.products = 0
+        caches.clear()
         got = substitute(terms, [Counted(v) for v in values], None)
-        assert Counted.products == _horner_products(terms, n), terms
+        gaps, widest = _horner_products(terms, n)
+        # each cached power but the value itself cost one product, and
+        # never more than stepping to the widest gap would
+        made = sum(len(cache) - 1 for cache in caches)
+        assert Counted.products == gaps + made, terms
+        assert made <= sum(k - 1 for k in widest), terms
         assert got.v == sum(c.v * math.prod(v ** k for v, k in zip(values, e))
                             for e, c in terms.items())
 

@@ -255,3 +255,68 @@ def test_ratfunc_defers_to_multipoly_operands():
     assert fld.elem(2) * t == RatFunc(UPoly.from_ints(fld, [0, 2]))
     assert t / UPoly.x(fld) == RatFunc.const(fld, 1)
     assert 1 / t == RatFunc(UPoly.const(fld, 1), UPoly.x(fld))
+
+
+def _scaled_sum(fld, pairs):
+    acc = UPoly(fld)
+    for w, f in pairs:
+        acc = acc + f.scale(w)
+    return acc
+
+
+@pytest.mark.parametrize("p", [3, 257, 65521])
+def test_lincomb_is_the_sum_of_scales_at_the_edges(p):
+    """All-(p-1) weights and coefficients, one to many pairs, widths 1 to
+    64 and ragged ones; weights may exceed p, as the fold's products of
+    residues do."""
+    fld = FF(p)
+    top = lambda n: UPoly.from_ints(fld, [p - 1] * n)
+    for count in (1, 2, 37):
+        for width in (1, 2, 9, 64):
+            pairs = [(p - 1, top(width)) for _ in range(count)]
+            got = UPoly.lincomb(fld, pairs)
+            assert got == _scaled_sum(fld, pairs)
+            assert got.coeffs == (fld.elem(count),) * width if count % p else got.is_zero()
+        ragged = [((p - 1) ** 3, top(1 + (i * 7) % 64)) for i in range(count)]
+        assert UPoly.lincomb(fld, ragged) == _scaled_sum(fld, ragged)
+    f = top(5) + UPoly.x(fld) ** 7
+    cancelled = UPoly.lincomb(fld, [(3, f), (p - 3, f), (1, UPoly.x(fld))])
+    assert cancelled == UPoly.x(fld) and cancelled._c[-1] != 0   # trimmed
+    assert UPoly.lincomb(fld, []).is_zero()
+
+
+@pytest.mark.parametrize("fld", [FF(3, 2), FF(5, 2), FF(65537)])
+def test_lincomb_element_path(fld):
+    assert fld.prime_elements is None
+    rng = random.Random(f"lincomb:{fld.order}")
+    for _ in range(20):
+        pairs = [(rng.choice([fld.from_index(rng.randrange(fld.order)),
+                              rng.randrange(1, 1000)]),
+                  rand_poly(fld, rng.randrange(0, 9), rng))
+                 for _ in range(rng.randrange(1, 7))]
+        got = UPoly.lincomb(fld, pairs)
+        assert got == _scaled_sum(fld, pairs)
+        assert not got._c or got._c[-1]
+    f = rand_poly(fld, 4, rng, monic=True)
+    assert UPoly.lincomb(fld, [(fld.one, f), (-fld.one, f)]).is_zero()
+
+
+def test_extension_results_are_trimmed_and_foreign_coefficients_still_raise():
+    """Over F_9 sums, products, scales and divisions skip the constructor's
+    field check, so they must trim what it trimmed."""
+    fld = FF(3, 2)
+    rng = random.Random("ext results")
+    for _ in range(30):
+        a = rand_poly(fld, rng.randrange(0, 6), rng)
+        b = rand_poly(fld, rng.randrange(0, 6), rng)
+        c = fld.from_index(rng.randrange(fld.order))
+        results = [a + b, a - b, a - a, a * b, a.scale(c), a.scale(0)]
+        if not b.is_zero():
+            results += list(a.divmod(b))
+        for r in results:
+            assert r == UPoly(fld, r.coeffs) and (not r._c or r._c[-1])
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+    with pytest.raises(ValueError):
+        UPoly(fld, [fld.one, FF(3).one])
+    with pytest.raises(ValueError):
+        UPoly(fld, [FF(3, 3).one])
