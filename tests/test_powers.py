@@ -74,27 +74,24 @@ def test_cached_power_steps_once_per_missing_power():
     assert Counted.products == 10 and sorted(cache) == [1, 2, 3, 4]
 
 
-def test_sparse_evaluation_squares_across_wide_gaps():
-    """x^81 + x y^27 + 1 over F_9: the gaps 80 and 27 by squares, not by
-    one product per degree (108 products when it stepped)."""
+def test_sparse_evaluation_squares_across_wide_gaps(monkeypatch):
+    """x^81 + x y^27 + 1 over F_9: x^80 and y^27 by squares, not by one
+    product per degree (108 products when it stepped)."""
     fld = FF(3, 2)
     x, y = MultiPoly.variables(fld, 2)
     f = x ** 81 + x * y ** 27 + 1
+    points = [(fld.generator(), fld.elem(2)), (fld.generator() ** 3, fld.generator())]
+    wants = [power(a, 81, fld.one) + a * power(b, 27, fld.one) + fld.one for a, b in points]
     real = FFElement.__mul__
     products = []
 
     def counted(a, b):
         products.append(None)
         return real(a, b)
-    for a, b in [(fld.generator(), fld.elem(2)), (fld.generator() ** 3, fld.generator())]:
-        want = power(a, 81, fld.one) + a * power(b, 27, fld.one) + fld.one
+    monkeypatch.setattr(FFElement, "__mul__", counted)
+    for point, want in zip(points, wants):
         products.clear()
-        FFElement.__mul__ = counted
-        try:
-            got = f.evaluate([a, b])
-        finally:
-            FFElement.__mul__ = real
-        assert got == want
+        assert f.evaluate(list(point)) == want
         # x^64 * x^16 after six squares, y^16 * y^8 * y^2 * y after four, and
         # one product per Horner gap
         assert len(products) == 7 + 7 + 3
