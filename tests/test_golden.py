@@ -29,6 +29,9 @@ GOLDEN = {
     "adjunction.json": ["adjunction", "--p", "3", "--d", "1", "--n", "5",
                         "--k", "4"],
     "isotriviality.json": ["isotriviality", "--p", "5"],
+    # over F_9: UPoly and the sweeps on Zech-log codes
+    "vojta-demo-m2.json": ["vojta-demo", "--m", "2", "--M", "4"],
+    "northcott-demo-m2.json": ["northcott-demo", "--p", "3", "--m", "2"],
 }
 
 
