@@ -1,4 +1,4 @@
-"""Packed monomials and the coefficient kernel shared by Jet and Buchberger.
+"""Packed monomials and the coefficient kernel of Jet, Buchberger and UPoly.
 
 A key holds the exponents e_1..e_n of a monomial in guarded fields (its low
 half) beneath their partial sums s_n, ..., s_1 (its high half), so integer
@@ -12,16 +12,21 @@ A packed polynomial is a plain dict {key: coefficient}, in one of three
 coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
 (`Residues`), Zech-log codes over F_{p^m} with m > 1 (`ZechLogs`), both up
 to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
-on top of the kernel has one path for all three.  A kernel defines its
-conversions, `scale`, `submul` and `mul`, and the scalar `times` and `plus`
-of the point sweeps in `covers`; the sum `Ring.add` is one `submul` by -1
-in all three.  `ring` is memoised, so every jet and every
-Buchberger run over equal (domain, n) share one ring.
+on top of the kernel, `UPoly` and the point sweeps of `covers` included,
+has one path for all three.  A kernel defines its conversions, `scale`,
+`submul` and `mul`, and the scalar `times` and `plus`; the sum `Ring.add`
+is one `submul` by -1 in all three.  UPoly's dense ops and Horner are
+written once on `times`, `plus` and `inverse`; `Residues` sums, multiplies
+and divides by the Kronecker products and byte tables of `finitefield`
+instead.  `ring` is memoised, so every jet, Buchberger run and UPoly over
+equal (domain, n) share one ring.
 """
 
 import functools
+import itertools
+import operator
 
-from .finitefield import PRIME_TABLE_MAX
+from .finitefield import PRIME_TABLE_MAX, _ptrim, _padd, _pmul, _pdivmod
 from .multipoly import MultiPoly
 
 FIELD_BITS = 16                            # per exponent, guard bit included
@@ -154,9 +159,62 @@ class Ring:
                     del out[k]
         return out
 
+    # -- UPoly's dense ops on code sequences, low to high, no trailing zero
+
+    def dense_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return _ptrim(list(map(self.plus, a, b)) + list(a[len(b):]))
+
+    def dense_sub(self, a, b):
+        return self.dense_add(a, self.dense_mul(b, [self.minus_one]))
+
+    def dense_mul(self, a, b):
+        times, plus = self.times, self.plus
+        out = [self.zero] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = plus(out[j], times(x, y))
+        return out
+
+    def dense_divmod(self, a, b):
+        """(q, r) with a = q b + r and deg r < deg b, for a nonzero b."""
+        times, plus, d, r = self.times, self.plus, len(b) - 1, list(a)
+        inv, neg = self.inverse(b[-1]), self.dense_mul(b[:d], [self.minus_one])
+        q = [self.zero] * max(len(a) - d, 0)
+        for k in range(len(a) - 1, d - 1, -1):
+            if c := r[k]:
+                f = q[k - d] = times(c, inv)
+                for i, y in enumerate(neg, k - d):
+                    r[i] = plus(r[i], times(f, y))
+        return q, _ptrim(r[:d])
+
+    def dense_gcd(self, a, b):
+        """Monic gcd; [] when both are zero."""
+        while b:
+            a, b = b, self.dense_divmod(a, b)[1]
+        return self.dense_mul(a, [self.inverse(a[-1])]) if a else []
+
+    def dense_lincomb(self, weights, polys):
+        """The sum of w * f over the codes w and the polynomials f."""
+        out = []
+        for w, f in zip(weights, polys):
+            out = self.dense_add(out, self.dense_mul(f, [w] if w else []))
+        return out
+
+    def horner(self, coeffs, x):
+        """The code of the value at the code x of the polynomial `coeffs`."""
+        times, plus, acc = self.times, self.plus, self.zero
+        for c in reversed(coeffs):
+            acc = plus(times(acc, x), c)
+        return acc
+
 
 class Residues(Ring):
-    """The coefficient kernel over F_p, on residues 0..p-1."""
+    """The coefficient kernel over F_p, on residues 0..p-1.  Its dense
+    sum, product and divmod are `finitefield`'s, and column sums are
+    reduced once; the other dense ops are the generic ones on them."""
 
     def coeff(self, c):
         return c.coeffs[0]
@@ -199,6 +257,20 @@ class Residues(Ring):
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2          # reduced once, below
         return {k: r for k, r in ((k, r % p) for k, r in out.items()) if r}
+
+    def dense_add(self, a, b):
+        return _padd(a, b, self.domain.p)
+
+    def dense_mul(self, a, b):
+        return _pmul(a, b, self.domain.p)
+
+    def dense_divmod(self, a, b):
+        return _pdivmod(a, b, self.domain.p)
+
+    def dense_lincomb(self, weights, polys):
+        p = self.domain.p
+        return _ptrim([sum(map(operator.mul, weights, col)) % p
+                       for col in itertools.zip_longest(*polys, fillvalue=0)])
 
 
 class ZechLogs(Ring):

@@ -45,9 +45,12 @@ def cached_power(cache, base, k):
     caching each power made.  From the highest cached power below k it steps
     by base, unless the missing squares below the gap plus one product per
     set bit of it cost less: then it spans the gap by squares.  Iterative,
-    so the cache dies with its owner, not at the next garbage collection."""
+    so the cache dies with its owner, not at the next garbage collection.
+    Raises ValueError for an uncached k below 1: no power lies under it."""
     if k in cache:
         return cache[k]
+    if k < 1:
+        raise ValueError(f"no cached power at or below exponent {k}")
     cache.setdefault(1, base)
     j = k
     while j not in cache:

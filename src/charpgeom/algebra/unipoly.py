@@ -14,36 +14,40 @@ Characteristic-p specifics that live here:
   multiplicity prime to p, then recurse on the p-th root of the remainder),
   used for exact branch-place counts in the Hurwitz bookkeeping.
 
-Representation notes: over a prime field with a table of its elements
-(`FiniteField.prime_elements`) a UPoly stores its residues, a tuple of ints
-in 0..p-1, and every operation runs on them: the dense routines of
-`finitefield` (products by one Kronecker big-int product) and residue loops.
-`coeffs` is a read-only view that maps them through the table, so it holds
-the table's own objects.  Other fields store, and loop on, the elements.
-`gcd` returns 1 at once when either input is a nonzero constant, the common
-case of a RatFunc with denominator 1.  Coefficients from another field are
-rejected with ValueError, since their residues would be read as this field's.
+Representation notes: a UPoly stores coefficient codes of its kernel
+`ring`, the one `monomials.ring(field, 1)` picks for the field, and every
+operation is one of that kernel's dense ops on them.  Derived results reuse
+their operand's kernel, so no arithmetic looks the ring up.  `coeffs` is a
+read-only view that maps the codes to the kernel's elements.  `gcd` returns
+1 at once when either input is a nonzero constant, the common case of a
+RatFunc with denominator 1.  Coefficients from another field are rejected
+with ValueError, since their codes would be read as this field's.
 """
 
-import itertools
-import operator
-
-from .finitefield import FFElement, pth_root, _ptrim, _padd, _psub, _pmul, _pdivmod, _pgcd
+from . import monomials
+from .finitefield import FFElement, pth_root, _ptrim
 from .powers import power
 
 
-def _new(field, stored):
-    """The UPoly with these stored coefficients (no trailing zeros), unchecked."""
+def _kernel(field):
+    """`monomials.ring(field, 1)`; for a copy of the field that ring was
+    made for, a kernel of the same class on the copy, whose elements are
+    the copy's own."""
+    kernel = monomials.ring(field, 1)
+    return kernel if kernel.domain is field else type(kernel)(field, 1)
+
+
+def _new(ring, stored):
+    """The UPoly with these codes of `ring` (no trailing zeros), unchecked."""
     poly = object.__new__(UPoly)
-    poly.field = field
-    poly._c = tuple(stored)
+    poly.field, poly.ring, poly._c = ring.domain, ring, tuple(stored)
     return poly
 
 
 class UPoly:
     """Dense univariate polynomial over a FiniteField."""
 
-    __slots__ = ("field", "_c")
+    __slots__ = ("field", "ring", "_c")
 
     def __init__(self, field, coeffs=()):
         cs = list(coeffs)
@@ -51,16 +55,13 @@ class UPoly:
             cf = getattr(c, "field", None)
             if cf is not field and cf != field:
                 raise ValueError(f"coefficient {c!r} is not an element of {field!r}")
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self._c = tuple(cs if field.prime_elements is None else [c.coeffs[0] for c in cs])
+        self.field, self.ring = field, _kernel(field)
+        self._c = tuple(_ptrim(list(map(self.ring.coeff, cs))))
 
     @property
     def coeffs(self):
         """The coefficients as field elements, low to high (read-only)."""
-        elems = self.field.prime_elements
-        return self._c if elems is None else tuple([elems[c] for c in self._c])
+        return tuple(map(self.ring.element, self._c))
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -68,15 +69,14 @@ class UPoly:
 
     @classmethod
     def lincomb(cls, field, pairs):
-        """The sum of w * f over (w, f) in `pairs`, one sum of products per
-        column; w is an int or a field element.  Over a tabled prime field
-        the columns are summed as ints and reduced once."""
-        ws, fs = list(zip(*pairs)) or ((), ())
-        tabled = field.prime_elements is not None
-        zero = 0 if tabled else field.zero
-        acc = [sum(map(operator.mul, ws, col), zero)
-               for col in itertools.zip_longest(*[f._c for f in fs], fillvalue=zero)]
-        return _new(field, _ptrim([a % field.p for a in acc] if tabled else acc))
+        """The sum of w * f over (w, f) in the list `pairs`, w a code of
+        f's kernel.  The kernel is the first f's; `field` serves only an
+        empty list."""
+        if not pairs:
+            return cls(field)
+        ws, fs = zip(*pairs)
+        ring = fs[0].ring
+        return _new(ring, ring.dense_lincomb(ws, [f._c for f in fs]))
 
     @classmethod
     def x(cls, field):
@@ -104,8 +104,7 @@ class UPoly:
     def __getitem__(self, i):
         if i >= len(self._c):
             return self.field.zero
-        elems = self.field.prime_elements
-        return self._c[i] if elems is None else elems[self._c[i]]
+        return self.ring.element(self._c[i])
 
     def __eq__(self, other):
         return (isinstance(other, UPoly)
@@ -119,45 +118,26 @@ class UPoly:
         return bool(self._c)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.field.prime_elements is not None:
-            return _new(self.field, _padd(self._c, other._c, self.field.p))
-        n = max(len(self._c), len(other._c))
-        return _new(self.field, _ptrim([self[i] + other[i] for i in range(n)]))
+        return _new(self.ring, self.ring.dense_add(self._c, self._coerce(other)._c))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if self.field.prime_elements is not None:
-            return _new(self.field, _psub(self._c, other._c, self.field.p))
-        n = max(len(self._c), len(other._c))
-        return _new(self.field, _ptrim([self[i] - other[i] for i in range(n)]))
+        return _new(self.ring, self.ring.dense_sub(self._c, self._coerce(other)._c))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return UPoly(self.field) - self
+        return _new(self.ring, self.ring.dense_sub((), self._c))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self._c or not other._c:
-            return _new(self.field, ())
-        if self.field.prime_elements is not None:
-            return _new(self.field, _pmul(self._c, other._c, self.field.p))
-        zero = self.field.zero
-        res = [zero] * (len(self._c) + len(other._c) - 1)
-        for i, ca in enumerate(self._c):
-            if ca:
-                for j, cb in enumerate(other._c):
-                    res[i + j] = res[i + j] + ca * cb
-        return _new(self.field, _ptrim(res))
+        return _new(self.ring, self.ring.dense_mul(self._c, self._coerce(other)._c))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        return power(self, e, UPoly.const(self.field, 1))
+        return power(self, e, self._coerce(1))
 
     def _coerce(self, other):
         if isinstance(other, UPoly):
@@ -165,37 +145,26 @@ class UPoly:
                 raise ValueError(f"polynomial over {other.field!r} used with "
                                  f"one over {self.field!r}")
             return other
-        return UPoly(self.field, [self.field.elem(other)])
+        code = self.ring.coeff(self.field.elem(other))
+        return _new(self.ring, (code,) if code else ())
 
-    def scale(self, c):
-        if self.field.prime_elements is None:
-            return _new(self.field, _ptrim([c * a for a in self._c]))
-        return _new(self.field, _pmul(self._c, self._coerce(c)._c, self.field.p))
+    def _times(self, unit):
+        """self times the constant with the nonzero code `unit`."""
+        return _new(self.ring, self.ring.dense_mul(self._c, (unit,)))
+
+    scale = __mul__
 
     def monic(self):
         if not self._c:
             return self
-        return self.scale(self.leading().inverse())
+        return self._times(self.ring.inverse(self._c[-1]))
 
     def divmod(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.field.prime_elements is not None:
-            q, r = _pdivmod(self._c, other._c, self.field.p)
-            return _new(self.field, q), _new(self.field, r)
-        rem = list(self._c)
-        q = [self.field.zero] * max(0, len(rem) - len(other._c) + 1)
-        inv = other.leading().inverse()
-        d = other.degree()
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k]
-            if c:
-                f = c * inv
-                q[k - d] = f
-                for i, oc in enumerate(other._c):
-                    rem[k - d + i] = rem[k - d + i] - f * oc
-        return _new(self.field, _ptrim(q)), _new(self.field, _ptrim(rem))
+        q, r = self.ring.dense_divmod(self._c, other._c)
+        return _new(self.ring, q), _new(self.ring, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -205,40 +174,27 @@ class UPoly:
 
     def gcd(self, other):
         """Monic gcd; gcd with 0 is the monic associate of the other input."""
-        a, b = self, self._coerce(other)
-        if len(a._c) == 1 or len(b._c) == 1:   # a nonzero constant
-            return UPoly(self.field, [self.field.one])
-        if self.field.prime_elements is not None:
-            return _new(self.field, _pgcd(a._c, b._c, self.field.p))
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        a, b = self._c, self._coerce(other)._c
+        if len(a) == 1 or len(b) == 1:   # a nonzero constant
+            return _new(self.ring, (self.ring.one,))
+        return _new(self.ring, self.ring.dense_gcd(a, b))
 
     def derivative(self):
-        p, cs = self.field.p, self._c
-        if self.field.prime_elements is not None:
-            return _new(self.field, _ptrim([cs[i] * i % p for i in range(1, len(cs))]))
-        return UPoly(self.field, [cs[i] * (i % p) for i in range(1, len(cs))])
+        ring, elem = self.ring, self.field.elem
+        return _new(ring, _ptrim([ring.times(c, ring.coeff(elem(i)))
+                                  for i, c in enumerate(self._c) if i]))
 
     def evaluate(self, x):
-        if self.field.prime_elements is None:
-            acc = self.field.zero
-            for c in reversed(self._c):
-                acc = acc * x + c
-            return acc
-        p, r, acc = self.field.p, self.field.elem(x).coeffs[0], 0
-        for c in reversed(self._c):
-            acc = (acc * r + c) % p
-        return self.field.prime_elements[acc]
+        ring = self.ring
+        return ring.element(ring.horner(self._c, ring.coeff(self.field.elem(x))))
 
     def inflate(self, k):
         """Substitute t -> t^k (exponent spread, no coefficient change)."""
         if not self._c:
             return self
-        zero = 0 if self.field.prime_elements is not None else self.field.zero
-        res = [zero] * ((len(self._c) - 1) * k + 1)
+        res = [self.ring.zero] * ((len(self._c) - 1) * k + 1)
         res[::k] = self._c
-        return _new(self.field, res)
+        return _new(self.ring, res)
 
     def is_pth_power(self):
         """True when the polynomial is g^p for some g (char-p criterion)."""
@@ -249,10 +205,9 @@ class UPoly:
         """g with g^p = self; requires is_pth_power()."""
         if not self.is_pth_power():
             raise ValueError("polynomial is not a p-th power")
-        roots = self._c[::self.field.p]
-        if self.field.prime_elements is None:
-            roots = [pth_root(c) for c in roots]
-        return _new(self.field, roots)
+        ring = self.ring
+        return _new(ring, [ring.coeff(pth_root(ring.element(c)))
+                           for c in self._c[::self.field.p]])
 
     def squarefree_decomposition(self):
         """Exact char-p squarefree decomposition.
@@ -290,13 +245,13 @@ class UPoly:
     def format(self, name="t"):
         if not self._c:
             return "0"
-        tabled = self.field.prime_elements is not None
+        text, element = self.field.format_element, self.ring.element
         bits = []
         for i in range(len(self._c) - 1, -1, -1):
             c = self._c[i]
             if not c:
                 continue
-            cs = str(c) if tabled else self.field.format_element(c)
+            cs = text(element(c))
             if i == 0:
                 bits.append(cs)
             elif i == 1:
@@ -316,16 +271,15 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = UPoly.const(num.field, 1)
+            den = num._coerce(1)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         g = num.gcd(den)
         if g.degree() > 0:
             num, den = num // g, den // g
-        lead = den.leading()
-        if lead != den.field.one:
-            inv = lead.inverse()
-            num, den = num.scale(inv), den.scale(inv)
+        if den._c[-1] != den.ring.one:
+            inv = den.ring.inverse(den._c[-1])
+            num, den = num._times(inv), den._times(inv)
         self.num = num
         self.den = den
 
@@ -361,7 +315,7 @@ class RatFunc:
         if isinstance(other, UPoly):
             return RatFunc(other)
         if isinstance(other, (int, FFElement)):
-            return RatFunc(UPoly.const(self.field, other))
+            return RatFunc(self.num._coerce(other))
         return NotImplemented
 
     def __add__(self, other):
@@ -409,8 +363,8 @@ class RatFunc:
         if e < 0:
             if num.is_zero():
                 raise ZeroDivisionError("division by zero rational function")
-            inv = num.leading().inverse()
-            num, den, e = den.scale(inv), num.scale(inv), -e
+            inv = num.ring.inverse(num._c[-1])
+            num, den, e = den._times(inv), num._times(inv), -e
         out = object.__new__(RatFunc)
         out.num, out.den = num ** e, den ** e
         return out

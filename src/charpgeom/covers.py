@@ -38,7 +38,6 @@ heights the Vojta demonstration measures.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
@@ -266,7 +265,7 @@ def singular_points(cover, ext=1):
                 hess = [sweep.gradient(g) for g in grads]
             # two determinant algorithms on one evaluated matrix: the
             # report's Hessian determinant cross-checks the verdict
-            mat = [[sweep.element(sweep.evaluate(h, idx)) for h in row]
+            mat = [[sweep.ring.element(sweep.evaluate(h, idx)) for h in row]
                    for row in hess]
             records.append(SingularPointRecord(
                 chart_index=index, point=sweep.point(idx),
@@ -284,22 +283,19 @@ def common_zeros(polys, search, n):
 
 class _Sweep:
     """Exhaustive point sweeps over a finite field on the coefficient codes
-    of `monomials.ring(search, n)`: residues over F_p, Zech-log codes over
-    F_{p^m}, elements on untabled fields, with the kernel's `times` and
-    `plus` as the only arithmetic.  A packed polynomial is a dict
+    of `monomials.ring(search, n)`, with the kernel's `times`, `plus` and
+    `horner` as the only arithmetic.  A packed polynomial is a dict
     {exponents: code}; a point is an index tuple into the field's
     enumeration, and only the points yielded become field elements.
 
     For each prefix of the first n - 1 coordinates the sweep collapses a
     polynomial to the codes of a univariate in the last one, only once a
-    point reaches it, and Horner-evaluates that, which makes exhaustive
-    searches over quadratic extensions cheap even for high-degree
-    sections."""
+    point reaches it, and evaluates that by the kernel's Horner, which
+    makes exhaustive searches over quadratic extensions cheap even for
+    high-degree sections."""
 
     def __init__(self, search, n):
-        ring = monomials.ring(search, n)
-        self.times, self.plus, self.zero = ring.times, ring.plus, ring.zero
-        self.coeff, self.element = ring.coeff, ring.element
+        self.ring = ring = monomials.ring(search, n)
         self.search, self.n = search, n
         self.elems = list(search.elements())
         self.codes = [ring.coeff(a) for a in self.elems]
@@ -313,21 +309,21 @@ class _Sweep:
     def pack(self, poly, embed=None):
         """A polynomial over the search field, or over a subfield through
         `embed`, in codes."""
-        packed = {e: self.coeff(c if embed is None else embed(c))
+        packed = {e: self.ring.coeff(c if embed is None else embed(c))
                   for e, c in poly.terms.items()}
         top = max((k for e in packed for k in e[:-1]), default=0)
         for row, a in zip(self.pows, self.codes):
             while len(row) <= top:
-                row.append(self.times(row[-1], a))
+                row.append(self.ring.times(row[-1], a))
         top = max((k for e in packed for k in e), default=0)
         while len(self.ints) <= top:
-            self.ints.append(self.coeff(self.search.elem(len(self.ints))))
+            self.ints.append(self.ring.coeff(self.search.elem(len(self.ints))))
         return packed
 
     def gradient(self, packed):
         """The partial derivatives of a packed polynomial, each exponent
         brought down as a field element, so multiples of p drop out."""
-        ints, times = self.ints, self.times
+        ints, times = self.ints, self.ring.times
         return [{e[:i] + (e[i] - 1,) + e[i + 1:]: times(c, ints[e[i]])
                  for e, c in packed.items() if ints[e[i]]}
                 for i in range(self.n)]
@@ -338,36 +334,29 @@ class _Sweep:
     def collapse(self, packed, prefix):
         """Codes of the univariate in the last variable, low to high, left
         by substituting the points with indices `prefix` for the others."""
-        times, plus, pows = self.times, self.plus, self.pows
-        coeffs = [self.zero] * (max((e[-1] for e in packed), default=-1) + 1)
+        times, plus, pows = self.ring.times, self.ring.plus, self.pows
+        coeffs = [self.ring.zero] * (max((e[-1] for e in packed), default=-1) + 1)
         for e, c in packed.items():
             for i, j in zip(prefix, e):
                 c = times(c, pows[i][j])
             coeffs[e[-1]] = plus(coeffs[e[-1]], c)
         return coeffs
 
-    def horner(self, coeffs, b):
-        times, plus = self.times, self.plus
-        acc = self.zero
-        for c in reversed(coeffs):
-            acc = plus(times(acc, b), c)
-        return acc
-
     def evaluate(self, packed, idx):
         """The code of a packed polynomial's value at a point."""
-        return self.horner(self.collapse(packed, idx[:-1]), self.codes[idx[-1]])
+        return self.ring.horner(self.collapse(packed, idx[:-1]), self.codes[idx[-1]])
 
     def zeros(self, packed):
         """Index tuples of the common zeros of packed polynomials, in
         `itertools.product` order."""
-        last = list(enumerate(self.codes))
+        last, horner = list(enumerate(self.codes)), self.ring.horner
         for prefix in itertools.product(range(len(self.codes)), repeat=self.n - 1):
             collapsed = []
             for j, b in last:
                 for k, g in enumerate(packed):
                     if k == len(collapsed):
                         collapsed.append(self.collapse(g, prefix))
-                    if self.horner(collapsed[k], b):
+                    if horner(collapsed[k], b):
                         break
                 else:
                     yield prefix + (j,)
@@ -680,19 +669,19 @@ def _fold(terms, values):
     """`substitute`'s terms and values with each constant value c (degree
     <= 0) folded in: a term's coefficient is weighted by c^e, its key keeps
     the other values' exponents, and terms with equal keys are summed by one
-    `UPoly.lincomb`.  Over F_p weights are residues; units are skipped."""
+    `UPoly.lincomb`.  Weights are codes of the values' kernel, made by its
+    `times`; units are skipped."""
     live = [i for i, v in enumerate(values) if v.degree() > 0]
     if not terms or len(live) == len(values):
         return terms, values
-    fld = values[0].field
-    p, one = (fld.p, 1) if fld.m == 1 else (None, fld.one)
+    fld, ring = values[0].field, values[0].ring
     cols = list(zip(*terms))
-    weights = [one] * len(terms)
+    weights = [ring.one] * len(terms)
     for i, v in enumerate(values):
-        c = v[0].coeffs[0] if p else v[0]
-        if i not in live and c != one:
-            pows = [pow(c, k, p) for k in range(max(cols[i]) + 1)]
-            weights = list(map(operator.mul, weights, map(pows.__getitem__, cols[i])))
+        c = ring.coeff(v[0])
+        if i not in live and c != ring.one:
+            pows = list(itertools.accumulate([c] * max(cols[i]), ring.times, initial=ring.one))
+            weights = list(map(ring.times, weights, map(pows.__getitem__, cols[i])))
     groups = {}
     keys = zip(*[cols[i] for i in live]) if live else itertools.repeat(())
     for k, w, c in zip(keys, weights, terms.values()):

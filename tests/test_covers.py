@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tests_support_powers_reference as reference
-from charpgeom.algebra.finitefield import FF, pth_root
+from charpgeom.algebra.finitefield import FF, FFElement, pth_root
 from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField
 from charpgeom.algebra.linalg import cofactor_det, det
 from charpgeom.algebra.multipoly import MultiPoly, hessian_matrix
@@ -481,6 +481,21 @@ class TestLiftOnNumerators:
                       for u in params]
                 z, xs, value = reference.lift(fact, us)
                 assert lp.z == z and lp.base_coords == xs and z ** p == value
+
+    def test_lifts_over_f9_make_no_element_arithmetic(self, monkeypatch):
+        """Over F_9, UPoly runs on Zech-log codes: the lifts, their folds
+        and their z^p checks add and multiply no FFElement."""
+        fld = FF(3, 2)
+        facts, shapes = self.fold_factorizations(fld), self.fold_shapes(fld)
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            real = getattr(FFElement, name)
+            monkeypatch.setattr(FFElement, name, lambda a, b, real=real, name=name:
+                                calls.append(name) or real(a, b))
+        for fact in facts:
+            for params in shapes["monic and constant"] + shapes["constant and fractional"]:
+                covers.lift_point(fact, params)
+        assert calls == []
 
     def test_demo_family_matches_the_reference(self):
         bundle = _default_bundle()

@@ -74,6 +74,16 @@ def test_cached_power_steps_once_per_missing_power():
     assert Counted.products == 10 and sorted(cache) == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_cached_power_below_every_cached_exponent_raises(k):
+    # it used to step down from k forever, looking for a cached power
+    cache = {1: 3}
+    with pytest.raises(ValueError):
+        cached_power(cache, 3, k)
+    assert cache == {1: 3}
+    assert cached_power({0: 1, 1: 3}, 3, 0) == 1      # a cached k is served
+
+
 def test_sparse_evaluation_squares_across_wide_gaps(monkeypatch):
     """x^81 + x y^27 + 1 over F_9: x^80 and y^27 by squares, not by one
     product per degree (108 products when it stepped)."""

@@ -2,17 +2,17 @@
 
 The prime-field path of UPoly computes on residue lists; these tests check
 its product, divmod, gcd and squarefree decomposition against
-`sympy.Poly(..., modulus=p)` on seeded polynomials up to degree ~60, and
-against UPoly's own element loops (the path extension fields take) run on
-the same prime field.  Extension fields have no sympy counterpart here; the
-F_9 tests in test_unipoly.py cover them.
+`sympy.Poly(..., modulus=p)` on seeded polynomials up to degree ~60.
+Extension fields have no sympy counterpart here; test_unipoly_kernels.py
+compares every kernel's dense ops with the generic element Ring, and the
+F_9 tests in test_unipoly.py cover UPoly over them.
 """
 
 import random
 
 import pytest
 
-from charpgeom.algebra.finitefield import FF, FiniteField
+from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.unipoly import UPoly
 
 sympy = pytest.importorskip("sympy")
@@ -108,31 +108,3 @@ def test_squarefree_decomposition_matches_sympy(p):
         slc, sparts = to_sympy(f, p).sqf_list()
         assert lc == fld.elem(int(slc))
         assert parts == {m: from_sympy(g, fld) for g, m in sparts}
-
-
-def element_path(p):
-    """F_p as a FiniteField without its element table: UPoly then runs the
-    element loops that extension fields take."""
-    fld = FiniteField(p)
-    fld.prime_elements = None
-    return fld
-
-
-def relabel(f, fld):
-    return UPoly(fld, list(f.coeffs))
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_int_path_matches_element_path(p):
-    fld, cases = pairs(p, "paths")
-    slow = element_path(p)
-    for a, b in cases:
-        sa, sb = relabel(a, slow), relabel(b, slow)
-        assert (a * b).coeffs == (sa * sb).coeffs
-        assert (a + b).coeffs == (sa + sb).coeffs
-        assert (a - b).coeffs == (sa - sb).coeffs
-        assert a.gcd(b).coeffs == sa.gcd(sb).coeffs
-        if not b.is_zero():
-            q, r = a.divmod(b)
-            sq, sr = sa.divmod(sb)
-            assert (q.coeffs, r.coeffs) == (sq.coeffs, sr.coeffs)
