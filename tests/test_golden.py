@@ -32,6 +32,16 @@ GOLDEN = {
     # over F_9: UPoly and the sweeps on Zech-log codes
     "vojta-demo-m2.json": ["vojta-demo", "--m", "2", "--M", "4"],
     "northcott-demo-m2.json": ["northcott-demo", "--p", "3", "--m", "2"],
+    # seeded random inputs with correction steps, over F_25 and over F_7
+    "normalform-p5-r6.json": ["normalform", "--p", "5", "--r", "6",
+                              "--seed", "0"],
+    "normalform-p7-r7.json": ["normalform", "--p", "7", "--r", "7",
+                              "--seed", "1"],
+    # over F_9, coordinates with the common factor t + g: normalizing them
+    # divides by a nonconstant gcd on Zech-log codes
+    "height-m2.json": ["height", "--p", "3", "--m", "2", "--coords",
+                       "t^2 + g^7*t + g^1,t^3 + g^1*t^2 + g^3*t + 2,"
+                       "t^4 + g^1*t^3 + g^5*t^2 + g^1*t + g^1"],
 }
 
 
