@@ -303,11 +303,12 @@ class FiniteField:
         return a ** self.p
 
     def generator(self):
-        """A fixed generator of the multiplicative group (smallest in order)."""
+        """A fixed generator of the multiplicative group (smallest in order).
+        For m > 1 none lies in F_p, so the scan starts past it."""
         if self._generator is None:
             n = self.order - 1
             primes = sorted(set(_prime_factors(n)))
-            for k in range(1, self.order):
+            for k in range(self.p if self.m > 1 else 1, self.order):
                 g = self.from_index(k)
                 if all(g ** (n // l) != self.one for l in primes):
                     self._generator = g
@@ -317,7 +318,11 @@ class FiniteField:
     def log_tables(self):
         """(exp, log, zech), built on first use: code 0 is zero and 1 + k
         is g^k for the generator g; exp[code] is the element, log maps
-        coefficient tuples to codes, and zech[d] is the code of 1 + g^d."""
+        coefficient tuples to codes, and zech[d] is the code of 1 + g^d.
+        ValueError above PRIME_TABLE_MAX elements, before any allocation."""
+        if self.order > PRIME_TABLE_MAX:
+            raise ValueError(f"{self!r} has more than {PRIME_TABLE_MAX} "
+                             f"elements: no log tables")
         if self._log_tables is None:
             g, x, exp = self.generator().coeffs, self.one.coeffs, [self.zero]
             for _ in range(self.order - 1):
@@ -337,7 +342,8 @@ class FiniteField:
         """A square root of a, or None when a is a non-residue.
 
         Tonelli-Shanks on the cyclic group F_q^*; the needed non-residue is
-        the first one in enumeration order, cached.
+        the first one in enumeration order, cached.  For even m every
+        element of F_p is a square, so that scan starts past F_p.
         """
         if a == self.zero:
             return self.zero
@@ -347,7 +353,7 @@ class FiniteField:
         if q % 4 == 3:
             return a ** ((q + 1) // 4)
         if self._nonresidue is None:
-            for k in range(1, q):
+            for k in range(self.p if self.m % 2 == 0 else 1, q):
                 c = self.from_index(k)
                 if not self.is_square(c):
                     self._nonresidue = c
@@ -415,9 +421,12 @@ class FiniteField:
 
     def format_element(self, a):
         """Integer string for prime-field values, otherwise `g^k` with k
-        the discrete log of a (`log_tables`)."""
+        the discrete log of a (`log_tables`), or above PRIME_TABLE_MAX
+        elements the vector `[c_0,...]` of `repr`, which does not parse back."""
         if all(c == 0 for c in a.coeffs[1:]):
             return str(a.coeffs[0])
+        if self.order > PRIME_TABLE_MAX:
+            return repr(a)
         return f"g^{self.log_tables()[1][a.coeffs] - 1}"
 
     def parse_element(self, text):

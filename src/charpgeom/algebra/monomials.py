@@ -14,19 +14,20 @@ coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
 to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
 on top of the kernel, `UPoly` and the point sweeps of `covers` included,
 has one path for all three.  A kernel defines its conversions, `scale`,
-`submul` and `mul`, and the scalar `times` and `plus`; the sum `Ring.add`
-is one `submul` by -1 in all three.  UPoly's dense ops and Horner are
-written once on `times`, `plus` and `inverse`; `Residues` sums, multiplies
-and divides by the Kronecker products and byte tables of `finitefield`
-instead.  `ring` is memoised, so every jet, Buchberger run and UPoly over
-equal (domain, n) share one ring.
+`submul` and `mul`, the scalar `times` and `plus`, and the p-th `root` of
+a code; the sum `Ring.add` is one `submul` by -1 in all three.  UPoly's
+dense ops and Horner are written once on `times`, `plus` and `inverse`, and
+its p-th root on `root`; `Residues` sums, multiplies and divides by the
+Kronecker products and byte tables of `finitefield` instead.  `ring` is
+memoised, so every jet, Buchberger run and UPoly over equal (domain, n)
+share one ring.
 """
 
 import functools
 import itertools
 import operator
 
-from .finitefield import PRIME_TABLE_MAX, _ptrim, _padd, _pmul, _pdivmod
+from .finitefield import PRIME_TABLE_MAX, _ptrim, _padd, _pmul, _pdivmod, pth_root
 from .multipoly import MultiPoly
 
 FIELD_BITS = 16                            # per exponent, guard bit included
@@ -118,6 +119,10 @@ class Ring:
 
     def plus(self, a, b):
         return a + b
+
+    def root(self, c):
+        """The code of the p-th root."""
+        return pth_root(c)
 
     def scale(self, poly, c):
         """c * poly, for a nonzero c."""
@@ -231,6 +236,9 @@ class Residues(Ring):
     def plus(self, a, b):
         return (a + b) % self.domain.p
 
+    def root(self, c):
+        return c
+
     def scale(self, poly, c):
         p = self.domain.p
         return {k: v * c % p for k, v in poly.items()}
@@ -302,6 +310,11 @@ class ZechLogs(Ring):
             return a or b
         z = self.zech[b - a]
         return (a + z - 2) % self.units + 1 if z else 0
+
+    def root(self, c):
+        """(g^k)^(1/p) = g^(k p^(m-1)), as Frobenius has order m."""
+        d = self.domain
+        return (c - 1) * d.p ** (d.m - 1) % self.units + 1 if c else 0
 
     def scale(self, poly, c):
         units, c = self.units, c - 2

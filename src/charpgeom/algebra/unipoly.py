@@ -8,8 +8,10 @@ K = k(t) and K' = k(s) that the height and covering machinery works over.
 Characteristic-p specifics that live here:
 
 * `inflate`: t -> t^p substitution, realizing k(t) inside k(s) via t = s^p;
-* `pth_root_of_inflated`: the exact p-th root of a polynomial all of whose
-  exponents are multiples of p, using (sum c_j s^j)^p = sum c_j^p s^(pj);
+* `UPoly.pth_root_poly`: the exact p-th root of a polynomial all of whose
+  exponents are multiples of p, using (sum c_j s^j)^p = sum c_j^p s^(pj),
+  one kernel `root` per coefficient code; `ratfunc_pth_root` does the same
+  for fractions;
 * `squarefree_decomposition`: the char-p algorithm (Yun loop on the part with
   multiplicity prime to p, then recurse on the p-th root of the remainder),
   used for exact branch-place counts in the Hurwitz bookkeeping.
@@ -25,7 +27,7 @@ with ValueError, since their codes would be read as this field's.
 """
 
 from . import monomials
-from .finitefield import FFElement, pth_root, _ptrim
+from .finitefield import FFElement, _ptrim
 from .powers import power
 
 
@@ -205,9 +207,7 @@ class UPoly:
         """g with g^p = self; requires is_pth_power()."""
         if not self.is_pth_power():
             raise ValueError("polynomial is not a p-th power")
-        ring = self.ring
-        return _new(ring, [ring.coeff(pth_root(ring.element(c)))
-                           for c in self._c[::self.field.p]])
+        return _new(self.ring, map(self.ring.root, self._c[::self.field.p]))
 
     def squarefree_decomposition(self):
         """Exact char-p squarefree decomposition.

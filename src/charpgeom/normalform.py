@@ -7,24 +7,27 @@ diagonalization (square roots taken in at most one quadratic extension of
 the coefficient field, with the extension degree reported), then one
 homogeneous correction step per degree r' = 3..r-1 kills the lowest
 nonquadratic part, solving 2*sum_i x_i*phi_i = -(degree-r' part) monomial by
-monomial.
+monomial (the formal Morse lemma).
 
 Each degree-r' monomial is assigned to the highest variable index dividing
 it, which pins the correction uniquely and deterministically; any assignment
 works, and the certificate below is independent of the choice.
 
-The returned CoordinateChange records every step and the composed total
-substitution as a jet tuple; its certificate is the *independent*
-recomposition jet_compose(f - a_0, total, r), which callers compare against
-sum x_i^2 without trusting the solver's intermediate state.
+Each step is kept as its substitution, one order-r jet per variable on
+the ring kernel's codes, built once: the linear jets from the diagonalizing
+matrix, each correction straight from g's packed degree-r' terms.  The
+returned CoordinateChange records the steps and their composed total; its
+certificate is the recomposition jet_compose(f - a_0, total, r), compared
+against sum x_i^2 without trusting the solver's intermediate state.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra.finitefield import FiniteField
 from .algebra.multipoly import MultiPoly, det, hessian_matrix
 from .algebra.linalg import mat_mul
 from .algebra.jets import Jet, jet_compose
+from .algebra.monomials import FIELD_BITS
 
 
 @dataclass
@@ -121,19 +124,20 @@ def diagonalize_quadratic(q_matrix, fld):
 
 @dataclass
 class ChangeStep:
-    """One substitution step: 'linear' (matrix) or 'correction' (degree r')."""
+    """One substitution step x_i -> jets[i], order-r jets on kernel codes:
+    'linear' (by `matrix`) or a degree-r' 'correction', x_i -> x_i + phi_i
+    with phi_i homogeneous of degree r' - 1."""
 
     kind: str
     degree: int = 0
     matrix: list = None
-    corrections: dict = dc_field(default_factory=dict)  # var index -> MultiPoly
+    jets: list = None
 
     def describe(self):
         if self.kind == "linear":
             return f"linear change by the diagonalizing matrix ({len(self.matrix)}x{len(self.matrix)})"
-        vars_touched = sorted(self.corrections)
-        return (f"degree-{self.degree} correction on variables "
-                f"{[v + 1 for v in vars_touched]}")
+        touched = [i + 1 for i, jet in enumerate(self.jets) if len(jet.terms) > 1]
+        return f"degree-{self.degree} correction on variables {touched}"
 
 
 @dataclass
@@ -142,9 +146,6 @@ class CoordinateChange:
 
     steps: list
     total: list
-    fld: FiniteField
-    extension_degree: int
-    a0: object
     order: int
 
     def linear_part(self):
@@ -172,28 +173,6 @@ class NormalFormResult:
 
     def verify(self, f_embedded):
         return self.recompose(f_embedded) == self.target
-
-
-def _step_jets(fld, n, order, step):
-    if step.kind == "linear":
-        jets = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if step.matrix[i][j] != fld.zero:
-                    e = [0] * n
-                    e[j] = 1
-                    terms[tuple(e)] = step.matrix[i][j]
-            jets.append(Jet(fld, n, order, terms))
-        return jets
-    jets = []
-    for i in range(n):
-        base = Jet.variable(fld, n, i, order)
-        corr = step.corrections.get(i)
-        if corr is not None:
-            base = base + Jet.from_poly(corr, order)
-        jets.append(base)
-    return jets
 
 
 def normal_form(f, r):
@@ -227,43 +206,39 @@ def normal_form(f, r):
     work_f = f.map_coefficients(big, embed) if diag.extension_degree > 1 else f
     a0_big = embed(a0)
 
-    steps = [ChangeStep(kind="linear", matrix=diag.matrix)]
-    shifted = work_f - MultiPoly.const(big, n, a0_big)
-    g = jet_compose(shifted, _step_jets(big, n, r, steps[0]), r)
+    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    linear = [Jet(big, n, r, dict(zip(basis, row))) for row in diag.matrix]
+    steps = [ChangeStep(kind="linear", matrix=diag.matrix, jets=linear)]
+    g = jet_compose(work_f - MultiPoly.const(big, n, a0_big), linear, r)
+    target = Jet(big, n, r, {tuple(2 * e for e in u): big.one for u in basis})
 
-    target = Jet(big, n, r, {tuple(2 * (j == i) for j in range(n)): big.one
-                             for i in range(n)})
-
-    two_inv = big.elem(2).inverse()
+    ring = g.ring
+    variables = [ring.monomial(u) for u in basis]
+    neg_half = ring.inverse(ring.coeff(big.elem(-2)))
     for rp in range(3, r):
-        part = (g - target).homogeneous_part(rp)
+        # the target has no degree-r' terms, so they are g's: c x^e with
+        # x_i the highest variable dividing x^e gives phi_i a term -c/2 x^e/x_i
+        part = [(k, c) for k, c in g.terms.items() if k >> ring.top == rp]
         if not part:
             continue
-        corrections = {}
-        for exps, coeff in part.items():
-            i = max(idx for idx, e in enumerate(exps) if e > 0)
-            j = list(exps)
-            j[i] -= 1
-            mono = MultiPoly.monomial(big, n, tuple(j), -coeff * two_inv)
-            corrections[i] = corrections.get(i, MultiPoly(big, n)) + mono
-        step = ChangeStep(kind="correction", degree=rp, corrections=corrections)
+        raw = [{v: ring.one} for v in variables]
+        for key, c in part:
+            i = ((key & ring.low_mask).bit_length() - 1) // FIELD_BITS
+            raw[i][key - variables[i]] = ring.times(c, neg_half)
+        step = ChangeStep(kind="correction", degree=rp,
+                          jets=[g._like(t) for t in raw])
         steps.append(step)
-        g = jet_compose(g, _step_jets(big, n, r, step), r)
-        low = g.truncate(rp + 1)
-        if low != target.truncate(rp + 1):
+        g = jet_compose(g, step.jets, r)
+        if g.truncate(rp + 1) != target.truncate(rp + 1):
             raise AssertionError(f"degree-{rp} correction failed to cancel")
     if g != target:
         raise AssertionError("normal form did not reach the target jet")
 
-    total = _step_jets(big, n, r, steps[0])
+    total = linear
     for step in steps[1:]:
-        sj = _step_jets(big, n, r, step)
-        total = [jet_compose(tj, sj, r) for tj in total]
-    change = CoordinateChange(steps=steps, total=total, fld=big,
-                              extension_degree=diag.extension_degree,
-                              a0=a0_big, order=r)
-    result = NormalFormResult(a0=a0_big, change=change, fld=big,
-                              extension_degree=diag.extension_degree,
+        total = [jet_compose(tj, step.jets, r) for tj in total]
+    result = NormalFormResult(a0=a0_big, change=CoordinateChange(steps, total, r),
+                              fld=big, extension_degree=diag.extension_degree,
                               certificate=g, target=target, embed=embed)
     if not result.verify(work_f):
         raise AssertionError("normal form failed independent recomposition")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from charpgeom.algebra.finitefield import FF, FiniteField, pth_root
+from charpgeom.algebra.finitefield import FF, FiniteField, _prime_factors, pth_root
 from charpgeom.algebra.jets import Jet
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.unipoly import UPoly, RatFunc
@@ -210,3 +210,68 @@ def test_reflected_operators_take_only_ints(p, m):
                 op(other, c)
     assert 3 - c == fld.elem(3) - c and 3 - c + c == fld.elem(3)
     assert 3 / c == fld.elem(3) * c.inverse() and 3 / c * c == fld.elem(3)
+
+
+def _first(fld, start, accept):
+    """The first element from index `start` on that `accept` takes."""
+    return next(c for c in map(fld.from_index, range(start, fld.order))
+                if accept(c))
+
+
+def _counting(monkeypatch, name, limit):
+    """Record the arguments of each FiniteField.<name> call, and raise after
+    `limit` calls, so a scan over a whole large field fails fast."""
+    calls, original = [], getattr(FiniteField, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        if len(calls) > limit:
+            raise RuntimeError(f"FiniteField.{name} called over {limit} times")
+        return original(self, *args)
+    monkeypatch.setattr(FiniteField, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (5, 3), (3, 4),
+                                 (257, 2)])
+def test_scans_find_what_a_scan_from_one_finds(p, m):
+    # generator() and the non-residue scan skip F_p when nothing in it can
+    # qualify; the elements found are those of a scan of the whole field
+    fld = FiniteField(p, m)
+    n = fld.order - 1
+    primes = set(_prime_factors(n))
+    assert fld.generator() == _first(
+        fld, 1, lambda g: all(g ** (n // l) != fld.one for l in primes))
+    if fld.order % 4 == 1:          # only then does sqrt need a non-residue
+        assert fld.sqrt(fld.one) ** 2 == fld.one
+        assert fld._nonresidue == _first(fld, 1, lambda c: not fld.is_square(c))
+
+
+def test_scans_of_a_large_quadratic_field_skip_the_prime_field(monkeypatch):
+    fld = FiniteField(70001, 2)
+    indices = _counting(monkeypatch, "from_index", 1000)
+    g = fld.generator()
+    assert min(k for k, in indices) >= fld.p
+    squares = _counting(monkeypatch, "is_square", 1000)
+    a = g ** 3
+    assert fld.sqrt(a * a) ** 2 == a * a
+    assert len(squares) < 10
+
+
+def test_untabled_extension_elements_format_as_coefficient_vectors(monkeypatch):
+    # an element of F_{70001^2} outside F_p used to start a log table of
+    # 4.9e9 entries; the product count makes that fail fast
+    from random import Random
+    from charpgeom.cli import _random_nondegenerate
+    from charpgeom.normalform import normal_form
+    res = normal_form(_random_nondegenerate(FF(70001), 2, 4, Random(1)), 4)
+    assert res.fld.order == 70001 ** 2
+    fld = FiniteField(70001, 2)
+    _counting(monkeypatch, "_mul", 100_000)
+    assert fld.format_element(fld.elem((3, 5))) == "[3,5]"
+    assert fld.format_element(fld.elem(7)) == "7"
+    x = MultiPoly.var(fld, 2, 0)
+    assert (x * fld.elem((0, 1)) + 7).format() == "[0,1]*x1 + 7"
+    assert "[60235,50469]*x1" in repr(res.change.total)
+    with pytest.raises(ValueError):
+        fld.log_tables()

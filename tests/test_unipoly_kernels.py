@@ -16,7 +16,8 @@ import random
 import pytest
 
 from charpgeom.algebra import monomials
-from charpgeom.algebra.finitefield import FF
+from charpgeom.algebra.finitefield import FF, FiniteField, pth_root
+from charpgeom.algebra.unipoly import RatFunc, UPoly, ratfunc_pth_root
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (257, 1), (65521, 1), (3, 2), (5, 2), (3, 3)]
 
@@ -90,3 +91,37 @@ def test_dense_ops_match_the_generic_ring(p, m):
     tops = [fld.elem(-1)] * 7
     assert codes.dense_lincomb(enc([fld.one, fld.one]), [enc(tops), enc([fld.one] * 7)]) == []
     assert codes.dense_lincomb([], []) == ref.dense_lincomb([], []) == []
+
+
+ROOT_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+               (3, 11), (65537, 1)]
+
+
+@pytest.mark.parametrize("p, m", ROOT_FIELDS, ids=[f"{p}^{m}" for p, m in ROOT_FIELDS])
+def test_kernel_root_is_pth_root(p, m):
+    fld = FF(p, m)
+    ring = monomials.ring(fld, 1)
+    tabled = fld.order <= monomials.PRIME_TABLE_MAX
+    kinds = {1: monomials.Residues, 2: monomials.ZechLogs}
+    assert type(ring) is (kinds[min(m, 2)] if tabled else monomials.Ring)
+    rng = random.Random(f"root:{p}^{m}")
+    elems = [fld.zero, fld.one] + [fld.from_index(rng.randrange(fld.order))
+                                   for _ in range(200)]
+    for a in elems:
+        assert ring.element(ring.root(ring.coeff(a))) == pth_root(a)
+
+
+def test_ratfunc_pth_root_makes_no_element_products(monkeypatch):
+    fld = FF(3, 2)
+    rng = random.Random("ratfunc-root")
+    rand = lambda n: UPoly(fld, [fld.from_index(rng.randrange(9))
+                                 for _ in range(n)] + [fld.one])
+    a = RatFunc(rand(39), rand(10))
+    calls = []
+    original = FiniteField._mul
+    monkeypatch.setattr(FiniteField, "_mul",
+                        lambda self, x, y: calls.append(1) or original(self, x, y))
+    root = ratfunc_pth_root(a)
+    assert not calls
+    monkeypatch.undo()
+    assert root ** 3 == a.inflate(3)
