@@ -8,7 +8,8 @@ field's elements, on seeded cases and on the edges: zero, units, all-(-1)
 operands, a divisor longer than the dividend, sums that cancel to zero and
 gcds with zero.  Every result is also checked by evaluation at points of
 the field, with Horner on elements, so the check does not rest on the
-generic product that both sides of an extension field share.  No sympy.
+generic product that both sides of an extension field share.  The kernels'
+`root` is compared with `finitefield.pth_root`.  No sympy.
 """
 
 import random
