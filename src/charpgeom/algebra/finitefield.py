@@ -175,9 +175,10 @@ def _find_modulus(p, m):
     """First monic irreducible of degree m over F_p in lexicographic order."""
     if m == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=m):
+    # the constant term varies slowest; a zero one makes f divisible by x
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         f = list(tail) + [1]
-        if f[0] != 0 and _is_irreducible(f, p):
+        if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found (impossible)")
 
@@ -389,13 +390,13 @@ class FiniteField:
         """
         if k == 1:
             return self, (lambda a: a)
+        if self.m > 1 and self.order ** k > 2_000_000:
+            raise ValueError(f"extension of {self!r} too large to embed by scanning")
         big = FF(self.p, self.m * k)
         if self.m == 1:
             def embed(a, _big=big):
                 return _big.elem(a.coeffs[0])
             return big, embed
-        if big.order > 2_000_000:
-            raise ValueError(f"extension of {self!r} too large to embed by scanning")
         mod = self.modulus
         root = None
         for cand in big.elements():

@@ -16,9 +16,19 @@ works, and the certificate below is independent of the choice.
 Each step is kept as its substitution, one order-r jet per variable on
 the ring kernel's codes, built once: the linear jets from the diagonalizing
 matrix, each correction straight from g's packed degree-r' terms.  The
-returned CoordinateChange records the steps and their composed total; its
-certificate is the recomposition jet_compose(f - a_0, total, r), compared
-against sum x_i^2 without trusting the solver's intermediate state.
+returned CoordinateChange records the steps and their composed total
+L o S_3 o ... o S_{r-1}, built right to left: the map composed so far is
+substituted into each earlier step's jets, never a step into that dense
+map.  The number of products a composition makes is set by the terms of
+the jets substituted into; a correction jet is x_i plus a few degree-(r'-1)
+terms, and the linear step, composed last, makes no products at all.
+
+The certificate is the recomposition jet_compose(f - a_0, total, r),
+compared against sum x_i^2.  It starts from f and the total, never from the
+engine's g, so it does not trust the solver's intermediate state; but it
+runs the same `jet_compose` and `Ring.mul` as the engine, so a fault shared
+by both can pass it.  A verifier with its own product code is ROADMAP item
+6(c).
 """
 
 from dataclasses import dataclass
@@ -142,7 +152,14 @@ class ChangeStep:
 
 @dataclass
 class CoordinateChange:
-    """Ordered substitution steps plus their composed total as a jet tuple."""
+    """Ordered substitution steps plus their composed total as a jet tuple,
+    total = steps[0] o steps[1] o ..., with (A o B)_i = A_i(B_1, ..., B_n).
+
+    `normal_form` composes right to left, substituting the map composed so
+    far into each earlier step's sparse jets.  That makes fewer products
+    than substituting each step into the dense map composed before it, and
+    gives the same jets: composition of zero-constant jets is associative,
+    truncation included."""
 
     steps: list
     total: list
@@ -166,7 +183,9 @@ class NormalFormResult:
     embed: object = None       # coefficient embedding into fld
 
     def recompose(self, f_embedded):
-        """Independent certificate: jet_compose(f - a0, total, r)."""
+        """The certificate jet_compose(f - a0, total, r).  It starts from f
+        and the total, not from the engine's g, but shares `jet_compose`
+        and `Ring.mul` with the engine (ROADMAP item 6(c))."""
         shifted = f_embedded - MultiPoly.const(f_embedded.domain,
                                                f_embedded.n, self.a0)
         return jet_compose(shifted, self.change.total, self.change.order)
@@ -180,7 +199,8 @@ def normal_form(f, r):
 
     Preconditions: gradient(f)(0) = 0, Hessian at 0 nondegenerate, p odd,
     r >= 3.  Returns a NormalFormResult whose certificate jet equals the
-    target sum x_i^2 (order r) and re-verifies by independent recomposition.
+    target sum x_i^2 (order r) and re-verifies by recomposing f - a0 through
+    the composed change.
     """
     fld = f.domain
     n = f.n
@@ -234,12 +254,12 @@ def normal_form(f, r):
     if g != target:
         raise AssertionError("normal form did not reach the target jet")
 
-    total = linear
-    for step in steps[1:]:
-        total = [jet_compose(tj, step.jets, r) for tj in total]
+    total = steps[-1].jets
+    for step in reversed(steps[:-1]):
+        total = [jet_compose(sj, total, r) for sj in step.jets]
     result = NormalFormResult(a0=a0_big, change=CoordinateChange(steps, total, r),
                               fld=big, extension_degree=diag.extension_degree,
                               certificate=g, target=target, embed=embed)
     if not result.verify(work_f):
-        raise AssertionError("normal form failed independent recomposition")
+        raise AssertionError("normal form failed recomposition from f")
     return result

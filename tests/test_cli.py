@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import contextlib
 
 import pytest
 
+import charpgeom
 from charpgeom.cli import run_scenario, main, FORMAT_VERSION
 
 
@@ -173,6 +177,21 @@ def test_cli_rejects_invalid_counts(argv, flag, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"charpgeom {argv[0]}: error: argument {flag}:")
+
+
+def test_cli_rejects_an_extension_too_large_to_embed():
+    # the form needs F_{65537^4}; the timeout only keeps a hang from stalling
+    # the suite, it is not a speed gate
+    src = os.path.dirname(os.path.dirname(charpgeom.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from charpgeom.cli import main; sys.exit(main(sys.argv[1:]))",
+         "normalform", "--p", "65537", "--m", "2", "--r", "4", "--seed", "1"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "too large to embed by scanning" in proc.stderr
 
 
 def test_scenario_entry_rejects_invalid_counts():

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from charpgeom.algebra.finitefield import FF, FiniteField, _prime_factors, pth_root
+from charpgeom.algebra import finitefield
+from charpgeom.algebra.finitefield import (FF, FiniteField, _find_modulus,
+                                            _prime_factors, pth_root)
 from charpgeom.algebra.jets import Jet
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.algebra.unipoly import UPoly, RatFunc
@@ -133,6 +135,44 @@ def test_extension_of_degree_one_is_the_field_itself(m):
     big, embed = fld.extension(1)
     assert big is fld
     assert all(embed(a) is a for a in fld.elements())
+
+
+# the default moduli, as found by the scan that also tried a zero constant term
+DEFAULT_MODULI = {
+    (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1), (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1), (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1), (7, 4): (1, 0, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1), (7, 6): (1, 0, 0, 0, 1, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (1, 0, 4, 1), (11, 4): (1, 0, 0, 4, 1),
+    (11, 5): (1, 0, 0, 0, 2, 1), (11, 6): (1, 0, 0, 0, 1, 1, 1),
+    (13, 2): (1, 3, 1), (13, 3): (1, 0, 4, 1), (13, 4): (1, 0, 0, 1, 1),
+    (13, 5): (1, 0, 0, 0, 8, 1), (13, 6): (1, 0, 0, 0, 0, 1, 1),
+    (257, 2): (1, 1, 1), (257, 3): (1, 0, 1, 1), (65537, 2): (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(DEFAULT_MODULI))
+def test_default_moduli_are_pinned(p, m):
+    assert _find_modulus(p, m) == DEFAULT_MODULI[p, m]
+
+
+def test_large_extension_fields_build():
+    # the scan starts at constant term 1, not after the p^(m-1) tails that
+    # x divides, so these take milliseconds
+    assert FF(65537, 3).modulus == (1, 0, 7, 1)
+    assert FF(65537, 4).modulus == (1, 0, 0, 6, 1)
+
+
+def test_too_large_extension_raises_before_building_it(monkeypatch):
+    fld = FF(65537, 2)
+
+    def refuse(p, m=1):
+        raise AssertionError(f"FF({p}, {m}) was built")
+    monkeypatch.setattr(finitefield, "FF", refuse)
+    with pytest.raises(ValueError, match="too large to embed by scanning"):
+        fld.extension(2)
 
 
 def test_every_base_element_square_in_quadratic_extension():

@@ -120,6 +120,42 @@ def test_associativity_up_to_truncation():
         assert left == right
 
 
+def _random_map(fld, n, r, rng):
+    """n order-r jets with zero constant term: a random linear part, not
+    only a near-identity one, plus a few random terms of degree 2..r-1."""
+    jets = []
+    for _ in range(n):
+        terms = {tuple(int(k == j) for k in range(n)):
+                 fld.from_index(rng.randrange(fld.order)) for j in range(n)}
+        for _ in range(rng.randrange(1, 4)):
+            e = [0] * n
+            for _ in range(rng.randrange(2, r)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = fld.from_index(rng.randrange(1, fld.order))
+        jets.append(Jet(fld, n, r, terms))
+    return jets
+
+
+def _compose_maps(a, b, r):
+    return [jet_compose(ai, b, r) for ai in a]
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (65537, 1)])
+def test_map_composition_is_associative(p, m):
+    # (a o b) o c == a o (b o c) on order-r maps with zero constant term, the
+    # identity that lets normal_form compose its steps in either order;
+    # F_3 and F_5 run on residues, F_9 and F_25 on Zech logs, F_65537 on
+    # elements
+    fld = FF(p, m)
+    rng = random.Random(100 * p + m)
+    for n in range(1, 4):
+        for r in range(3, 9):
+            a, b, c = (_random_map(fld, n, r, rng) for _ in range(3))
+            left = _compose_maps(_compose_maps(a, b, r), c, r)
+            right = _compose_maps(a, _compose_maps(b, c, r), r)
+            assert [j.terms for j in left] == [j.terms for j in right]
+
+
 def test_constant_term_violation_rejected():
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from charpgeom.algebra import monomials
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly, det
 from charpgeom.algebra.jets import Jet, jet_compose
+from charpgeom.cli import _random_nondegenerate
 from charpgeom.normalform import diagonalize_quadratic, normal_form
 
 
@@ -186,3 +188,25 @@ def _random_nondeg(fld, n, r, rng):
             f = f + MultiPoly.monomial(fld, n, exps,
                                        rng.randrange(1, fld.p))
     return f
+
+
+@pytest.mark.parametrize("p,r,seed,limit", [
+    (7, 7, 1, 70),      # over F_7, four correction steps; 96 when the total
+                        # was composed left to right
+    (5, 6, 0, 54),      # over F_25; 72 left to right
+])
+def test_kernel_products_of_the_golden_normal_forms(p, r, seed, limit,
+                                                    monkeypatch):
+    # the inputs of the normalform-p7-r7 and normalform-p5-r6 goldens: the
+    # composed map is substituted into the sparse correction steps, not each
+    # step into the dense map
+    calls = []
+    for cls in (monomials.Ring, monomials.Residues, monomials.ZechLogs):
+        def counted(self, a, b, bound, _mul=cls.__dict__["mul"]):
+            calls.append(None)
+            return _mul(self, a, b, bound)
+        monkeypatch.setattr(cls, "mul", counted)
+    f = _random_nondegenerate(FF(p), 2, r, random.Random(seed))
+    calls.clear()
+    normal_form(f, r)
+    assert 0 < len(calls) <= limit
