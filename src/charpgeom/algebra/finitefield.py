@@ -193,6 +193,10 @@ def FF(p, m=1):
     return FiniteField(p, m)
 
 
+class TooLargeToEmbed(ValueError):
+    """A field extension too large to embed by scanning."""
+
+
 class FiniteField:
     """The field F_{p^m}, p an odd prime, in a fixed polynomial basis."""
 
@@ -391,7 +395,7 @@ class FiniteField:
         if k == 1:
             return self, (lambda a: a)
         if self.m > 1 and self.order ** k > 2_000_000:
-            raise ValueError(f"extension of {self!r} too large to embed by scanning")
+            raise TooLargeToEmbed(f"extension of {self!r} too large to embed by scanning")
         big = FF(self.p, self.m * k)
         if self.m == 1:
             def embed(a, _big=big):

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 
-from .algebra.finitefield import FF, is_prime
+from .algebra.finitefield import FF, TooLargeToEmbed, is_prime
 from .algebra.unipoly import UPoly, RatFunc
 from .algebra.multipoly import MultiPoly, det, parse_poly, split_terms
 from .algebra.jets import MAX_ORDER
@@ -109,6 +109,8 @@ def _parsed(flag, parse, *args):
     """parse(*args), with a ValueError reported as invalid input for `flag`."""
     try:
         return parse(*args)
+    except TooLargeToEmbed as exc:
+        raise InvalidInput(f"argument --p/--m: {exc}") from None
     except ValueError as exc:
         raise InvalidInput(f"argument {flag}: {exc}") from None
 

@@ -49,7 +49,7 @@ from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
 from .algebra.powers import substitute
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
-from .algebra import monomials
+from .algebra import kronecker, monomials
 from .algebra.monomials import _check_degree
 from . import heights as heights_mod
 
@@ -570,12 +570,14 @@ class FrobeniusFactorization:
     sdomain: RatFuncField
 
     def verify(self):
-        """Re-verify the certificate by honest expansion over k[T, s].
+        """Re-verify the certificate exactly over k[T, s].
 
         Clears denominators: with D the lcm of the h-coefficient
         denominators and Dt its p-th root after t -> s^p, checks
         Z(T, s)^p = H(T^p, s^p) as plain polynomials, where Z and H are the
-        numerator polynomials of z and h."""
+        numerator polynomials of z and h.  Over F_p by `kronecker.power_is`
+        if it takes them (dense Z: the vojta-demo charts); otherwise (sparse
+        Z, as in frobenius-batch) and over F_{p^m} by `MultiPoly` expansion."""
         fld = self.sdomain.base
         nvars = self.h.n + 1
         den = UPoly.const(fld, 1)
@@ -590,8 +592,13 @@ class FrobeniusFactorization:
         for e, c in self.h.terms.items():
             for i, cc in enumerate((c.num * (den // c.den)).coeffs):
                 h_terms[tuple(k * self.p for k in e) + (i * self.p,)] = cc
-        return (MultiPoly(fld, nvars, z_terms) ** self.p
-                == MultiPoly(fld, nvars, h_terms))
+        z, h = MultiPoly(fld, nvars, z_terms), MultiPoly(fld, nvars, h_terms)
+        if fld.m == 1:
+            res = [{e: c.coeffs[0] for e, c in f.terms.items()} for f in (z, h)]
+            verdict = kronecker.power_is(res[0], self.p, res[1], nvars, self.p)
+            if verdict is not None:
+                return verdict
+        return z ** self.p == h
 
     @functools.cached_property
     def cleared(self):

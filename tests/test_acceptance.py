@@ -162,7 +162,7 @@ def test_acceptance_4_frobenius_factorization():
         trials += 1
     assert failures == 0
     _report(4, "Frobenius factorization",
-            "100 seeded certificates re-verified by expansion, 0 failures")
+            "100 seeded certificates re-verified exactly, 0 failures")
 
 
 def test_acceptance_5_adjunction_grid():

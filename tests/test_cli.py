@@ -179,9 +179,10 @@ def test_cli_rejects_invalid_counts(argv, flag, capsys):
     assert lines[0].startswith(f"charpgeom {argv[0]}: error: argument {flag}:")
 
 
-def test_cli_rejects_an_extension_too_large_to_embed():
+def test_cli_rejects_an_extension_too_large_to_embed(capsys):
     # the form needs F_{65537^4}; the timeout only keeps a hang from stalling
-    # the suite, it is not a speed gate
+    # the suite, it is not a speed gate.  The field is at fault, not a --poly
+    # (none is given), so the error names --p/--m.
     src = os.path.dirname(os.path.dirname(charpgeom.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -191,7 +192,18 @@ def test_cli_rejects_an_extension_too_large_to_embed():
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "too large to embed by scanning" in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "charpgeom normalform: error: argument --p/--m: extension of "
+        "FF(65537^2) too large to embed by scanning"]
+
+    # over the same field, a malformed explicit --poly is still its own fault
+    with pytest.raises(SystemExit) as exc:
+        main(["normalform", "--p", "65537", "--m", "2", "--r", "4",
+              "--poly", "x1^2 +* x2^2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("charpgeom normalform: error: argument --poly:")
 
 
 def test_scenario_entry_rejects_invalid_counts():

@@ -1,5 +1,6 @@
 """Covering data: gluing, differentials, singular loci, Frobenius, lifting."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -307,6 +308,74 @@ class TestFrobenius:
                 h = MultiPoly(tdom, nvars, terms)
                 fact = covers.frobenius_factorization(h)
                 assert fact.verify()
+
+
+class TestFrobeniusRoutes:
+    """`FrobeniusFactorization.verify` re-checks Z^p = H by Kronecker ints
+    over F_p when Z is dense (a constant-coefficient chart) and by
+    `MultiPoly` expansion when it is sparse (the frobenius-batch-shaped
+    `fracs`) or over F_{p^m}.  A tampered b_I or h fails on either route."""
+
+    @staticmethod
+    def dense_chart(p):
+        fld = FF(p)
+        tdom = RatFuncField(fld, "t")
+        rng = random.Random(f"dense chart:{p}")
+        h = MultiPoly(tdom, 2, {e: tdom.elem(rng.randrange(1, p))
+                                for e in itertools.product(range(5), repeat=2)})
+        return covers.frobenius_factorization(h)
+
+    @staticmethod
+    def shapes(p):
+        return {"dense": TestFrobeniusRoutes.dense_chart(p),
+                "fracs": TestLiftOnNumerators.factorizations(p)[1]}
+
+    @staticmethod
+    def spy(monkeypatch):
+        verdicts = []
+        real = covers.kronecker.power_is
+
+        def power_is(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+        monkeypatch.setattr(covers.kronecker, "power_is", power_is)
+        return verdicts
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_each_shape_takes_its_route(self, p, monkeypatch):
+        shapes = self.shapes(p)
+        verdicts = self.spy(monkeypatch)
+        assert shapes["dense"].verify() is True and verdicts == [True]
+        verdicts.clear()
+        assert shapes["fracs"].verify() is True and verdicts == [None]
+        verdicts.clear()
+        fld = FF(3, 2)
+        tdom = RatFuncField(fld, "t")
+        h = MultiPoly(tdom, 2, {(i, j): tdom.elem(fld.from_index(1 + i + j))
+                                for i in range(5) for j in range(5 - i)})
+        assert covers.frobenius_factorization(h).verify() is True
+        assert verdicts == []
+
+    @pytest.mark.parametrize("shape", ["dense", "fracs"])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_a_tampered_certificate_fails(self, p, shape, monkeypatch):
+        fact = self.shapes(p)[shape]
+        tdom = fact.h.domain
+        verdicts = self.spy(monkeypatch)
+        for e in sorted(fact.b):
+            b = dict(fact.b)
+            b[e] = b[e] + 1
+            assert dataclasses.replace(fact, b=b).verify() is False
+        for e in sorted(fact.h.terms):
+            terms = dict(fact.h.terms)
+            terms[e] = terms[e] + tdom.elem(1)
+            h = MultiPoly(tdom, fact.h.n, terms)
+            assert dataclasses.replace(fact, h=h).verify() is False
+        # a term of h beyond z^p's degree in x_1
+        far = fact.h + MultiPoly.monomial(tdom, 2, (fact.h.degree_in(0) + 1, 0), 1)
+        assert dataclasses.replace(fact, h=far).verify() is False
+        assert set(verdicts) == ({False} if shape == "dense" else {None})
+        assert len(verdicts) == len(fact.b) + len(fact.h.terms) + 1
 
 
 class TestLifting:

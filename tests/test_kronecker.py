@@ -2,10 +2,12 @@
 
 `IdealCertificate.verify()` decides sum c_i g_i = 1 over F_p with one
 big-int product (`algebra/kronecker.py`) and expands term by term
-elsewhere.  These tests compare the two paths on seeded certificates,
-check the slot-width bound at its edge, pin which certificates take which
-path, and keep the Kronecker verifier and the engine's Kronecker product
-(`finitefield._pmul`, under `UPoly`) free of each other's modules.
+elsewhere; `kronecker.power_is`, which `FrobeniusFactorization.verify()`
+calls over F_p, decides z^e = h by square-and-multiply on big ints.  These
+tests compare both with expansion on seeded inputs, check the slot-width
+bounds at their edge, pin which certificates take which path, and keep the
+Kronecker verifier and the engine's Kronecker product (`finitefield._pmul`,
+under `UPoly`) free of each other's modules.
 """
 
 import ast
@@ -128,6 +130,77 @@ def test_residue_outside_its_slot_raises():
         kronecker.sum_is_one([({(0,): 1, (1,): 1}, {(0,): 1000, (1,): 1})], 1, 3)
 
 
+def residues(f):
+    return {e: c.coeffs[0] for e, c in f.terms.items()}
+
+
+POWER_CASES = [(p, n, e) for p in (3, 5, 7) for n in (1, 2, 3)
+               for e in sorted({2, 4, p}) if n < 3 or e < 4]
+
+
+@pytest.mark.parametrize("p,n,e", POWER_CASES)
+def test_power_agrees_with_expansion(p, n, e):
+    # full boxes of degree d >= e - 2: (d + 1)^2 >= e*d + 1, so the
+    # Kronecker route is always taken
+    rng = random.Random(f"power:{p}:{n}:{e}")
+    fld = FF(p)
+    for _ in range(2):
+        z = dense_poly(fld, n, rng, [max(1, e - 2)] * n, fill=1)
+        zz = residues(z)
+        power = z ** e
+        assert kronecker.power_is(zz, e, residues(power), n, p) is True
+        # one coefficient of z^e moved, one dropped, one term added
+        k = rng.choice(sorted(power.terms))
+        moved = residues(power)
+        moved[k] = (moved[k] + rng.randrange(1, p)) % p
+        assert kronecker.power_is(zz, e, moved, n, p) is False
+        dropped = residues(power)
+        del dropped[k]
+        assert kronecker.power_is(zz, e, dropped, n, p) is False
+        extra = residues(power + MultiPoly.monomial(
+            fld, n, tuple(rng.randrange(e + 1) for _ in range(n)), 1))
+        assert kronecker.power_is(zz, e, extra, n, p) is False
+
+
+@pytest.mark.parametrize("p,n,t", [(3, 1, 16), (5, 2, 4), (7, 1, 8), (3, 3, 4)])
+def test_power_slot_width_at_its_edge(p, n, t, monkeypatch):
+    # z = (p-1) * the t^n monomials with every e_j < t: the middle slot of
+    # z * z collects t^n products (p-1)^2, the most a slot can hold
+    fld = FF(p)
+    z = MultiPoly(fld, n, {e: fld.elem(p - 1)
+                           for e in itertools.product(range(t), repeat=n)})
+    bound = t ** n * (p - 1) ** 2
+    width = kronecker.slot_bytes(bound)
+    assert 256 ** (width - 1) <= bound < 256 ** width
+    h = residues(z ** p)
+    assert kronecker.power_is(residues(z), p, h, n, p) is True
+
+    narrow = kronecker.slot_bytes
+    monkeypatch.setattr(kronecker, "slot_bytes", lambda b: narrow(b) - 1)
+    with pytest.raises(OverflowError):
+        kronecker.power_is(residues(z), p, h, n, p)
+
+
+def test_power_routes_sparse_inputs_to_the_expansion():
+    # z = 1 + x^9 + y^9 over F_3: 3 terms, z^3 has 28^2 slots > 3^2
+    z = {(0, 0): 1, (9, 0): 1, (0, 9): 1}
+    h = {(0, 0): 1, (27, 0): 1, (0, 27): 1}
+    assert kronecker.power_is(z, 3, h, 2, 3) is None
+    # z = 1 + x + x^2: 3 * 2 + 1 = 7 slots <= 9
+    assert kronecker.power_is({(0,): 1, (1,): 1, (2,): 1}, 3,
+                              {(0,): 1, (3,): 1, (6,): 1}, 1, 3) is True
+
+
+def test_power_rejects_a_term_outside_the_layout():
+    # (1 + x)^3 = 1 + x^3 over F_3; x^7 would land on slot 0 of the next
+    # variable, so it must be refused before packing, not aliased
+    z = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    h = residues(MultiPoly(FF(3), 2, {e: FF(3).elem(c) for e, c in z.items()}) ** 3)
+    assert kronecker.power_is(z, 3, h, 2, 3) is True
+    assert kronecker.power_is(z, 3, {**h, (4, 0): 1}, 2, 3) is False
+    assert kronecker.power_is(z, 3, {**h, (0, 4): 2}, 2, 3) is False
+
+
 def _no_kronecker(*args):
     raise AssertionError("the Kronecker path was taken")
 
@@ -179,4 +252,5 @@ def test_engine_modules_import_nothing_from_kronecker():
         path = pathlib.Path(module.__file__)
         for name in imported_names(path):
             assert "kronecker" not in name.split("."), f"{path.name} imports {name}"
-            assert name not in {"sum_is_one", "slot_bytes"}, f"{path.name} imports {name}"
+            assert name not in {"sum_is_one", "power_is", "slot_bytes"}, \
+                f"{path.name} imports {name}"
