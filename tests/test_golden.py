@@ -42,6 +42,11 @@ GOLDEN = {
     "height-m2.json": ["height", "--p", "3", "--m", "2", "--coords",
                        "t^2 + g^7*t + g^1,t^3 + g^1*t^2 + g^3*t + 2,"
                        "t^4 + g^1*t^3 + g^5*t^2 + g^1*t + g^1"],
+    # degree 9 on P^2 over F_3: closure certificates re-checked on
+    # Kronecker ints, three charts with an incomplete search
+    "cover-n3.json": ["cover", "--p", "3", "--N", "2", "--d", "1", "--n", "3"],
+    # over F_9: closure certificates re-checked by term-by-term expansion
+    "cover-m2.json": ["cover", "--p", "3", "--m", "2", "--seed", "1"],
 }
 
 
