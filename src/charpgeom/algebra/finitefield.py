@@ -210,6 +210,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.order = p ** m
+        self.prime = p if m == 1 else None      # p when elements are residues
         self.modulus = tuple(_find_modulus(p, m)) if modulus is None else tuple(modulus)
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")

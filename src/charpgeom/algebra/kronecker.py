@@ -1,33 +1,32 @@
-"""sum a_i * b_i == 1 and z^e == h over F_p, tested by Kronecker substitution.
+"""The one re-check of ideal and Frobenius certificates, sum a_i * b_i == 1
+and z^e == h, on dicts {exponent n-tuple: coefficient in a field}.
 
-Each polynomial becomes one int: x_j -> X^(w_j), w_1 = 1, w_(j+1) = w_j * D_j
-with the radix D_j above the x_j-degree of every product, and each residue
-fills a B-byte slot of X = 256^B.  One big-int product (Karatsuba in CPython)
-is then a whole polynomial product (Kronecker 1882; Harvey, JSC 2009).
+The route is chosen here alone.  Over F_p (the field's `prime` is p, not
+None), when the layout below has no more slots than expansion has term
+products (sum #a_i * #b_i; #z^2 for z^e), products are Kronecker ints on the
+residues c.coeffs[0] (`packed_sum`); otherwise they expand term by term on
+the coefficients as given, from the field's `zero`, as `MultiPoly` does
+(`expanded_sum`).
 
-A slot of sum a_i * b_i holds at most bound = sum_i min(#a_i, #b_i) * (p-1)^2:
-for a fixed output monomial, each term of the shorter factor meets at most one
-term of the other.  B is the least width with bound < 256^B; a sum that does
-not fit raises OverflowError, never wraps.  `power_is` squares and multiplies
-in z^e's layout, each slot reduced mod p after each product, so B does not
-grow with e.  Both return None when the layout has more slots than expansion
-has term products (sum #a_i * #b_i; #z^2 for z * z, which expanding z^e must
-form).  Nothing here comes from the Groebner engine or the polynomial classes.
+Layout: x_j -> X^(w_j), w_1 = 1, w_(j+1) = w_j * D_j with D_j above the
+x_j-degree of every product and each residue in a B-byte slot of X = 256^B,
+so one big-int product is a polynomial product (Kronecker 1882; Harvey, JSC
+2009).  A slot holds at most sum_i min(#a_i, #b_i) * (p-1)^2, as at one
+output monomial each term of the shorter factor meets at most one of the
+other; B is the least width above that, and a sum that does not fit raises
+OverflowError, never wraps.  A power squares and multiplies from the low bit
+(as `powers.power`) in z^e's layout, reducing mod p after each product; a
+term of h outside the layout gives False.  Nothing here comes from the
+Groebner engine, the polynomial classes or the fields.
 """
 
 from math import prod
+from operator import add
 
 
 def slot_bytes(bound):
     """Least slot width B >= 1 in bytes with bound < 256^B."""
     return max(1, (bound.bit_length() + 7) // 8)
-
-
-def _indexer(radixes):
-    """Maps {exponent tuple: residue} to {slot: residue} for these radixes."""
-    strides = [prod(radixes[:j]) for j in range(len(radixes))]
-    return lambda poly: {sum(k * s for k, s in zip(e, strides)): c
-                         for e, c in poly.items() if c}
 
 
 def _pack(cells, width):
@@ -38,7 +37,7 @@ def _pack(cells, width):
     return int.from_bytes(buf, "little")
 
 
-def _sum_of_products(pairs, p):
+def packed_sum(pairs, p):
     """sum a * b over pairs of {slot: residue} cells, as such cells mod p."""
     bound = sum(min(len(a), len(b)) for a, b in pairs) * (p - 1) ** 2
     width = slot_bytes(bound)
@@ -50,30 +49,51 @@ def _sum_of_products(pairs, p):
             if (c := int.from_bytes(raw[i:i + width], "little") % p)}
 
 
-def sum_is_one(pairs, n, p):
-    """Whether sum a * b over the pairs (a, b) equals 1 over F_p.
+def expanded_sum(pairs, zero):
+    """sum a * b over pairs of {exponent tuple: coefficient}, from `zero`."""
+    res = {}
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                res[e] = res.get(e, zero) + c1 * c2
+    return {e: c for e, c in res.items() if c}
 
-    a and b are dicts {exponent n-tuple: residue in 0..p-1}."""
+
+def _route(radixes, products, field):
+    """(index, mul): over F_p with no more slots than `products`, the map
+    to {slot: residue} cells and `packed_sum`; otherwise the identity and
+    `expanded_sum`."""
+    p = field.prime
+    if p is None or prod(radixes) > products:
+        return (lambda poly: poly), lambda pairs: expanded_sum(pairs, field.zero)
+    strides = [prod(radixes[:j]) for j in range(len(radixes))]
+    return (lambda poly: {sum(k * s for k, s in zip(e, strides)): r
+                          for e, c in poly.items() if (r := c.coeffs[0])},
+            lambda pairs: packed_sum(pairs, p))
+
+
+def sum_is_one(pairs, n, field):
+    """Whether sum a * b over the pairs (a, b) of dicts {exponent n-tuple:
+    coefficient in `field`} equals 1."""
     radixes = [1 + max(max((e[j] for e in a), default=0)
                        + max((e[j] for e in b), default=0) for a, b in pairs)
                for j in range(n)]
-    if prod(radixes) > sum(len(a) * len(b) for a, b in pairs):
-        return None
-    index = _indexer(radixes)
-    return _sum_of_products([(index(a), index(b)) for a, b in pairs], p) == {0: 1}
+    index, mul = _route(radixes, sum(len(a) * len(b) for a, b in pairs), field)
+    one = {(0,) * n: field.one}
+    return mul([(index(a), index(b)) for a, b in pairs]) == index(one)
 
 
-def power_is(z, e, h, n, p):
-    """Whether z^e == h over F_p, for e >= 1 and z, h as in `sum_is_one`; a
-    term of h outside z^e's layout gives False."""
+def power_is(z, e, h, n, field):
+    """Whether z^e == h, for e >= 1 and z, h as in `sum_is_one`."""
     radixes = [1 + e * max((k[j] for k in z), default=0) for j in range(n)]
-    if prod(radixes) > len(z) ** 2:
-        return None
-    index = _indexer(radixes)
-    base = acc = index(z)
-    for bit in bin(e)[3:]:
-        acc = _sum_of_products([(acc, acc)], p)
-        if bit == "1":
-            acc = _sum_of_products([(acc, base)], p)
-    return (not any(k[j] >= r for k in h for j, r in enumerate(radixes))
+    index, mul = _route(radixes, len(z) ** 2, field)
+    base, acc = index(z), None
+    while e:
+        if e & 1:
+            acc = base if acc is None else mul([(acc, base)])
+        e >>= 1
+        if e:
+            base = mul([(base, base)])
+    return (all(k < r for key in h for k, r in zip(key, radixes))
             and acc == index(h))

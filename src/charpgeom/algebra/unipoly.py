@@ -398,6 +398,7 @@ class RatFuncField:
         self.base = field
         self.varname = varname
         self.p = field.p
+        self.prime = None           # not a prime field: no residues
         self.zero = RatFunc(UPoly(field))
         self.one = RatFunc(UPoly.const(field, 1))
 
@@ -422,6 +423,14 @@ class RatFuncField:
 
     def format_element(self, a):
         return a.format(self.varname)
+
+
+def lcm(field, polys):
+    """The lcm of the UPolys over `field` (monic if they are), 1 for none."""
+    out = UPoly.const(field, 1)
+    for d in polys:
+        out = out * (d // out.gcd(d))
+    return out
 
 
 def ratfunc_pth_root(a):

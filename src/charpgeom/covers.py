@@ -30,9 +30,9 @@ closure certificate.
 Frobenius factorization rewrites z with z^p = h(x) as z = sum b_I T^I over
 K' = k(s), s^p = t, using perfectness of k; the certificate is the exact
 polynomial identity (sum b_I T^I)^p = h(T^p) with denominators cleared,
-verified by honest expansion.  Lifting parameter tuples u over K' through
-x_j = u_j^p, z = sum b_I u^I produces the K'-rational point families whose
-heights the Vojta demonstration measures.
+re-checked exactly by `kronecker.py`.  Lifting parameter tuples u over K'
+through x_j = u_j^p, z = sum b_I u^I produces the K'-rational point families
+whose heights the Vojta demonstration measures.
 """
 
 import functools
@@ -43,7 +43,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebra.finitefield import FiniteField, pth_root
-from .algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
+from .algebra.unipoly import UPoly, RatFunc, RatFuncField, lcm, ratfunc_pth_root
 from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
                                  monomials_of_degree)
 from .algebra.powers import substitute
@@ -574,31 +574,17 @@ class FrobeniusFactorization:
 
         Clears denominators: with D the lcm of the h-coefficient
         denominators and Dt its p-th root after t -> s^p, checks
-        Z(T, s)^p = H(T^p, s^p) as plain polynomials, where Z and H are the
-        numerator polynomials of z and h.  Over F_p by `kronecker.power_is`
-        if it takes them (dense Z: the vojta-demo charts); otherwise (sparse
-        Z, as in frobenius-batch) and over F_{p^m} by `MultiPoly` expansion."""
-        fld = self.sdomain.base
-        nvars = self.h.n + 1
-        den = UPoly.const(fld, 1)
-        for c in self.h.terms.values():
-            den = den * (c.den // den.gcd(c.den))
-        dent = den.inflate(self.p).pth_root_poly()
+        Z(T, s)^p = H(T^p, s^p), where Z and H are the numerator
+        polynomials of z and h, by one `kronecker.power_is` call."""
+        fld, p = self.sdomain.base, self.p
+        den = lcm(fld, [c.den for c in self.h.terms.values()])
+        dent = den.inflate(p).pth_root_poly()
         # the numerators of z and h(T^p) as polynomials in (T, s)
-        z_terms, h_terms = {}, {}
-        for e, c in self.b.items():
-            for i, cc in enumerate((c.num * (dent // c.den)).coeffs):
-                z_terms[tuple(e) + (i,)] = cc
-        for e, c in self.h.terms.items():
-            for i, cc in enumerate((c.num * (den // c.den)).coeffs):
-                h_terms[tuple(k * self.p for k in e) + (i * self.p,)] = cc
-        z, h = MultiPoly(fld, nvars, z_terms), MultiPoly(fld, nvars, h_terms)
-        if fld.m == 1:
-            res = [{e: c.coeffs[0] for e, c in f.terms.items()} for f in (z, h)]
-            verdict = kronecker.power_is(res[0], self.p, res[1], nvars, self.p)
-            if verdict is not None:
-                return verdict
-        return z ** self.p == h
+        z = {tuple(e) + (i,): cc for e, c in self.b.items()
+             for i, cc in enumerate((c.num * (dent // c.den)).coeffs) if cc}
+        h = {tuple(k * p for k in e) + (i * p,): cc for e, c in self.h.terms.items()
+             for i, cc in enumerate((c.num * (den // c.den)).coeffs) if cc}
+        return kronecker.power_is(z, p, h, self.h.n + 1, fld)
 
     @functools.cached_property
     def cleared(self):
@@ -613,12 +599,10 @@ class FrobeniusFactorization:
 
 
 def _cleared(fracs, fld):
-    lcm = UPoly.const(fld, 1)
-    for _, den in fracs.values():
-        lcm = lcm * (den // lcm.gcd(den))
+    lcd = lcm(fld, [den for _, den in fracs.values()])
     degs = [max(col) for col in zip(*fracs)]
     return ({tuple(k for ej, dj in zip(e, degs) for k in (ej, dj - ej)):
-             num * (lcm // den) for e, (num, den) in fracs.items()}, lcm, degs)
+             num * (lcd // den) for e, (num, den) in fracs.items()}, lcd, degs)
 
 
 def frobenius_factorization(h):

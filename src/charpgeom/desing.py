@@ -25,9 +25,10 @@ from .algebra.multipoly import MultiPoly, RatExpr
 from .algebra.groebner import groebner_membership_one
 from .covers import common_zeros
 
-# Largest number of points a witness sweep visits: a field whose n-space is
-# larger is not searched.
+# Largest number of points a witness sweep visits (a field whose n-space is
+# larger is not searched), and the degrees over the base field searched.
 WITNESS_SWEEP_MAX = 400000
+WITNESS_EXTENSIONS = (1, 2)
 
 
 @dataclass
@@ -128,7 +129,7 @@ def blowup_step(equation, step_index=0, names=None):
     return charts
 
 
-def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000):
+def smoothness_certificate(equation):
     """Jacobian criterion, exactly: 1 in (F, dF/dx_1, ...) or a witness.
 
     Returns (status, payload): status "smooth" with a re-verified cofactor
@@ -139,12 +140,12 @@ def smoothness_certificate(equation, search_exts=(1, 2), max_pairs=50000):
     Groebner run is never reported as smooth.
     """
     gens = [equation] + equation.gradient()
-    res = groebner_membership_one(gens, max_pairs=max_pairs)
+    res = groebner_membership_one(gens)
     if res.status == "certificate":
         return "smooth", res.certificate
     fld = equation.domain
     if isinstance(fld, FiniteField):
-        for ext in search_exts:
+        for ext in WITNESS_EXTENSIONS:
             if fld.order ** (ext * equation.n) > WITNESS_SWEEP_MAX:
                 continue
             search, embed = fld.extension(ext)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
 
-from .algebra.unipoly import UPoly, RatFunc, RatFuncField
+from .algebra.unipoly import UPoly, RatFunc, RatFuncField, lcm
 from .algebra.multipoly import MultiPoly, monomials_of_degree
 from .algebra.linalg import det, rank_and_nullvector
 from . import picard
@@ -79,10 +79,7 @@ def normalize(field, raw_coords, varname="t"):
             rats.append(RatFunc(UPoly.const(field, c)))
     if all(r.is_zero() for r in rats):
         raise ValueError("all coordinates are zero")
-    den = UPoly.const(field, 1)
-    for r in rats:
-        # lcm of denominators, built incrementally
-        den = den * (r.den // den.gcd(r.den))
+    den = lcm(field, [r.den for r in rats])
     polys = [r.num * (den // r.den) for r in rats]
     g = None
     for q in polys:

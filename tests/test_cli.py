@@ -10,6 +10,7 @@ import contextlib
 import pytest
 
 import charpgeom
+from charpgeom.algebra import monomials
 from charpgeom.cli import run_scenario, main, FORMAT_VERSION
 
 
@@ -215,3 +216,14 @@ def test_cli_accepts_signed_coordinates(capsys):
     # -t+1 = 4*t+1 and t-1 = t+4 over F_5
     assert main(["height", "--p", "5", "--coords=-t+1,t-1,1"]) == 0
     assert "point: (t + 4 : 4*t + 1 : 4)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["height", "--coords", "t^40000+1,t+1"],
+    ["normalform", "--p", "5", "--poly", "x1^2+x2^2+x1^40000", "--r", "4"],
+], ids=["height", "normalform"])
+def test_cli_takes_exponents_above_the_packed_key_bound(argv, capsys):
+    # both inputs go through parse_poly with an exponent no packed key holds
+    assert 40000 > monomials.MAX_DEGREE
+    assert main(argv) == 0
+    assert "result: PASS" in capsys.readouterr().out

@@ -313,7 +313,7 @@ class TestFrobenius:
 class TestFrobeniusRoutes:
     """`FrobeniusFactorization.verify` re-checks Z^p = H by Kronecker ints
     over F_p when Z is dense (a constant-coefficient chart) and by
-    `MultiPoly` expansion when it is sparse (the frobenius-batch-shaped
+    term-by-term expansion when it is sparse (the frobenius-batch-shaped
     `fracs`) or over F_{p^m}.  A tampered b_I or h fails on either route."""
 
     @staticmethod
@@ -332,36 +332,36 @@ class TestFrobeniusRoutes:
 
     @staticmethod
     def spy(monkeypatch):
-        verdicts = []
-        real = covers.kronecker.power_is
-
-        def power_is(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
-        monkeypatch.setattr(covers.kronecker, "power_is", power_is)
-        return verdicts
+        """The names of the product functions `verify` runs."""
+        routes = []
+        for name in ("packed_sum", "expanded_sum"):
+            real = getattr(covers.kronecker, name)
+            monkeypatch.setattr(covers.kronecker, name,
+                                lambda *args, real=real, name=name:
+                                routes.append(name) or real(*args))
+        return routes
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_each_shape_takes_its_route(self, p, monkeypatch):
         shapes = self.shapes(p)
-        verdicts = self.spy(monkeypatch)
-        assert shapes["dense"].verify() is True and verdicts == [True]
-        verdicts.clear()
-        assert shapes["fracs"].verify() is True and verdicts == [None]
-        verdicts.clear()
+        routes = self.spy(monkeypatch)
+        assert shapes["dense"].verify() is True and set(routes) == {"packed_sum"}
+        routes.clear()
+        assert shapes["fracs"].verify() is True and set(routes) == {"expanded_sum"}
+        routes.clear()
         fld = FF(3, 2)
         tdom = RatFuncField(fld, "t")
         h = MultiPoly(tdom, 2, {(i, j): tdom.elem(fld.from_index(1 + i + j))
                                 for i in range(5) for j in range(5 - i)})
         assert covers.frobenius_factorization(h).verify() is True
-        assert verdicts == []
+        assert set(routes) == {"expanded_sum"}
 
     @pytest.mark.parametrize("shape", ["dense", "fracs"])
     @pytest.mark.parametrize("p", [3, 5])
     def test_a_tampered_certificate_fails(self, p, shape, monkeypatch):
         fact = self.shapes(p)[shape]
         tdom = fact.h.domain
-        verdicts = self.spy(monkeypatch)
+        routes = self.spy(monkeypatch)
         for e in sorted(fact.b):
             b = dict(fact.b)
             b[e] = b[e] + 1
@@ -374,8 +374,8 @@ class TestFrobeniusRoutes:
         # a term of h beyond z^p's degree in x_1
         far = fact.h + MultiPoly.monomial(tdom, 2, (fact.h.degree_in(0) + 1, 0), 1)
         assert dataclasses.replace(fact, h=far).verify() is False
-        assert set(verdicts) == ({False} if shape == "dense" else {None})
-        assert len(verdicts) == len(fact.b) + len(fact.h.terms) + 1
+        assert set(routes) == ({"packed_sum"} if shape == "dense"
+                               else {"expanded_sum"})
 
 
 class TestLifting:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from charpgeom import desing
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
 from charpgeom.desing import (
@@ -63,11 +64,15 @@ class TestSmoothnessCertificate:
         assert status == "singular"
         assert all(c == payload["field"].zero for c in payload["witness"])
 
-    def test_exhaustion_never_reported_smooth(self):
+    def test_exhaustion_never_reported_smooth(self, monkeypatch):
+        # no pair processed and no field searched
+        real = desing.groebner_membership_one
+        monkeypatch.setattr(desing, "groebner_membership_one",
+                            lambda gens: real(gens, max_pairs=0))
+        monkeypatch.setattr(desing, "WITNESS_EXTENSIONS", ())
         fld = FF(5)
         z, w1, w2 = MultiPoly.variables(fld, 3)
-        status, payload = smoothness_certificate(
-            z ** 3 - w1 ** 2 - w2 ** 2, max_pairs=0, search_exts=())
+        status, payload = smoothness_certificate(z ** 3 - w1 ** 2 - w2 ** 2)
         assert status in ("exhausted", "inconclusive", "singular")
         assert status != "smooth"
 

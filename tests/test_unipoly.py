@@ -6,7 +6,7 @@ import pytest
 
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.multipoly import MultiPoly
-from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField, ratfunc_pth_root
+from charpgeom.algebra.unipoly import UPoly, RatFunc, RatFuncField, lcm, ratfunc_pth_root
 
 
 def rand_poly(fld, deg, rng, monic=False):
@@ -323,3 +323,22 @@ def test_extension_results_are_trimmed_and_foreign_coefficients_still_raise():
         UPoly(fld, [fld.one, FF(3).one])
     with pytest.raises(ValueError):
         UPoly(fld, [FF(3, 3).one])
+
+
+@pytest.mark.parametrize("fld", [FF(3), FF(3, 2)], ids=["F3", "F9"])
+def test_lcm_of_denominators(fld):
+    t, one = UPoly.x(fld), UPoly.const(fld, 1)
+    a, b, c = t + 1, t + fld.from_index(fld.order - 1), t * t + 1
+    assert lcm(fld, []) == one
+    assert lcm(fld, [one, one]) == one
+    # coprime: the product
+    assert lcm(fld, [a, b]) == a * b
+    assert lcm(fld, [a, b, t]) == a * b * t
+    # repeated and nested factors count once, at their highest power
+    assert lcm(fld, [a, a, a * a, b]) == a * a * b
+    assert lcm(fld, [a * c, c * b, a]) == a * b * c
+    for dens, want in [([a * a * c, t * a, b], a * a * b * c * t),
+                       ([c, c * c, a * t], a * c * c * t)]:
+        got = lcm(fld, dens)
+        assert got == want and got.leading() == fld.one
+        assert all(got % d == UPoly(fld) for d in dens)
