@@ -47,6 +47,10 @@ GOLDEN = {
     "cover-n3.json": ["cover", "--p", "3", "--N", "2", "--d", "1", "--n", "3"],
     # over F_9: closure certificates re-checked by term-by-term expansion
     "cover-m2.json": ["cover", "--p", "3", "--m", "2", "--seed", "1"],
+    # over F_9: an input with a Zech-coded coefficient (g^3), printed by
+    # MultiPoly.format
+    "normalform-m2.json": ["normalform", "--p", "3", "--m", "2", "--r", "5",
+                           "--seed", "2"],
 }
 
 
