@@ -1,9 +1,10 @@
 """Buchberger engine specialized for unit-ideal certificates.
 
 Monomial order: graded reverse lexicographic.  The engine computes on the
-packed polynomials of `monomials.py`: plain dicts {key: coefficient}, whose
-integer key order is grevlex order, with residues mod p as coefficients over
-a prime field and domain elements otherwise.  A degree above MAX_DEGREE
+packed terms of its MultiPolys (`monomials.py`): plain dicts {key: code},
+whose integer key order is grevlex order, with the ring kernel's codes as
+coefficients.  It takes them as they are and returns MultiPolys made from
+its own dicts, with no conversion either way.  A degree above MAX_DEGREE
 raises ValueError, never wraps.
 
 Instead of carrying representations in terms of the generators, the engine
@@ -61,11 +62,12 @@ def grevlex_key(exps):
 
 
 def leading_term(poly):
-    """(exponents, coefficient) of the grevlex-leading term."""
+    """(exponents, coefficient) of the grevlex-leading term: the largest
+    key."""
     if poly.is_zero():
         raise ValueError("zero polynomial has no leading term")
-    lm = max(poly.terms, key=grevlex_key)
-    return lm, poly.terms[lm]
+    lm = max(poly.packed)
+    return poly.ring.exponents(lm), poly.ring.element(poly.packed[lm])
 
 
 def _divides(a, b):
@@ -80,11 +82,10 @@ _Step = namedtuple("_Step", "inv gen submuls", defaults=((),))
 
 class _Basis:
     """Monic packed polynomials, with the leading keys and exponent fields
-    the division loop reads, and the trace step of each.  `exps` is the
-    unpack table of one run, shared by its basis and cofactors."""
+    the division loop reads, and the trace step of each."""
 
     def __init__(self, ring, ngens=0):
-        self.ring, self.ngens, self.exps = ring, ngens, {}
+        self.ring, self.ngens = ring, ngens
         self.polys, self.leads, self.lows, self.steps = [], [], [], []
 
     def append(self, poly, step=None):
@@ -147,7 +148,7 @@ class _Basis:
                 for g, poly in reps[y].items():
                     ring.submul(acc.setdefault(g, {}), poly, shift, c)
             reps[x] = {g: ring.scale(poly, st.inv) for g, poly in acc.items() if poly}
-        return [ring.unpack(reps[k].get(g, {}), self.exps)
+        return [MultiPoly.from_packed(ring, reps[k].get(g, {}))
                 for g in range(self.ngens)]
 
     def _replay_slots(self, todo, radix):
@@ -184,17 +185,15 @@ class _Basis:
                                          for g, v in acc.items()) if v}
         out, rep = [], reps[todo[-1]]
         for g in range(self.ngens):
-            terms = {}
+            packed = {}
             for at, c in enumerate(rep.get(g, 0).to_bytes(size, "little")):
-                if c:
-                    exps = []
-                    for _ in range(n):
+                if c:                      # a residue: the code itself
+                    low = 0
+                    for s in ring.shifts:
                         at, e = divmod(at, radix)
-                        exps.append(e)
-                    terms[tuple(exps)] = ring.element(c)
-            poly = MultiPoly(ring.domain, n)
-            poly.terms = terms
-            out.append(poly)
+                        low |= e << s
+                    packed[ring.key(low)] = c
+            out.append(MultiPoly.from_packed(ring, packed))
         return out
 
 
@@ -223,20 +222,20 @@ def reduce_poly(f, basis):
     """
     if isinstance(basis, _Basis):
         return basis.reduce(f)
-    ring = monomials.ring(f.domain, f.n)
-    packed, rows = _Basis(ring), []            # rows: (position i, inv_i)
+    ring = f.ring
+    monic, rows = _Basis(ring), []             # rows: (position i, inv_i)
     for i, b in enumerate(basis):
-        b = ring.pack(b)
+        b = b.packed_in(ring)
         if b:                  # a zero element divides nothing: q_i = 0
             rows.append((i, ring.inverse(b[max(b)])))
-            packed.append(ring.scale(b, rows[-1][1]))
-    submuls, rem = packed.reduce(ring.pack(f))
+            monic.append(ring.scale(b, rows[-1][1]))
+    submuls, rem = monic.reduce(f.packed)
     quotients = [{} for _ in basis]    # f = sum c x^shift (inv_i b_i) + rem
     for r, shift, c in submuls:
         i, inv = rows[r]
         quotients[i][shift] = ring.times(c, inv)
-    return ([ring.unpack(q, packed.exps) for q in quotients],
-            ring.unpack(rem, packed.exps))
+    return ([MultiPoly.from_packed(ring, q) for q in quotients],
+            MultiPoly.from_packed(ring, rem))
 
 
 @dataclass
@@ -291,15 +290,15 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return "done", [], 0, None
-    ring = monomials.ring(gens[0].domain, gens[0].n)
+    ring = gens[0].ring
     basis, pairs = _Basis(ring, len(gens)), 0
 
     def finish(status):
-        return (status, [ring.unpack(f, basis.exps) for f in basis.polys],
+        return (status, [MultiPoly.from_packed(ring, f) for f in basis.polys],
                 pairs, basis)
 
     for idx, g in enumerate(gens):
-        f = ring.pack(g)
+        f = g.packed_in(ring)
         inv = ring.inverse(f[max(f)])
         basis.append(ring.scale(f, inv), _Step(inv, idx))
         if stop_at_unit and g.is_constant():

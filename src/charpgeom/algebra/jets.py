@@ -13,8 +13,9 @@ the terms of degree < r are exactly the keys below r << top: truncation is
 one comparison, and a product sorted by key stops each row early.  The
 ring's kernel keeps residues over F_p, Zech-log codes over F_{p^m} and
 domain elements elsewhere (`monomials.ring`); this module has one path for
-all three.  All jets over equal (domain, n) hold one memoised ring, and
-every derived jet (a sum, a product, a truncation) is made by `_like`.
+all three.  All jets and MultiPolys over equal (domain, n) hold one
+memoised ring, so `from_poly` and `to_poly` copy keys and codes as they
+are; every derived jet (a sum, a product, a truncation) is made by `_like`.
 Jets over different domains or numbers of variables do not mix:
 arithmetic between them raises ValueError.
 """
@@ -67,14 +68,15 @@ class Jet:
 
     @classmethod
     def from_poly(cls, poly, order):
-        return cls(poly.domain, poly.n, order, poly.terms)
+        """The jet of a MultiPoly: its packed terms of degree < order."""
+        return cls(poly.domain, poly.n, order)._like(poly.packed).truncate(order)
 
     @classmethod
     def variable(cls, domain, n, i, order):
         return cls(domain, n, order, {tuple(int(j == i) for j in range(n)): 1})
 
     def to_poly(self):
-        return self.ring.unpack(self.terms, {})
+        return MultiPoly.from_packed(self.ring, dict(self.terms))
 
     # -- queries -------------------------------------------------------------
 
@@ -96,7 +98,7 @@ class Jet:
         """Terms of total degree exactly d, as {exponent tuple: element}."""
         top = self.ring.top
         part = {k: c for k, c in self.terms.items() if k >> top == d}
-        return self.ring.unpack(part, {}).terms
+        return MultiPoly.from_packed(self.ring, part).terms
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.domain == other.domain
@@ -176,11 +178,9 @@ def jet_compose(f, phis, order):
             raise ValueError("substitution jets must have zero constant term")
     one_jet = phis[0]._like({})
     one_jet._set(0, domain.one)
-    ring = one_jet.ring                 # a Jet f's codes are already in it
-    if isinstance(f, MultiPoly):
-        items = [(e, ring.coeff(c)) for e, c in f.terms.items()]
-    else:
-        items = [(f.ring.exponents(k), c) for k, c in f.terms.items()]
+    ring = one_jet.ring                 # f's codes are already in it
+    packed = f.packed if isinstance(f, MultiPoly) else f.terms
+    items = [(f.ring.exponents(k), c) for k, c in packed.items()]
     pow_cache = [{0: one_jet} for _ in range(n)]
     acc = {}
     for exps, c in items:

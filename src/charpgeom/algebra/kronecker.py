@@ -5,19 +5,19 @@ The route is chosen here alone.  Over F_p (the field's `prime` is p, not
 None), when the layout below has no more slots than expansion has term
 products (sum #a_i * #b_i; #z^2 for z^e), products are Kronecker ints on the
 residues c.coeffs[0] (`packed_sum`); otherwise they expand term by term on
-the coefficients as given, from the field's `zero`, as `MultiPoly` does
-(`expanded_sum`).
+the coefficients as given, from the field's `zero` (`expanded_sum`).
 
 Layout: x_j -> X^(w_j), w_1 = 1, w_(j+1) = w_j * D_j with D_j above the
 x_j-degree of every product and each residue in a B-byte slot of X = 256^B,
 so one big-int product is a polynomial product (Kronecker 1882; Harvey, JSC
 2009).  A slot holds at most sum_i min(#a_i, #b_i) * (p-1)^2, as at one
 output monomial each term of the shorter factor meets at most one of the
-other; B is the least width above that, and a sum that does not fit raises
-OverflowError, never wraps.  A power squares and multiplies from the low bit
-(as `powers.power`) in z^e's layout, reducing mod p after each product; a
-term of h outside the layout gives False.  Nothing here comes from the
-Groebner engine, the polynomial classes or the fields.
+other, and an input slot holds at most p - 1; B is the least width above
+both, and a sum that does not fit raises OverflowError, never wraps.  A
+power squares and multiplies from the low bit (as `powers.power`) in z^e's
+layout, reducing mod p after each product; a term of h outside the layout
+gives False.  Nothing here comes from the Groebner engine, the polynomial
+classes or the fields.
 """
 
 from math import prod
@@ -39,7 +39,8 @@ def _pack(cells, width):
 
 def packed_sum(pairs, p):
     """sum a * b over pairs of {slot: residue} cells, as such cells mod p."""
-    bound = sum(min(len(a), len(b)) for a, b in pairs) * (p - 1) ** 2
+    bound = max(sum(min(len(a), len(b)) for a, b in pairs) * (p - 1) ** 2,
+                p - 1)
     width = slot_bytes(bound)
     if bound >= 256 ** width:
         raise OverflowError(f"slot bound {bound} needs more than {width} bytes")

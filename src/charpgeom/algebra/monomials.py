@@ -1,4 +1,4 @@
-"""Packed monomials and the coefficient kernel of Jet, Buchberger and UPoly.
+"""Packed monomials and the coefficient kernel of every polynomial class.
 
 A key holds the exponents e_1..e_n of a monomial in guarded fields (its low
 half) beneath their partial sums s_n, ..., s_1 (its high half), so integer
@@ -12,15 +12,17 @@ A packed polynomial is a plain dict {key: coefficient}, in one of three
 coefficient kernels that `ring(domain, n)` picks: residues 0..p-1 over F_p
 (`Residues`), Zech-log codes over F_{p^m} with m > 1 (`ZechLogs`), both up
 to PRIME_TABLE_MAX elements, and domain elements otherwise (`Ring`).  Code
-on top of the kernel, `UPoly` and the point sweeps of `covers` included,
-has one path for all three.  A kernel defines its conversions, `scale`,
-`submul` and `mul`, the scalar `times` and `plus`, and the p-th `root` of
-a code; the sum `Ring.add` is one `submul` by -1 in all three.  UPoly's
-dense ops and Horner are written once on `times`, `plus` and `inverse`, and
-its p-th root on `root`; `Residues` sums, multiplies and divides by the
-Kronecker products and byte tables of `finitefield` instead.  `ring` is
-memoised, so every jet, Buchberger run and UPoly over equal (domain, n)
-share one ring.
+on top of the kernel (`MultiPoly`, `Jet`, Buchberger, `UPoly` and the point
+sweeps of `covers`) has one path for all three.  Only `coeff` and `element`
+cross between codes and domain elements, and only `monomial` and
+`exponents` between keys and exponent tuples.  A kernel defines its
+conversions, `scale`, `submul` and `mul`, the scalar `times` and `plus`,
+and the p-th `root` of a code; the sum `Ring.add` is one `submul` by -1 in
+all three.  UPoly's dense ops and Horner are written once on `times`,
+`plus` and `inverse`, and its p-th root on `root`; `Residues` sums,
+multiplies and divides by the Kronecker products and byte tables of
+`finitefield` instead.  `ring` is memoised, so every polynomial, jet,
+Buchberger run and UPoly over equal (domain, n) share one ring.
 """
 
 import functools
@@ -28,7 +30,6 @@ import itertools
 import operator
 
 from .finitefield import PRIME_TABLE_MAX, _ptrim, _padd, _pmul, _pdivmod, pth_root
-from .multipoly import MultiPoly
 
 FIELD_BITS = 16                            # per exponent, guard bit included
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1   # also the mask of one exponent
@@ -82,25 +83,6 @@ class Ring:
         ge -= ge >> (FIELD_BITS - 1)                  # ... widened to a mask
         return (a & ge) | (b & ~ge)
 
-    def pack(self, poly):
-        if poly.n != self.n or poly.domain != self.domain:
-            raise ValueError(f"polynomial over {poly.domain!r}, n = {poly.n}, "
-                             f"used in a ring over {self.domain!r}, n = {self.n}")
-        return {self.monomial(exps): self.coeff(c)
-                for exps, c in poly.terms.items()}
-
-    def unpack(self, packed, exps):
-        """MultiPoly of a packed dict.  `exps` maps keys to the exponent
-        tuples made so far: polynomials unpacked with one table share them,
-        which keeps whole bases and cofactors small."""
-        out = MultiPoly(self.domain, self.n)
-        for k, c in packed.items():
-            e = exps.get(k)
-            if e is None:
-                e = exps[k] = self.exponents(k)
-            out.terms[e] = self.element(c)
-        return out
-
     # -- coefficient kernel: conversions, inverse, scalar product and sum,
     # -- scaling, shifted multiply-subtract and truncated products; sums of
     # -- polynomials are one submul
@@ -121,8 +103,9 @@ class Ring:
         return a + b
 
     def root(self, c):
-        """The code of the p-th root."""
-        return pth_root(c)
+        """The code of the p-th root; None when c has none, which only a
+        domain with its own `pth_root` (k(t)) can say."""
+        return getattr(self.domain, "pth_root", pth_root)(c)
 
     def scale(self, poly, c):
         """c * poly, for a nonzero c."""

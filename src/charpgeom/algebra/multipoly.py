@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials over an exact coefficient domain.
 
-Terms are a dict from exponent tuples to nonzero coefficients; the domain is
-either a FiniteField or a RatFuncField (anything with zero/one/elem and odd
-characteristic p).  Arithmetic is exact; derivatives use char-p exponent
-arithmetic, so d(x^p)/dx = 0 comes out of the coefficient reduction and not
-out of a special case.
+A MultiPoly is a packed polynomial of `monomials.ring(domain, n)`: a dict
+{key: code} of its nonzero terms, with the ring's grevlex keys and its
+kernel's coefficient codes (residues over F_p, Zech-log codes over F_{p^m},
+domain elements over k(t) and untabled fields).  The domain is a
+FiniteField or a RatFuncField (anything with zero/one/elem and odd
+characteristic p).  Arithmetic is the kernel's and exact: a product or
+power of degree above MAX_DEGREE raises ValueError, never wraps.  A
+derivative subtracts the key of x_i and brings the exponent down as a code,
+so d(x^p)/dx = 0 comes out of the coefficient reduction and not out of a
+special case.  Exponent tuples and field elements appear only at the
+boundary: the constructor, the read-only `terms` view, `coefficient`,
+`constant_term`, `evaluate`, `subs` and `format`.
 
 `RatExpr` is an *unreduced* fraction of MultiPolys.  Multivariate gcd is
 deliberately avoided: every identity the covering and blow-up machinery needs
@@ -15,26 +22,36 @@ decided exactly by cross-multiplication.
 import itertools
 import re
 
+from . import monomials
 from .linalg import det
+from .monomials import _check_degree
 from .powers import power, substitute
 
 
 class MultiPoly:
     """Sparse polynomial in n variables over an exact domain."""
 
-    __slots__ = ("domain", "n", "terms")
+    __slots__ = ("domain", "n", "ring", "packed")
 
     def __init__(self, domain, n, terms=None):
-        self.domain = domain
-        self.n = n
-        self.terms = {}
-        if terms:
-            zero = domain.zero
-            for exp, c in terms.items():
-                if len(exp) != n or min(exp, default=0) < 0:
-                    raise ValueError(f"exponents {exp!r} of a monomial in {n} variables")
-                if c != zero:
-                    self.terms[exp] = c
+        """From {exponent tuple: coefficient}, zero coefficients dropped.
+        ValueError on a bad exponent tuple, a degree above MAX_DEGREE or a
+        coefficient of another field."""
+        self.domain, self.n = domain, n
+        self.ring = ring = monomials.ring(domain, n)
+        self.packed = {}
+        for exps, c in (terms or {}).items():
+            key, c = ring.monomial(exps), ring.coeff(domain.elem(c))
+            if c:
+                self.packed[key] = c
+
+    @classmethod
+    def from_packed(cls, ring, packed):
+        """The polynomial of `ring` whose packed terms are `packed` (no zero
+        code); it keeps the dict, which the caller no longer changes."""
+        out = cls.__new__(cls)
+        out.domain, out.n, out.ring, out.packed = ring.domain, ring.n, ring, packed
+        return out
 
     # -- constructors ----------------------------------------------------------
 
@@ -44,7 +61,6 @@ class MultiPoly:
 
     @classmethod
     def const(cls, domain, n, c):
-        c = domain.elem(c)
         return cls(domain, n, {(0,) * n: c})
 
     @classmethod
@@ -55,7 +71,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, domain, n, exps, c=1):
-        return cls(domain, n, {tuple(exps): domain.elem(c)})
+        return cls(domain, n, {tuple(exps): c})
 
     @classmethod
     def variables(cls, domain, n):
@@ -63,32 +79,38 @@ class MultiPoly:
 
     # -- basic queries ----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """{exponent tuple: element} of the nonzero terms, as a new dict on
+        every read."""
+        exponents, element = self.ring.exponents, self.ring.element
+        return {exponents(k): element(c) for k, c in self.packed.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(k == 0 for k in self.packed)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.n, self.domain.zero)
+        return self.coefficient((0,) * self.n)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.packed) >> self.ring.top if self.packed else -1
 
     def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=-1)
+        shift = self.ring.shifts[i]
+        return max((k >> shift & monomials.MAX_DEGREE for k in self.packed),
+                   default=-1)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d):
-        return MultiPoly(self.domain, self.n,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
+        top = self.ring.top
+        return len({k >> top for k in self.packed}) <= 1
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.domain.zero)
+        c = self.packed.get(self.ring.monomial(exps))
+        return self.domain.zero if c is None else self.ring.element(c)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -96,99 +118,81 @@ class MultiPoly:
                 return self.is_zero()
             return self == MultiPoly.const(self.domain, self.n, other)
         return (self.domain == other.domain and self.n == other.n
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.packed.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- arithmetic --------------------------------------------------------------
 
+    def packed_in(self, ring):
+        """The packed terms, for use in `ring`: ValueError when this
+        polynomial has another domain or number of variables."""
+        if self.n != ring.n or (self.domain is not ring.domain
+                                and self.domain != ring.domain):
+            raise ValueError(f"polynomial over {self.domain!r}, n = {self.n}, "
+                             f"used in a ring over {ring.domain!r}, n = {ring.n}")
+        return self.packed
+
     def _coerce(self, other):
+        """The packed terms of a polynomial or constant, in this ring."""
         if not isinstance(other, MultiPoly):
-            return MultiPoly.const(self.domain, self.n, other)
-        if other.n != self.n or (other.domain is not self.domain
-                                 and other.domain != self.domain):
-            raise ValueError(f"polynomial in {other.n} variables over {other.domain!r}"
-                             f" used with one in {self.n} over {self.domain!r}")
-        return other
+            other = MultiPoly.const(self.domain, self.n, other)
+        return other.packed_in(self.ring)
+
+    def _like(self, packed):
+        return MultiPoly.from_packed(self.ring, packed)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        res = dict(self.terms)
-        zero = self.domain.zero
-        for e, c in other.terms.items():
-            s = res.get(e, zero) + c
-            if s != zero:
-                res[e] = s
-            elif e in res:
-                del res[e]
-        out = MultiPoly(self.domain, self.n)
-        out.terms = res
-        return out
+        return self._like(self.ring.add(self.packed, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        out = dict(self.packed)
+        self.ring.submul(out, self._coerce(other), 0, self.ring.one)
+        return self._like(out)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        out = MultiPoly(self.domain, self.n)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._like(self.ring.scale(self.packed, self.ring.minus_one))
 
     def __mul__(self, other):
+        ring = self.ring
         if not isinstance(other, MultiPoly):
-            c = self.domain.elem(other)
-            if c == self.domain.zero:
-                return MultiPoly(self.domain, self.n)
-            out = MultiPoly(self.domain, self.n)
-            out.terms = {e: a * c for e, a in self.terms.items()}
-            return out
-        other = self._coerce(other)
-        res = {}
-        zero = self.domain.zero
-        get = res.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = get(e, zero) + c1 * c2
-                if s != zero:
-                    res[e] = s
-                elif e in res:
-                    del res[e]
-        out = MultiPoly(self.domain, self.n)
-        out.terms = res
-        return out
+            c = ring.coeff(self.domain.elem(other))
+            return self._like(ring.scale(self.packed, c) if c else {})
+        b = self._coerce(other)
+        if self.packed and b:
+            _check_degree(self.total_degree() + other.total_degree())
+        return self._like(ring.mul(self.packed, b,
+                                   (monomials.MAX_DEGREE + 1) << ring.top))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        _check_degree(self.total_degree() * e)     # before any product
         return power(self, e, MultiPoly.const(self.domain, self.n, 1))
 
     # -- calculus -----------------------------------------------------------------
 
     def derivative(self, i):
-        """Partial derivative; exponent multiplier reduced mod p by the domain."""
-        res = {}
-        zero = self.domain.zero
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            m = self.domain.elem(e[i])
-            if m == zero:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            res[tuple(ne)] = c * m
-        out = MultiPoly(self.domain, self.n)
-        out.terms = res
-        return out
+        """Partial derivative: the key of x_i comes off each key, and the
+        exponent comes down as a code, zero when p divides it."""
+        ring, elem = self.ring, self.domain.elem
+        shift = ring.shifts[i]
+        step = ring.key(1 << shift)
+        out = {}
+        for k, c in self.packed.items():
+            m = ring.coeff(elem(k >> shift & monomials.MAX_DEGREE))
+            if m:
+                out[k - step] = ring.times(c, m)
+        return self._like(out)
 
     def gradient(self):
         return [self.derivative(i) for i in range(self.n)]
@@ -206,49 +210,49 @@ class MultiPoly:
         return substitute(self.terms, polys, MultiPoly(self.domain, polys[0].n))
 
     def map_coefficients(self, domain, func):
-        """New polynomial over `domain` with coefficients func(c)."""
-        out = MultiPoly(domain, self.n)
-        zero = domain.zero
-        for e, c in self.terms.items():
-            v = func(c)
-            if v != zero:
-                out.terms[e] = v
-        return out
+        """New polynomial over `domain` with coefficients func(c).  The keys
+        are copied: their layout depends only on n."""
+        ring, element = monomials.ring(domain, self.n), self.ring.element
+        out = {}
+        for k, c in self.packed.items():
+            v = ring.coeff(domain.elem(func(element(c))))
+            if v:
+                out[k] = v
+        return MultiPoly.from_packed(ring, out)
 
     # -- char-p specifics ------------------------------------------------------------
 
-    def is_pth_power(self, pth_root_coeff):
+    def is_pth_power(self):
         """Test f = g^p; returns g or None.  Requires char(domain) = p.
 
         In characteristic p the freshman's dream makes this exact: f is a
-        p-th power iff every exponent is divisible by p, with coefficient
-        roots supplied by `pth_root_coeff` (perfect coefficient field).
-        """
-        p = self.domain.p
+        p-th power iff every exponent is divisible by p and every
+        coefficient has a p-th root (`ring.root`: always over a finite
+        field, which is perfect).  Then every field of a key is divisible
+        by p, and key // p is the key of the root's monomial."""
+        ring, p = self.ring, self.domain.p
         root = {}
-        for e, c in self.terms.items():
-            if any(k % p for k in e):
+        for k, c in self.packed.items():
+            if any(e % p for e in ring.exponents(k)):
                 return None
-            r = pth_root_coeff(c)
+            r = ring.root(c)
             if r is None:
                 return None
-            root[tuple(k // p for k in e)] = r
-        out = MultiPoly(self.domain, self.n)
-        out.terms = root
-        return out
+            root[k // p] = r
+        return self._like(root)
 
     # -- text encoding -----------------------------------------------------------------
 
     def format(self, names=None):
         """Canonical encoding: `c*x1^a1*x2^a2` terms joined by ` + `."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         if names is None:
             names = [f"x{i+1}" for i in range(self.n)]
         bits = []
-        for e in sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e))):
-            c = self.terms[e]
-            cs = self.domain.format_element(c)
+        for e in sorted(terms, key=lambda e: (-sum(e), tuple(-k for k in e))):
+            cs = self.domain.format_element(terms[e])
             factors = []
             for i, k in enumerate(e):
                 if k == 1:
@@ -283,17 +287,17 @@ def split_terms(text):
             for sign, raw in re.findall(r"([+-]?)([^+-]+)", text)]
 
 
-def parse_poly(text, domain, names):
-    """Parse the canonical `c*x1^a1*...` encoding (and `-` as a convenience).
+def parse_terms(text, domain, names):
+    """(exponent tuple, coefficient) of each term of the canonical
+    `c*x1^a1*...` encoding (and `-` as a convenience), in text order and
+    unsummed; the exponents may exceed MAX_DEGREE.
 
     Raises ValueError on an empty term (see `split_terms`) and on a factor
     that is neither one of `names` nor a coefficient."""
-    n = len(names)
     index = {name: i for i, name in enumerate(names)}
-    acc = MultiPoly(domain, n)
     for neg, raw in split_terms(text):
         coeff = domain.one
-        exps = [0] * n
+        exps = [0] * len(names)
         for factor in raw.split("*"):
             m = _TERM_FACTOR.match(factor)
             if m and m.group(1) in index:
@@ -305,10 +309,16 @@ def parse_poly(text, domain, names):
                     raise ValueError(f"factor {factor!r} is neither a variable "
                                      f"({', '.join(names)}) nor a coefficient") from None
                 coeff = coeff * domain.elem(c)
-        if neg:
-            coeff = -coeff
-        acc = acc + MultiPoly.monomial(domain, n, exps, coeff)
-    return acc
+        yield tuple(exps), -coeff if neg else coeff
+
+
+def parse_poly(text, domain, names):
+    """The sum of the terms of `parse_terms`.  ValueError as there, and on
+    a monomial of degree above MAX_DEGREE."""
+    n = len(names)
+    return sum((MultiPoly.monomial(domain, n, exps, c)
+                for exps, c in parse_terms(text, domain, names)),
+               MultiPoly(domain, n))
 
 
 def _parse_coeff(text, domain):
@@ -430,10 +440,11 @@ class RatExpr:
         domain, m = self.num.domain, exprs[0].num.n
         maps = []
         for r in exprs:
-            if len(r.num.terms) != 1 or len(r.den.terms) != 1:
+            num, den = r.num.terms, r.den.terms
+            if len(num) != 1 or len(den) != 1:
                 raise ValueError(f"substitution needs quotients of monomials, not {r!r}")
-            (u, a), = r.num.terms.items()
-            (v, b), = r.den.terms.items()
+            (u, a), = num.items()
+            (v, b), = den.items()
             maps.append((tuple(x - y for x, y in zip(u, v)),
                          None if a == b else a / b))
 

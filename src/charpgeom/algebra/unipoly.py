@@ -108,6 +108,9 @@ class UPoly:
             return self.field.zero
         return self.ring.element(self._c[i])
 
+    # __getitem__ reads zero past the degree, so iteration would never end
+    __iter__ = None
+
     def __eq__(self, other):
         return (isinstance(other, UPoly)
                 and (self.field is other.field or self.field == other.field)
@@ -423,6 +426,12 @@ class RatFuncField:
 
     def format_element(self, a):
         return a.format(self.varname)
+
+    def pth_root(self, a):
+        """b with b^p = a in k(t), or None when a is not a p-th power."""
+        if not (a.num.is_pth_power() and a.den.is_pth_power()):
+            return None
+        return RatFunc(a.num.pth_root_poly(), a.den.pth_root_poly())
 
 
 def lcm(field, polys):

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .algebra.finitefield import FF, TooLargeToEmbed, is_prime
 from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import MultiPoly, det, parse_poly, split_terms
+from .algebra.multipoly import (MultiPoly, det, parse_poly, parse_terms,
+                                 split_terms)
 from .algebra.jets import MAX_ORDER
 from . import heights, covers, normalform, desing, picard
 
@@ -130,11 +131,12 @@ def _field(params):
 
 
 def _parse_upoly(text, fld):
-    poly = parse_poly(text, fld, ["t"])
-    coeffs = [fld.zero] * (poly.degree_in(0) + 1)
-    for (e,), c in poly.terms.items():
-        coeffs[e] = c
-    return UPoly(fld, coeffs)
+    """A UPoly in t, of any degree: no packed key holds its exponents."""
+    coeffs = {}
+    for (e,), c in parse_terms(text, fld, ["t"]):
+        coeffs[e] = coeffs.get(e, fld.zero) + c
+    return UPoly(fld, [coeffs.get(e, fld.zero)
+                       for e in range(max(coeffs, default=-1) + 1)])
 
 
 # -- scenarios ---------------------------------------------------------------------

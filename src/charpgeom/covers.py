@@ -50,7 +50,6 @@ from .algebra.powers import substitute
 from .algebra.linalg import det, cofactor_det
 from .algebra.groebner import groebner_membership_one, standard_monomial_count
 from .algebra import kronecker, monomials
-from .algebra.monomials import _check_degree
 from . import heights as heights_mod
 
 
@@ -91,16 +90,6 @@ class Cover:
         return self.charts[0].f.domain
 
 
-def _coefficient_pth_root(domain, c):
-    """p-th root of a coefficient, or None when it is not a p-th power."""
-    if isinstance(domain, FiniteField):
-        return pth_root(c)
-    num, den = c.num, c.den
-    if not num.is_pth_power() or not den.is_pth_power():
-        return None
-    return RatFunc(num.pth_root_poly(), den.pth_root_poly())
-
-
 def build_cover(charts, p, params=None):
     """Assemble and verify a covering datum.
 
@@ -128,8 +117,7 @@ def _check_sections(sections, p):
     for index, f in enumerate(sections):
         if f.is_zero():
             raise ValueError(f"chart {index}: zero section")
-    witness = sections[0].is_pth_power(
-        lambda c: _coefficient_pth_root(domain, c))
+    witness = sections[0].is_pth_power()
     if witness is not None:
         raise NonReducedCover(witness)
 
@@ -400,29 +388,9 @@ def _chart_completeness(f, found):
 
 def symbolic_hessian_det(f):
     """det of the symbolic Hessian matrix, by cofactor expansion along the
-    first row (n small), in the packed ring of f (`monomials.ring`, every
-    domain): each product is one `ring.mul`, with a bound above every key,
-    and each signed sum one `ring.submul`.  Equal to
-    `linalg.cofactor_det(hessian_matrix(f))`, which `singular_points` keeps
-    as the cross-check of `det`."""
-    ring = monomials.ring(f.domain, f.n)
-    mat = [[ring.pack(h) for h in row] for row in hessian_matrix(f)]
-    # a term of the determinant takes one entry per row: no key may wrap
-    _check_degree(sum(max((k >> ring.top for h in row for k in h), default=0)
-                      for row in mat))
-    bound = (monomials.MAX_DEGREE + 1) << ring.top
-
-    def expand(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = {}
-        for j, a in enumerate(rows[0]):
-            if a:
-                minor = expand([row[:j] + row[j + 1:] for row in rows[1:]])
-                ring.submul(acc, ring.mul(a, minor, bound), 0,
-                            ring.one if j % 2 else ring.minus_one)
-        return acc
-    return ring.unpack(expand(mat), {})
+    first row (n small); `singular_points` keeps `cofactor_det` as the
+    cross-check of `det`.  A product past MAX_DEGREE raises ValueError."""
+    return cofactor_det(hessian_matrix(f))
 
 
 def classify_section(chart_sections):
@@ -472,8 +440,9 @@ def dehomogenize_charts(form, N):
     drops exponent i from every term of a homogeneous form."""
     if not form.is_homogeneous():
         raise ValueError("dehomogenizing needs a homogeneous form")
+    terms = form.terms
     return [MultiPoly(form.domain, N, {e[:i] + e[i + 1:]: c
-                                       for e, c in form.terms.items()})
+                                       for e, c in terms.items()})
             for i in range(N + 1)]
 
 
@@ -576,13 +545,13 @@ class FrobeniusFactorization:
         denominators and Dt its p-th root after t -> s^p, checks
         Z(T, s)^p = H(T^p, s^p), where Z and H are the numerator
         polynomials of z and h, by one `kronecker.power_is` call."""
-        fld, p = self.sdomain.base, self.p
-        den = lcm(fld, [c.den for c in self.h.terms.values()])
+        fld, p, terms = self.sdomain.base, self.p, self.h.terms
+        den = lcm(fld, [c.den for c in terms.values()])
         dent = den.inflate(p).pth_root_poly()
         # the numerators of z and h(T^p) as polynomials in (T, s)
         z = {tuple(e) + (i,): cc for e, c in self.b.items()
              for i, cc in enumerate((c.num * (dent // c.den)).coeffs) if cc}
-        h = {tuple(k * p for k in e) + (i * p,): cc for e, c in self.h.terms.items()
+        h = {tuple(k * p for k in e) + (i * p,): cc for e, c in terms.items()
              for i, cc in enumerate((c.num * (den // c.den)).coeffs) if cc}
         return kronecker.power_is(z, p, h, self.h.n + 1, fld)
 

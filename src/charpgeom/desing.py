@@ -108,9 +108,10 @@ def blowup_step(equation, step_index=0, names=None):
         total = equation.subs(subs)
         if total.is_zero():
             raise AssertionError("total transform vanished")
-        mu = min(e[i] for e in total.terms)
+        terms = total.terms
+        mu = min(e[i] for e in terms)
         strict = MultiPoly(fld, nv, {
-            e[:i] + (e[i] - mu,) + e[i + 1:]: c for e, c in total.terms.items()})
+            e[:i] + (e[i] - mu,) + e[i + 1:]: c for e, c in terms.items()})
         check = strict * MultiPoly.var(fld, nv, i, mu)
         if check != total:
             raise AssertionError("exceptional factorization failed to re-verify")

@@ -223,7 +223,16 @@ def test_cli_accepts_signed_coordinates(capsys):
     ["normalform", "--p", "5", "--poly", "x1^2+x2^2+x1^40000", "--r", "4"],
 ], ids=["height", "normalform"])
 def test_cli_takes_exponents_above_the_packed_key_bound(argv, capsys):
-    # both inputs go through parse_poly with an exponent no packed key holds
+    # both inputs carry an exponent no packed key holds: a UPoly coordinate
+    # takes it, while a MultiPoly is refused as invalid input
     assert 40000 > monomials.MAX_DEGREE
-    assert main(argv) == 0
-    assert "result: PASS" in capsys.readouterr().out
+    if argv[0] == "height":
+        assert main(argv) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "charpgeom normalform: error: argument --poly: monomial degree 40000 "
+        f"exceeds the packed-key bound MAX_DEGREE = {monomials.MAX_DEGREE}"]

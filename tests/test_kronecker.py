@@ -135,6 +135,14 @@ def test_residue_outside_its_slot_raises():
         kronecker.packed_sum([({0: 1, 1: 1}, {0: 1000, 1: 1})], 3)
 
 
+def test_slots_hold_every_residue_when_a_side_is_empty():
+    # no product term: the product bound is 0, but the slot must still
+    # hold the residue p - 1 of the other side
+    assert kronecker.packed_sum([({0: 70000}, {})], 70001) == {}
+    assert kronecker.packed_sum([({0: 70000}, {}), ({0: 1}, {0: 70000})],
+                                70001) == {0: 70000}
+
+
 POWER_CASES = [(p, n, e) for p in (3, 5, 7) for n in (1, 2, 3)
                for e in sorted({2, 4, p}) if n < 3 or e < 4]
 

@@ -342,3 +342,14 @@ def test_lcm_of_denominators(fld):
         got = lcm(fld, dens)
         assert got == want and got.leading() == fld.one
         assert all(got % d == UPoly(fld) for d in dens)
+
+
+def test_iterating_a_upoly_raises():
+    # __getitem__ reads zero past the degree: iteration through it would
+    # never end, so iter() and list() refuse a UPoly
+    u = UPoly.x(FF(3))
+    with pytest.raises(TypeError):
+        iter(u)
+    with pytest.raises(TypeError):
+        list(u)
+    assert list(u.coeffs) == [FF(3).zero, FF(3).one]

@@ -89,11 +89,9 @@ class Jet:
         return jet
 
     def to_poly(self):
-        poly = MultiPoly(self.domain, self.n)
-        for key, c in self.terms.items():
-            poly.terms[_unpack(key, self.n)] = (
-                self.domain.elem(c) if self._int else c)
-        return poly
+        return MultiPoly(self.domain, self.n, {
+            _unpack(key, self.n): self.domain.elem(c) if self._int else c
+            for key, c in self.terms.items()})
 
     # -- queries -------------------------------------------------------------
 
