@@ -6,21 +6,23 @@ jets is well defined as long as the substituted series have zero constant
 term, and then only depends on the order-r truncations of the inputs; that is
 exactly the regime of the formal normal-form algorithm.
 
-Representation notes: terms are the packed polynomials of `monomials.py`,
-{grevlex key: coefficient}, so a monomial product is key addition and a
-term's degree is `key >> top`.  Because the degree is the key's top field,
-the terms of degree < r are exactly the keys below r << top: truncation is
-one comparison, and a product sorted by key stops each row early.  The
-ring's kernel keeps residues over F_p, Zech-log codes over F_{p^m} and
-domain elements elsewhere (`monomials.ring`); this module has one path for
-all three.  All jets and MultiPolys over equal (domain, n) hold one
-memoised ring, so `from_poly` and `to_poly` copy keys and codes as they
-are; every derived jet (a sum, a product, a truncation) is made by `_like`.
-Jets over different domains or numbers of variables do not mix:
-arithmetic between them raises ValueError.
+Representation notes: a jet's `packed` is a packed polynomial of
+`monomials.py`, {grevlex key: code}, the dict a MultiPoly calls `packed`,
+so a monomial product is key addition and a term's degree is `key >> top`.
+Because the degree is the key's top field, the terms of degree < r are
+exactly the keys below r << top: truncation is one comparison, and a
+product sorted by key stops each row early.  The ring's kernel keeps
+residues over F_p, Zech-log codes over F_{p^m} and domain elements
+elsewhere (`monomials.ring`); this module has one path for all three.  A
+jet is built as a MultiPoly and truncated, so this module packs no key
+itself; all jets and MultiPolys over equal (domain, n) hold one memoised
+ring, so `from_poly`, `to_poly` and `jet_compose` read either one's
+`packed` as it is.  Every derived jet (a sum, a product, a truncation) is
+made by `_like`, and a constant one by `_const`.  Jets over different
+domains or numbers of variables do not mix: arithmetic between them raises
+ValueError.
 """
 
-from .monomials import ring
 from .multipoly import MultiPoly
 from .powers import cached_power, power
 
@@ -36,35 +38,29 @@ def _checked(order):
 class Jet:
     """Polynomial mod m^r: all stored monomials have total degree < r."""
 
-    __slots__ = ("domain", "n", "order", "terms", "ring")
+    __slots__ = ("domain", "n", "order", "packed", "ring")
 
     def __init__(self, domain, n, order, terms=None):
-        self.domain, self.n, self.order = domain, n, _checked(order)
-        self.ring = ring(domain, n)
-        self.terms = {}
-        if terms:
-            bound = order << self.ring.top
-            for exps, c in terms.items():
-                key = self.ring.monomial(exps)      # raises on a bad tuple
-                if key < bound:
-                    self._set(key, c)
+        """The jet of MultiPoly(domain, n, terms): ValueError as there."""
+        self.order = _checked(order)
+        poly = MultiPoly(domain, n, terms)
+        self.domain, self.n, self.ring = domain, n, poly.ring
+        bound = order << self.ring.top
+        self.packed = {k: c for k, c in poly.packed.items() if k < bound}
 
-    def _like(self, raw, order=None):
-        """A jet of this one's ring, with packed terms `raw`, of this one's
-        order or of `order`."""
+    def _like(self, packed, order=None):
+        """A jet of this one's ring, with packed terms `packed`, of this
+        one's order or of `order`."""
         out = Jet.__new__(Jet)
         out.domain, out.n, out.ring = self.domain, self.n, self.ring
-        out.terms = raw
+        out.packed = packed
         out.order = self.order if order is None else _checked(order)
         return out
 
-    def _coeff(self, c):
-        return self.ring.coeff(self.domain.elem(c))   # raises on another field
-
-    def _set(self, key, c):
-        c = self._coeff(c)
-        if c:
-            self.terms[key] = c
+    def _const(self, c):
+        """The constant jet c, of this one's ring and order."""
+        c = self.ring.coeff(self.domain.elem(c))   # raises on another field
+        return self._like({0: c} if c else {})
 
     @classmethod
     def from_poly(cls, poly, order):
@@ -76,63 +72,61 @@ class Jet:
         return cls(domain, n, order, {tuple(int(j == i) for j in range(n)): 1})
 
     def to_poly(self):
-        return MultiPoly.from_packed(self.ring, dict(self.terms))
+        return MultiPoly.from_packed(self.ring, dict(self.packed))
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def constant_term(self):
-        c = self.terms.get(0)
+        c = self.packed.get(0)
         return self.domain.zero if c is None else self.ring.element(c)
 
     def min_degree(self):
-        return min(self.terms) >> self.ring.top if self.terms else None
+        return min(self.packed) >> self.ring.top if self.packed else None
 
     def coefficient(self, exps):
-        c = self.terms.get(self.ring.monomial(exps))
+        c = self.packed.get(self.ring.monomial(exps))
         return self.domain.zero if c is None else self.ring.element(c)
 
     def homogeneous_part(self, d):
         """Terms of total degree exactly d, as {exponent tuple: element}."""
         top = self.ring.top
-        part = {k: c for k, c in self.terms.items() if k >> top == d}
+        part = {k: c for k, c in self.packed.items() if k >> top == d}
         return MultiPoly.from_packed(self.ring, part).terms
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.domain == other.domain
                 and self.n == other.n and self.order == other.order
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.n, self.order, frozenset(self.terms.items())))
+        return hash((self.n, self.order, frozenset(self.packed.items())))
 
     # -- arithmetic ---------------------------------------------------------------
 
     def truncate(self, order):
         bound = order << self.ring.top
-        return self._like({k: c for k, c in self.terms.items() if k < bound},
+        return self._like({k: c for k, c in self.packed.items() if k < bound},
                           order)
 
     def __add__(self, other):
-        return self._like(self.ring.add(self.terms, self._align(other).terms))
+        return self._like(self.ring.add(self.packed, self._align(other).packed))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        self.ring.submul(out, self._align(other).terms, 0, self.ring.one)
+        out = dict(self.packed)
+        self.ring.submul(out, self._align(other).packed, 0, self.ring.one)
         return self._like(out)
 
     def __neg__(self):
-        return self._like(self.ring.scale(self.terms, self.ring.minus_one))
+        return self._like(self.ring.scale(self.packed, self.ring.minus_one))
 
     def _align(self, other):
         if isinstance(other, MultiPoly):
             other = Jet.from_poly(other, self.order)
         elif not isinstance(other, Jet):
-            jet = self._like({})
-            jet._set(0, other)
-            return jet
+            return self._const(other)
         if (other.order != self.order or other.n != self.n
                 or other.domain is not self.domain
                 and other.domain != self.domain):
@@ -141,12 +135,12 @@ class Jet:
 
     def __mul__(self, other):
         other = self._align(other)
-        return self._like(self.ring.mul(self.terms, other.terms,
+        return self._like(self.ring.mul(self.packed, other.packed,
                                         self.order << self.ring.top))
 
     def scale(self, c):
-        c = self._coeff(c)
-        return self._like(self.ring.scale(self.terms, c) if c else {})
+        c = self.ring.coeff(self.domain.elem(c))
+        return self._like(self.ring.scale(self.packed, c) if c else {})
 
     def __pow__(self, e):
         return power(self, e, self._like({0: self.ring.one}))
@@ -176,11 +170,9 @@ def jet_compose(f, phis, order):
                              "one number of variables")
         if phi.constant_term() != domain.zero:
             raise ValueError("substitution jets must have zero constant term")
-    one_jet = phis[0]._like({})
-    one_jet._set(0, domain.one)
+    one_jet = phis[0]._const(domain.one)
     ring = one_jet.ring                 # f's codes are already in it
-    packed = f.packed if isinstance(f, MultiPoly) else f.terms
-    items = [(f.ring.exponents(k), c) for k, c in packed.items()]
+    items = [(f.ring.exponents(k), c) for k, c in f.packed.items()]
     pow_cache = [{0: one_jet} for _ in range(n)]
     acc = {}
     for exps, c in items:
@@ -195,5 +187,5 @@ def jet_compose(f, phis, order):
                     break
                 term = pw if term is one_jet else term * pw
         else:
-            ring.submul(acc, term.terms, 0, c)      # acc -= c * term, in place
+            ring.submul(acc, term.packed, 0, c)      # acc -= c * term, in place
     return one_jet._like(ring.scale(acc, ring.minus_one))

@@ -200,7 +200,7 @@ def differential_of_section(cover):
             # d(f_j)/dx_k pulled back to this chart, independent of l
             pulled = [RatExpr(g_k).subs(list(coord_map)) for g_k in grads_j]
             for l in range(ch.f.n):
-                lhs = RatExpr(ch.f.derivative(l))
+                lhs = RatExpr(diffs[ch.index][l])
                 rhs = RatExpr(MultiPoly.zero(ch.f.domain, ch.f.n))
                 for kvar in range(other.f.n):
                     dphi = coord_map[kvar].derivative(l)
@@ -262,10 +262,11 @@ def singular_points(cover, ext=1):
     return records
 
 
-def common_zeros(polys, search, n):
-    """Common zeros of polynomials in n >= 1 variables over the search
-    field, exhaustively and in `itertools.product` order (see `_Sweep`)."""
-    sweep = _Sweep(search, n)
+def common_zeros(polys):
+    """Common zeros of a nonempty list of polynomials in one ring, n >= 1
+    variables over a finite field, exhaustively and in `itertools.product`
+    order (see `_Sweep`)."""
+    sweep = _Sweep(polys[0].domain, polys[0].n)
     return map(sweep.point, sweep.zeros([sweep.pack(g) for g in polys]))
 
 
@@ -386,13 +387,6 @@ def _chart_completeness(f, found):
 # -- genericity sampling ------------------------------------------------------------------
 
 
-def symbolic_hessian_det(f):
-    """det of the symbolic Hessian matrix, by cofactor expansion along the
-    first row (n small); `singular_points` keeps `cofactor_det` as the
-    cross-check of `det`.  A product past MAX_DEGREE raises ValueError."""
-    return cofactor_det(hessian_matrix(f))
-
-
 def classify_section(chart_sections):
     """Exact nondegeneracy verdict for a section given by its chart polys.
 
@@ -404,7 +398,7 @@ def classify_section(chart_sections):
     detail = []
     verdict = "good"
     for idx, f in enumerate(chart_sections):
-        gens = f.gradient() + [symbolic_hessian_det(f)]
+        gens = f.gradient() + [cofactor_det(hessian_matrix(f))]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             detail.append((idx, "bad", "gradient and Hessian vanish identically"))

@@ -151,7 +151,7 @@ def smoothness_certificate(equation):
                 continue
             search, embed = fld.extension(ext)
             eq = equation.map_coefficients(search, embed)
-            pt = next(common_zeros([eq] + eq.gradient(), search, eq.n), None)
+            pt = next(common_zeros([eq] + eq.gradient()), None)
             if pt is not None:
                 return "singular", {"witness": pt, "field": search}
     if res.status == "exhausted":

@@ -11,11 +11,13 @@ monomial (the formal Morse lemma).
 
 Each degree-r' monomial is assigned to the highest variable index dividing
 it, which pins the correction uniquely and deterministically; any assignment
-works, and the certificate below is independent of the choice.
+works, and the certificate below is independent of the choice.  The index
+is read off the key's exponent tuple (`Ring.exponents`), so the key layout
+and its field width stay inside `algebra/`.
 
 Each step is kept as its substitution, one order-r jet per variable on
 the ring kernel's codes, built once: the linear jets from the diagonalizing
-matrix, each correction straight from g's packed degree-r' terms.  The
+matrix, each correction straight from the degree-r' keys of `g.packed`.  The
 returned CoordinateChange records the steps and their composed total
 L o S_3 o ... o S_{r-1}, built right to left: the map composed so far is
 substituted into each earlier step's jets, never a step into that dense
@@ -37,7 +39,6 @@ from .algebra.finitefield import FiniteField
 from .algebra.multipoly import MultiPoly, det, hessian_matrix
 from .algebra.linalg import mat_mul
 from .algebra.jets import Jet, jet_compose
-from .algebra.monomials import FIELD_BITS
 
 
 @dataclass
@@ -146,7 +147,7 @@ class ChangeStep:
     def describe(self):
         if self.kind == "linear":
             return f"linear change by the diagonalizing matrix ({len(self.matrix)}x{len(self.matrix)})"
-        touched = [i + 1 for i, jet in enumerate(self.jets) if len(jet.terms) > 1]
+        touched = [i + 1 for i, jet in enumerate(self.jets) if len(jet.packed) > 1]
         return f"degree-{self.degree} correction on variables {touched}"
 
 
@@ -238,12 +239,12 @@ def normal_form(f, r):
     for rp in range(3, r):
         # the target has no degree-r' terms, so they are g's: c x^e with
         # x_i the highest variable dividing x^e gives phi_i a term -c/2 x^e/x_i
-        part = [(k, c) for k, c in g.terms.items() if k >> ring.top == rp]
+        part = [(k, c) for k, c in g.packed.items() if k >> ring.top == rp]
         if not part:
             continue
         raw = [{v: ring.one} for v in variables]
         for key, c in part:
-            i = ((key & ring.low_mask).bit_length() - 1) // FIELD_BITS
+            i = max(j for j, e in enumerate(ring.exponents(key)) if e)
             raw[i][key - variables[i]] = ring.times(c, neg_half)
         step = ChangeStep(kind="correction", degree=rp,
                           jets=[g._like(t) for t in raw])

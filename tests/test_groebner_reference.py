@@ -20,11 +20,11 @@ import random
 
 import pytest
 
-from charpgeom import covers
 from charpgeom.algebra import groebner
 from charpgeom.algebra.groebner import grevlex_key, leading_term
 from charpgeom.algebra.finitefield import FF
-from charpgeom.algebra.multipoly import MultiPoly, monomials_of_degree
+from charpgeom.algebra.linalg import cofactor_det
+from charpgeom.algebra.multipoly import MultiPoly, hessian_matrix, monomials_of_degree
 from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 
 import tests_support_groebner_reference as reference
@@ -178,7 +178,7 @@ def test_closure_shaped_ideals_match_reference():
     for _ in range(60):
         f = MultiPoly(fld, 2, {e: fld.elem(rng.randrange(1, 7))
                                for e in monomials})
-        gens = f.gradient() + [covers.symbolic_hessian_det(f)]
+        gens = f.gradient() + [cofactor_det(hessian_matrix(f))]
         new = groebner.groebner_membership_one(gens, max_pairs=4000)
         ref = reference.groebner_membership_one(gens, 4000)
         _same_result(new, ref)

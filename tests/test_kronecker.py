@@ -24,7 +24,8 @@ from charpgeom.algebra import finitefield, kronecker, unipoly
 from charpgeom.algebra.finitefield import FF
 from charpgeom.algebra.groebner import IdealCertificate, groebner_membership_one
 from charpgeom.algebra.jets import Jet
-from charpgeom.algebra.multipoly import MultiPoly
+from charpgeom.algebra.linalg import cofactor_det
+from charpgeom.algebra.multipoly import MultiPoly, hessian_matrix
 from charpgeom.algebra.unipoly import RatFunc, RatFuncField, UPoly
 from charpgeom.desing import desingularize
 
@@ -344,7 +345,7 @@ def closure_certificate(fld, rng):
         f = MultiPoly(fld, 2, {e: fld.elem(rng.randrange(fld.p))
                                for e in itertools.product(range(6), repeat=2)
                                if sum(e) <= 5})
-        gens = [g for g in f.gradient() + [covers.symbolic_hessian_det(f)] if g]
+        gens = [g for g in f.gradient() + [cofactor_det(hessian_matrix(f))] if g]
         res = groebner_membership_one(gens, max_pairs=covers.MAX_PAIRS)
         if res.status == "certificate":
             return res.certificate
