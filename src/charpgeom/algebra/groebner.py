@@ -7,6 +7,15 @@ coefficients.  It takes them as they are and returns MultiPolys made from
 its own dicts, with no conversion either way.  A degree above MAX_DEGREE
 raises ValueError, never wraps.
 
+Pairs pop by sugar (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC
+1991), then lcm, then age: a generator's sugar is its degree, a new
+element's max(sugar_x + deg shift) over its step's submuls (below).  The
+product and chain criteria prune pairs, the latter as the Gebauer-Moller
+update (Buchberger, EUROSAM 1979; Gebauer & Moller, JSC 1988); no basis
+element is dropped.  An S-polynomial is reduced by its leading terms only,
+and joins the basis from its first irreducible leading term down;
+`reduce_poly` on MultiPolys runs the same loop to a full reduction.
+
 Instead of carrying representations in terms of the generators, the engine
 records a reduction trace: for each new basis element its normalising
 inverse and one flat list of submuls, (x, shift, c) for
@@ -15,22 +24,19 @@ quotient terms in reduction order.  A unit certificate replays the trace for
 the ancestry of the unit only; its cofactors c_i with sum c_i * g_i = 1
 re-verify in `kronecker.py`, with no trust in the engine itself.
 
-A degree-only pass over the ancestry bounds the top degree of every
-cofactor before any product (a parent's bound plus the degree of its
-shift); a bound above MAX_DEGREE raises.  Over F_p with p <= 13 the replay
-then runs on byte slots, as SIMD within a register (Fisher & Dietz, LCPC
-1998): each cofactor is one int with x^e at byte sum_j e_j D^j, where D - 1
-is that bound, and a submul is acc += (rep << 8 * offset(shift)) *
-(-c mod p).  A slot below p takes floor((255 - (p-1)) / (p-1)^2) submuls
-before it could pass 255; then every slot is reduced by one
-`bytes.translate`, and the step ends with one more that reduces and scales
-by its inverse (a table per inverse).  F_{p^m} (Zech codes do not add as
-ints), k(t), p > 13 and more than SLOT_CAP slots replay on packed dicts
-instead.
+Sugar bounds every cofactor before any product: deg c_i + deg g_i never
+exceeds an element's sugar, which never falls from parent to child, so
+D - 1 = sugar - (least generator degree) holds every cofactor of the
+ancestry; a bound above MAX_DEGREE raises.  Over F_p with p <= 13 the
+replay then runs on byte slots, as SIMD within a register (Fisher & Dietz,
+LCPC 1998): each cofactor is one int with x^e at byte sum_j e_j D^j, and a
+submul is acc += (rep << 8 * offset(shift)) * (-c mod p).  A slot below p
+takes floor((255 - (p-1)) / (p-1)^2) submuls before it could pass 255;
+then every slot is reduced by one `bytes.translate`, and the step ends
+with one more that reduces and scales by its inverse (a table per
+inverse).  F_{p^m} (Zech codes do not add as ints), k(t), p > 13 and more
+than SLOT_CAP slots replay on packed dicts instead.
 
-Pairs are pruned by Buchberger's product and chain criteria, the latter as
-the Gebauer-Moller update when an element joins the basis (Buchberger,
-EUROSAM 1979; Gebauer & Moller, JSC 1988); no basis element is dropped.
 Buchberger terminates in theory; in practice a budget of processed pairs
 guards against runaway intermediate growth, and reaching it with a pair
 still pending is reported as a distinct "exhausted" outcome, never conflated
@@ -77,50 +83,57 @@ def _divides(a, b):
 # How a basis element came about: `gen` is the generator index of an input
 # element inv * g, with no submuls, and None for
 # inv * -(sum c * x^shift * basis_x over the submuls (x, shift, c)).
-_Step = namedtuple("_Step", "inv gen submuls", defaults=((),))
+_Step = namedtuple("_Step", "inv gen submuls")
 
 
 class _Basis:
     """Monic packed polynomials, with the leading keys and exponent fields
-    the division loop reads, and the trace step of each."""
+    the division loop reads, and the trace step and sugar of each."""
 
     def __init__(self, ring, ngens=0):
         self.ring, self.ngens = ring, ngens
-        self.polys, self.leads, self.lows, self.steps = [], [], [], []
+        self.polys, self.leads, self.lows, self.steps, self.sugars = [], [], [], [], []
 
-    def append(self, poly, step=None):
-        lm = max(poly)
-        self.polys.append(poly)
+    def append(self, poly, gen=None, submuls=()):
+        """Add poly made monic, with its step and sugar (see the module
+        docstring)."""
+        ring, lm = self.ring, max(poly)
+        inv = ring.inverse(poly[lm])
+        self.polys.append(ring.scale(poly, inv))
         self.leads.append(lm)
-        self.lows.append(lm & self.ring.low_mask)
-        self.steps.append(step)
+        self.lows.append(lm & ring.low_mask)
+        self.steps.append(_Step(inv, gen, submuls))
+        self.sugars.append(max((self.sugars[x] + (shift >> ring.top)
+                                for x, shift, _ in submuls),
+                               default=lm >> ring.top))
 
     def reduce(self, f):
-        """(submuls, remainder): f = sum c * x^shift * basis_i over the
-        submuls (i, shift, c), in reduction order, plus the remainder.  The
-        leading monomial falls strictly, so no (i, shift) occurs twice."""
+        """(submuls, f), reducing f in place until no lead divides its
+        leading term: f_in = sum c * x^shift * basis_i over the submuls
+        (i, shift, c), in reduction order, plus f_out.  The leading
+        monomial falls strictly, so no (i, shift) occurs twice."""
         low_mask, guard = self.ring.low_mask, self.ring.guard
-        submul = self.ring.submul
-        work, rem, submuls = dict(f), {}, []
-        while work:
-            lm = max(work)
+        submul, leads, polys = self.ring.submul, self.leads, self.polys
+        submuls = []
+        while f:
+            lm = max(f)
             g = (lm & low_mask) | guard
             for i, low in enumerate(self.lows):
                 if (g - low) & guard == guard:       # lead i divides lm
-                    c, shift = work[lm], lm - self.leads[i]
+                    c, shift = f[lm], lm - leads[i]
                     submuls.append((i, shift, c))
-                    submul(work, self.polys[i], shift, c)
+                    submul(f, polys[i], shift, c)
                     break
             else:
-                rem[lm] = work.pop(lm)
-        return submuls, rem
+                break
+        return submuls, f
 
     def representation(self, k):
         """Cofactors, one MultiPoly per generator, with element k equal to
-        sum c_i g_i.  Replays the ancestry of k only, after one degree pass
-        that bounds every cofactor in it by D - 1 (see the module
-        docstring): on byte slots when the ring is `Residues`, a slot takes
-        `_slot_cadence(p)` >= 1 submuls and D^n <= SLOT_CAP; else on
+        sum c_i g_i.  Replays the ancestry of k only, every cofactor in it
+        of degree below D = sugar_k - (least generator degree) + 1 (see the
+        module docstring): on byte slots when the ring is `Residues`, a slot
+        takes `_slot_cadence(p)` >= 1 submuls and D^n <= SLOT_CAP; else on
         packed dicts."""
         ring, todo, stack = self.ring, set(), [k]
         while stack:
@@ -129,15 +142,12 @@ class _Basis:
                 todo.add(x)
                 stack += [y for y, _, _ in self.steps[x].submuls]
         todo = sorted(todo)                # parents before children
-        top = {}
-        for x in todo:                     # top[k] is above every other
-            top[x] = max((top[y] + (shift >> ring.top)
-                          for y, shift, _ in self.steps[x].submuls), default=0)
-        _check_degree(top[k])
+        top = self.sugars[k] - min(self.sugars[:self.ngens])
+        _check_degree(top)
         if isinstance(ring, monomials.Residues) and \
                 _slot_cadence(ring.domain.p) >= 1 and \
-                (top[k] + 1) ** ring.n <= SLOT_CAP:
-            return self._replay_slots(todo, top[k] + 1)
+                (top + 1) ** ring.n <= SLOT_CAP:
+            return self._replay_slots(todo, top + 1)
         reps = {}                          # x: {generator index: cofactor}
         for x in todo:
             st, acc = self.steps[x], {}
@@ -210,30 +220,36 @@ def _slot_tables(p):
 
 
 def reduce_poly(f, basis):
-    """Full reduction of f by the basis.
+    """Full reduction of f by the basis; inside the engine, of its
+    leading terms only.
 
     Returns (quotients, remainder) with f = sum q_i * basis_i + remainder and
     no remainder term divisible by any basis leading monomial; each leading
     term goes to the first basis element whose leading monomial divides it.
     On MultiPolys the quotients are a list, one per basis element, and a
     zero basis element gets a zero quotient and divides nothing.  Inside
-    the engine f is packed, basis is a `_Basis`, and the quotients are its
-    flat trace: the submuls (basis index, shift, c) in reduction order.
+    the engine f is packed, basis is a `_Basis`, and `_Basis.reduce`
+    returns its flat trace, the submuls (basis index, shift, c) in
+    reduction order, and f from its first irreducible leading term down.
+    The full reduction moves that term to the remainder and loops again.
     """
     if isinstance(basis, _Basis):
         return basis.reduce(f)
-    ring = f.ring
-    monic, rows = _Basis(ring), []             # rows: (position i, inv_i)
+    ring, monic = f.ring, _Basis(f.ring)
     for i, b in enumerate(basis):
         b = b.packed_in(ring)
         if b:                  # a zero element divides nothing: q_i = 0
-            rows.append((i, ring.inverse(b[max(b)])))
-            monic.append(ring.scale(b, rows[-1][1]))
-    submuls, rem = monic.reduce(f.packed)
+            monic.append(b, i)
+    work, rem, submuls = dict(f.packed), {}, []
+    while work:
+        submuls += monic.reduce(work)[0]      # reduces work in place
+        if work:
+            lm = max(work)
+            rem[lm] = work.pop(lm)
     quotients = [{} for _ in basis]    # f = sum c x^shift (inv_i b_i) + rem
     for r, shift, c in submuls:
-        i, inv = rows[r]
-        quotients[i][shift] = ring.times(c, inv)
+        st = monic.steps[r]
+        quotients[st.gen][shift] = ring.times(c, st.inv)
     return ([MultiPoly.from_packed(ring, q) for q in quotients],
             MultiPoly.from_packed(ring, rem))
 
@@ -284,8 +300,10 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
     when stop_at_unit and a constant appeared, as the last basis element),
     or "exhausted"; basis is a list of monic MultiPolys; and
     trace.representation(k) replays the cofactors of basis[k] in terms of
-    the nonzero generators.  Each S-polynomial is reduced by `reduce_poly`;
-    max_pairs counts these, not the pairs the criteria prune.
+    the nonzero generators.  Pairs pop in sugar order, and each
+    S-polynomial is reduced by `reduce_poly` on the `_Basis`, by its
+    leading terms only; max_pairs counts these, not the pairs the criteria
+    prune.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -298,43 +316,46 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
                 pairs, basis)
 
     for idx, g in enumerate(gens):
-        f = g.packed_in(ring)
-        inv = ring.inverse(f[max(f)])
-        basis.append(ring.scale(f, inv), _Step(inv, idx))
+        basis.append(g.packed_in(ring), idx)
         if stop_at_unit and g.is_constant():
             return finish("unit")
 
     counter = itertools.count()
     heap, pending = [], {}            # pending: the live pairs {(i, j): lcm}
-    leads, lows, guard = basis.leads, basis.lows, ring.guard
-
-    def divides(a, b):                # exponent fields: a | b
-        return ((b | guard) - a) & guard == guard
+    leads, lows, sugars = basis.leads, basis.lows, basis.sugars
+    guard, top = ring.guard, ring.top
 
     def update(k):
-        # Gebauer-Moller: drop the pending pairs that lead k chains past,
-        # then add the pairs (i, k) whose lcm no other one's divides
+        # Gebauer-Moller: drop the pending pairs that lead k chains past, then
+        # add the (i, k) whose lcm no other's divides, at sugar deg lcm plus
+        # the larger ecart, sugar - deg lead, of the two
         t = lows[k]
-        lcms = [ring.lcm(lead, t) for lead in leads[:k]]
+        lcms = [ring.lcm(low, t) for low in lows[:k]]
         for (i, j), low in list(pending.items()):
-            if divides(t, low) and lcms[i] != low and lcms[j] != low:
+            if ((low | guard) - t) & guard == guard and \
+                    lcms[i] != low and lcms[j] != low:        # t divides low
                 del pending[i, j]
-        overlaps = [low != lead + t for low, lead in zip(lcms, lows)]
-        minimal = []
+        minimal, ecart = [], sugars[k] - (leads[k] >> top)
         # a divisor sorts first; of equal lcms, a coprime pair, else the newest
-        for i in sorted(reversed(range(k)), key=lambda i: (lcms[i], overlaps[i])):
-            low = lcms[i]
-            if not any(divides(m, low) for m in minimal):
+        for low, overlap, i in sorted([(low, low != a + t, -i) for i, (low, a)
+                                       in enumerate(zip(lcms, lows))]):
+            g, i = low | guard, -i
+            for m in minimal:
+                if (g - m) & guard == guard:          # m divides low
+                    break
+            else:
                 minimal.append(low)
                 # product criterion: coprime leading monomials reduce to zero
-                if overlaps[i]:
+                if overlap:
                     pending[i, k] = low
-                    heapq.heappush(heap, (ring.key(low), next(counter), i, k))
+                    key = ring.key(low)
+                    sugar = (key >> top) + max(ecart, sugars[i] - (leads[i] >> top))
+                    heapq.heappush(heap, (sugar, key, next(counter), i, k))
     for k in range(len(leads)):
         update(k)
 
     while pending:
-        lcm, _, i, j = heapq.heappop(heap)
+        _, lcm, _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:     # dropped by the chain criterion
             continue
         if pairs >= max_pairs:
@@ -346,13 +367,12 @@ def buchberger(generators, max_pairs=50000, stop_at_unit=False):
         mi, mj = lcm - leads[i], lcm - leads[j]
         s = {k + mi: c for k, c in basis.polys[i].items()}
         ring.submul(s, basis.polys[j], mj, ring.one)
-        submuls, rem = reduce_poly(s, basis)
-        if not rem:
+        submuls, rest = reduce_poly(s, basis)
+        if not rest:
             continue
-        inv = ring.inverse(rem[max(rem)])
-        basis.append(ring.scale(rem, inv), _Step(inv, None, (
-            (i, mi, ring.minus_one), (j, mj, ring.one), *submuls)))
-        if stop_at_unit and max(rem) == 0:
+        basis.append(rest, None, ((i, mi, ring.minus_one), (j, mj, ring.one),
+                                  *submuls))
+        if stop_at_unit and leads[-1] == 0:
             return finish("unit")
         update(len(leads) - 1)
     return finish("done")

@@ -101,6 +101,11 @@ def build_cover(charts, p, params=None):
     if not charts:
         raise ValueError("no charts")
     _check_sections([ch.f for ch in charts], p)
+    return _verified_cover(charts, p, params)
+
+
+def _verified_cover(charts, p, params):
+    """`build_cover` on charts whose sections passed `_check_sections`."""
     cover = Cover(charts=list(charts), p=p, params=params or {})
     bad = verify_cocycle(cover)
     if bad:
@@ -151,17 +156,25 @@ def cover_of_projective_space(N, d, n, p, form):
     L = O(d) is g_ij = (X_j/X_i)^(n*d), and chart j's coordinates X_l/X_j
     are (X_l/X_i) / (X_j/X_i) on chart i.
     """
+    sections = _form_sections(N, d, n, p, form)
+    _check_sections(sections, p)
+    return _projective_cover(N, d, n, p, form, sections)
+
+
+def _projective_cover(N, d, n, p, form, sections):
+    """`cover_of_projective_space` on the chart sections of the form, which
+    passed `_check_sections`."""
     nv = N + 1
     charts = [CoverChart(index=i, f=f_i,
                          names=tuple(f"x{j}_{i}" for j in range(nv) if j != i))
-              for i, f_i in enumerate(_form_sections(N, d, n, p, form))]
+              for i, f_i in enumerate(sections)]
     for i, ch in enumerate(charts):
         x = [_chart_ratio(form.domain, N, i, l) for l in range(nv)]
         for j in range(nv):
             if j != i:
                 ch.transitions[j] = (RatExpr(x[j] ** (n * d)), tuple(
                     RatExpr(x[l], x[j]) for l in range(nv) if l != j))
-    return build_cover(charts, p, params={"N": N, "d": d, "n": n, "form": form})
+    return _verified_cover(charts, p, {"N": N, "d": d, "n": n, "form": form})
 
 
 def _form_sections(N, d, n, p, form):
@@ -742,9 +755,9 @@ def seeded_covers(fld, N, d, n, p, seed):
     """Covers of P^N from the successive forms of degree n*d*p that
     Random(seed) draws, skipping the forms no cover is built from; raises
     RuntimeError once SEARCH_TRIES forms have been drawn."""
-    for form, _ in _seeded_sections(fld, N, d, n, p, seed):
+    for form, sections in _seeded_sections(fld, N, d, n, p, seed):
         try:
-            cover = cover_of_projective_space(N, d, n, p, form)
+            cover = _projective_cover(N, d, n, p, form, sections)
         except ValueError:          # a cocycle failure
             continue
         yield cover
@@ -794,7 +807,7 @@ def make_vojta_bundle(p, d, n, fld, seed=0):
         if any(r.degenerate for r in recs2):
             continue
         try:
-            cover = cover_of_projective_space(2, d, n, p, form)
+            cover = _projective_cover(2, d, n, p, form, sections)
         except ValueError:          # a cocycle failure
             continue
         f0 = cover.charts[0].f

@@ -787,6 +787,28 @@ class TestScreenedSearch:
         next(_clean_covers_verified_first(fld, 3, 1, 5, 1))
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("search", ["make_vojta_bundle", "seeded_covers"])
+    def test_one_dehomogenization_per_drawn_form(self, monkeypatch, search):
+        # the cover is built from the chart sections the screen made, so
+        # each drawn form is dehomogenized and checked once
+        counts = dict.fromkeys(["random_homogeneous_form", "_form_sections",
+                                "_check_sections"], 0)
+
+        def counting(name, real):
+            def counted(*args):
+                counts[name] += 1
+                return real(*args)
+            return counted
+        for name in counts:
+            monkeypatch.setattr(covers, name, counting(name, getattr(covers, name)))
+        fld = FF(3)
+        if search == "make_vojta_bundle":
+            covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+        else:
+            next(covers.seeded_covers(fld, 2, 1, 5, 3, seed=1))
+        drawn = counts["random_homogeneous_form"]
+        assert drawn >= 1 and counts == dict.fromkeys(counts, drawn)
+
     def test_a_failed_cocycle_check_is_never_returned(self, monkeypatch):
         fld = FF(3)
         clean = _clean_covers_verified_first(fld, 3, 1, 5, 1)

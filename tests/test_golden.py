@@ -45,6 +45,10 @@ GOLDEN = {
     # degree 9 on P^2 over F_3: closure certificates re-checked on
     # Kronecker ints, three charts with an incomplete search
     "cover-n3.json": ["cover", "--p", "3", "--N", "2", "--d", "1", "--n", "3"],
+    # degree 12 on P^2 and degree 6 on P^3 over F_3: closure verdicts and
+    # solution counts from Groebner bases at working sizes
+    "cover-n4.json": ["cover", "--p", "3", "--N", "2", "--d", "1", "--n", "4"],
+    "cover-p3.json": ["cover", "--p", "3", "--N", "3", "--d", "1", "--n", "2"],
     # over F_9: closure certificates re-checked by term-by-term expansion
     "cover-m2.json": ["cover", "--p", "3", "--m", "2", "--seed", "1"],
     # over F_9: an input with a Zech-coded coefficient (g^3), printed by

@@ -263,6 +263,56 @@ def test_reduce_poly_skips_zero_basis_elements():
     assert reduce_poly(f, [zero]) == ([zero], f)
 
 
+def test_pairs_pop_by_sugar():
+    # the S-polynomial of the first two gives x2^2 + x1 (element 3) at sugar
+    # 4, two above its degree; its one new pair, with x1*x2^2, has the least
+    # lcm (degree 3), which the normal strategy pops next, but sugar 3 + 2 =
+    # 5, so the pair (1, 2), lcm x1^3*x2 and sugar 4, goes first
+    fld = FF(7)
+    x, y = MultiPoly.variables(fld, 2)
+    gens = [x * y ** 2 + 1, x ** 2 * y - y, x ** 3 + 1]
+    status, basis, pairs, trace = buchberger(gens)
+    assert (status, pairs) == ("done", 8)
+    assert [st.submuls[0][0] for st in trace.steps[3:]] == [0, 1, 0, 3]
+    assert [st.submuls[1][0] for st in trace.steps[3:]] == [1, 2, 3, 4]
+    assert basis[3:5] == [y ** 2 + x, x * y + y]
+    assert trace.sugars == [3, 3, 3, 4, 4, 5, 5]
+
+
+def _full_reduction_fields():
+    f7, f9, k_t, t = FF(7), FF(3, 2), RatFuncField(FF(3)), UPoly.x(FF(3))
+    return [(f7, [f7.elem(c) for c in range(1, 7)]),
+            (f9, [c for c in f9.elements() if c]),             # Zech codes
+            (k_t, [k_t.elem(c) for c in (1, 2, t, t + 1, RatFunc(t, t + 2))])]
+
+
+@pytest.mark.parametrize("fld, pool", _full_reduction_fields(),
+                         ids=["F_7", "F_9", "F_3(t)"])
+def test_reduce_poly_is_a_full_reduction(fld, pool):
+    # the engine reduces S-polynomials by their leading terms only; the
+    # public reduce_poly runs the same loop down to a remainder no term of
+    # which any lead divides
+    rng = random.Random(f"full-reduction:{fld!r}")
+    deeper = 0
+    for _ in range(15):
+        n = rng.choice((2, 3))
+        basis = _seeded_ideal(fld, n, rng, pool)
+        f = MultiPoly(fld, n, {tuple(rng.randrange(5) for _ in range(n)):
+                               rng.choice(pool) for _ in range(8)})
+        qs, rem = reduce_poly(f, basis)
+        assert sum((q * b for q, b in zip(qs, basis)), rem) == f
+        leads = [leading_term(b)[0] for b in basis]
+        assert not any(all(a <= b for a, b in zip(lead, e))
+                       for e in rem.terms for lead in leads)
+        # a division step below the remainder's leading term: one that a
+        # reduction of the leading terms only would not have made
+        top = max(map(grevlex_key, rem.terms), default=None)
+        deeper += top is not None and any(
+            grevlex_key(tuple(map(sum, zip(e, lead)))) < top
+            for q, lead in zip(qs, leads) for e in q.terms)
+    assert deeper >= 3, deeper
+
+
 def _seeded_ideal(fld, n, rng, pool=None):
     """n + 1 random polynomials of degree <= 3 in n variables (mostly the
     unit ideal); the first has every coefficient -1, the slot edge, and the
