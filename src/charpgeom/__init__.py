@@ -14,9 +14,23 @@ makes is backed by a certificate that re-verifies independently (cofactor
 identities, pointwise checks, expansion identities).
 """
 
-from . import algebra, heights, covers, normalform, desing, picard, cli
+import sys
+from importlib import util
+
+from . import algebra
 
 __version__ = "0.1.0"
 
-__all__ = ["algebra", "heights", "covers", "normalform", "desing", "picard",
-           "cli", "__version__"]
+_MODULES = ("heights", "covers", "normalform", "desing", "picard", "cli")
+__all__ = ["algebra", *_MODULES, "__version__"]
+
+# Each module is bound here and registered in sys.modules, as if imported,
+# but runs only on its first attribute read (importlib.util.LazyLoader).
+for _package, _names in ((sys.modules[__name__], _MODULES),
+                         (algebra, algebra._EXPORTS)):
+    for _name in _names:
+        _spec = util.find_spec(f"{_package.__name__}.{_name}")
+        _spec.loader = util.LazyLoader(_spec.loader)
+        _module = sys.modules[_spec.name] = util.module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(_package, _name, _module)

@@ -346,10 +346,13 @@ def hessian_matrix(f):
 
     Rejects characteristic 2 (the quadratic-form normalization downstream
     divides by 2)."""
-    if f.domain.p == 2:
+    return _hessian_of_gradient(f.domain, f.gradient())
+
+
+def _hessian_of_gradient(domain, grads):
+    if domain.p == 2:
         raise ValueError("Hessians are not supported in characteristic 2")
-    n = f.n
-    grads = f.gradient()
+    n = len(grads)
     mat = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

@@ -12,7 +12,7 @@ unordered containers.
 
 Subcommands: height, northcott-demo, cover, normalform, desing, adjunction,
 isotriviality, vojta-demo.  Shared flags: --p --m --n --d --seed --out
---format.
+--format.  A command runs only its scenario's module (see `charpgeom`).
 """
 
 import argparse
@@ -21,12 +21,12 @@ import sys
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 
-from .algebra.finitefield import FF, TooLargeToEmbed, is_prime
-from .algebra.unipoly import UPoly, RatFunc
-from .algebra.multipoly import (MultiPoly, det, parse_poly, parse_terms,
+from ..algebra.finitefield import FF, TooLargeToEmbed, is_prime
+from ..algebra.unipoly import UPoly, RatFunc
+from ..algebra.multipoly import (MultiPoly, det, parse_poly, parse_terms,
                                  split_terms)
-from .algebra.jets import MAX_ORDER
-from . import heights, covers, normalform, desing, picard
+from ..algebra.jets import MAX_ORDER
+from .. import heights, covers, normalform, desing, picard
 
 FORMAT_VERSION = "charpgeom-report/1"
 
@@ -613,6 +613,3 @@ def main(argv=None):
         sys.stdout.write(text)
     return 0 if report.passed else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -44,7 +44,7 @@ from random import Random
 
 from .algebra.finitefield import FiniteField, pth_root
 from .algebra.unipoly import UPoly, RatFunc, RatFuncField, lcm, ratfunc_pth_root
-from .algebra.multipoly import (MultiPoly, RatExpr, hessian_matrix,
+from .algebra.multipoly import (MultiPoly, RatExpr, _hessian_of_gradient,
                                  monomials_of_degree)
 from .algebra.powers import substitute
 from .algebra.linalg import det, cofactor_det
@@ -411,7 +411,8 @@ def classify_section(chart_sections):
     detail = []
     verdict = "good"
     for idx, f in enumerate(chart_sections):
-        gens = f.gradient() + [cofactor_det(hessian_matrix(f))]
+        grads = f.gradient()
+        gens = grads + [cofactor_det(_hessian_of_gradient(f.domain, grads))]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             detail.append((idx, "bad", "gradient and Hessian vanish identically"))

@@ -189,6 +189,20 @@ class TestGenericity:
         assert covers.classify_section([x ** 2])[0] == "good"
         assert covers.classify_section([x ** 3])[0] == "bad"
 
+    def test_five_derivatives_per_two_variable_chart(self, monkeypatch):
+        # the Hessian's three second partials come from the gradient the
+        # generators already hold, not from a second gradient
+        fld = FF(7)
+        x, y = MultiPoly.variables(fld, 2)
+        charts = [x ** 2 + y ** 3 + 1, x * y + y ** 2 + 3 * x ** 3]
+        expected = covers.classify_section(charts)
+        calls = []
+        derivative = MultiPoly.derivative
+        monkeypatch.setattr(MultiPoly, "derivative",
+                            lambda f, i: calls.append(i) or derivative(f, i))
+        assert covers.classify_section(charts) == expected
+        assert len(calls) == 5 * len(charts)
+
     def test_fraction_exact_classification(self):
         fld = FF(7)
         rep = covers.genericity_sample(1, 1, 1, 3, fld, trials=30, seed=1)
