@@ -67,10 +67,6 @@ class Jet:
         """The jet of a MultiPoly: its packed terms of degree < order."""
         return cls(poly.domain, poly.n, order)._like(poly.packed).truncate(order)
 
-    @classmethod
-    def variable(cls, domain, n, i, order):
-        return cls(domain, n, order, {tuple(int(j == i) for j in range(n)): 1})
-
     def to_poly(self):
         return MultiPoly.from_packed(self.ring, dict(self.packed))
 

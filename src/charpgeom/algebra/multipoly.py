@@ -200,7 +200,9 @@ class MultiPoly:
     # -- evaluation and substitution -------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a tuple of domain elements."""
+        """Value at a tuple of domain elements, one per variable."""
+        if len(point) != self.n:
+            raise ValueError("evaluation needs one coordinate per variable")
         return substitute(self.terms, point, self.domain.zero)
 
     def subs(self, polys):

@@ -5,14 +5,16 @@ report, either human-readable text or a stable structured (JSON) form.  A
 report consists of the scenario id, its parameters and seed, the computed
 outputs, and a list of named assertions with pass/fail; the process exit
 code is 0 exactly when every assertion passed, 1 when one failed, and 2 when
-the arguments are rejected, by the parser or by a scenario's precondition
-(one line on stderr, e.g. `--M 0`, `--p 4` or `isotriviality --p 3`).
-Reports are byte-identical for identical (params, seed): no timestamps, no
-unordered containers.
+the arguments are rejected (one line on stderr, e.g. `--M 0`, `--p 4`,
+`isotriviality --p 3` or `desing --m 2`).  Reports are byte-identical for
+identical (params, seed): no timestamps, no unordered containers.
 
 Subcommands: height, northcott-demo, cover, normalform, desing, adjunction,
-isotriviality, vojta-demo.  Shared flags: --p --m --n --d --seed --out
---format.  A command runs only its scenario's module (see `charpgeom`).
+isotriviality, vojta-demo.  `_SCENARIOS` declares the parameters each reads:
+its command takes exactly those flags, and --out and --format; the parser
+checks only that a number is an integer, and the scenario checks every
+value where it starts.  A command runs only its scenario's module (see
+`charpgeom`).
 """
 
 import argparse
@@ -23,8 +25,7 @@ from fractions import Fraction
 
 from ..algebra.finitefield import FF, TooLargeToEmbed, is_prime
 from ..algebra.unipoly import UPoly, RatFunc
-from ..algebra.multipoly import (MultiPoly, det, parse_poly, parse_terms,
-                                 split_terms)
+from ..algebra.multipoly import MultiPoly, det, parse_poly, parse_terms
 from ..algebra.jets import MAX_ORDER
 from .. import heights, covers, normalform, desing, picard
 
@@ -116,18 +117,30 @@ def _parsed(flag, parse, *args):
         raise InvalidInput(f"argument {flag}: {exc}") from None
 
 
-def _count(params, key, default, least, scenario):
-    """params[key] (or the default), rejected as invalid input below
-    `least`: the smallest value the scenario is defined for."""
+def _count(params, key, default, least, scenario, most=None):
+    """params[key] (or the default), rejected as invalid input outside
+    least..most: the values the scenario is defined for."""
     value = params.get(key, default)
-    if value < least:
-        raise InvalidInput(f"argument --{key}: {scenario} needs {key} >= "
-                           f"{least}, got {value}")
+    if value < least or most is not None and value > most:
+        bound = (f"{key} >= {least}" if most is None
+                 else f"{least} <= {key} <= {most}")
+        raise InvalidInput(f"argument --{key}: {scenario} needs {bound}, "
+                           f"got {value}")
     return value
 
 
-def _field(params):
-    return FF(params.get("p", 3), params.get("m", 1))
+def _prime(params, default):
+    """params["p"] (or the default), rejected as invalid input unless it is
+    an odd prime."""
+    p = params.get("p", default)
+    if p == 2 or not is_prime(p):
+        raise InvalidInput(f"argument --p: must be an odd prime, got {p}")
+    return p
+
+
+def _field(params, default_p, scenario):
+    """F_{p^m} from params["p"] and params["m"] (default 1), each checked."""
+    return FF(_prime(params, default_p), _count(params, "m", 1, 1, scenario))
 
 
 def _parse_upoly(text, fld):
@@ -142,8 +155,8 @@ def _parse_upoly(text, fld):
 # -- scenarios ---------------------------------------------------------------------
 
 
-def _scenario_height(params, seed):
-    fld = _field(params)
+def _scenario_height(params):
+    fld = _field(params, 3, "height")
     coord_texts = params.get("coords", "t^2+1,t^2+4*t,1").split(",")
     raw = [_parsed("--coords", _parse_upoly, c.strip(), fld) for c in coord_texts]
     pt = _parsed("--coords", heights.normalize, fld, raw)
@@ -158,8 +171,8 @@ def _scenario_height(params, seed):
     return {"point": repr(pt), "height": h}, assertions
 
 
-def _scenario_example1(params, seed):
-    fld = _field(params)
+def _scenario_example1(params):
+    fld = _field(params, 3, "northcott-demo")
     n_dim = _count(params, "N", 2, 0, "northcott-demo")
     fam = heights.example1_constant_points(n_dim, fld)
     q = fld.order
@@ -185,8 +198,8 @@ def _scenario_example1(params, seed):
             "note": fam.extras["density_note"]}, assertions
 
 
-def _scenario_example2(params, seed):
-    fld = FF(params.get("p", 7), params.get("m", 1))
+def _scenario_example2(params):
+    fld = _field(params, 7, "northcott-demo")
     t = UPoly.x(fld)
     one = UPoly.const(fld, 1)
     zero = UPoly(fld)
@@ -202,8 +215,8 @@ def _scenario_example2(params, seed):
             "pgl": repr(rep.pgl), "note": rep.note}, assertions
 
 
-def _scenario_example3(params, seed):
-    fld = FF(params.get("p", 5), params.get("m", 1))
+def _scenario_example3(params):
+    fld = _field(params, 5, "northcott-demo")
     t = UPoly.x(fld)
     g = [RatFunc(t), RatFunc(UPoly(fld)), RatFunc(UPoly(fld)),
          RatFunc(UPoly.const(fld, 1))]          # g(x) = x^3 + t
@@ -229,22 +242,22 @@ def _scenario_example3(params, seed):
             "height_bound": fam.extras["height_bound"]}, assertions
 
 
-def _scenario_northcott(params, seed):
+def _scenario_northcott(params):
     parts = [("example1", _scenario_example1),
              ("example2", _scenario_example2),
              ("example3", _scenario_example3)]
     outputs = {}
     assertions = []
     for name, fn in parts:
-        outputs[name], asserts = fn(params, seed)
+        outputs[name], asserts = fn(params)
         for a in asserts:
             assertions.append(Assertion(f"{name}: {a.name}", a.passed, a.detail))
     return outputs, assertions
 
 
-def _scenario_cover(params, seed):
-    fld = _field(params)
-    p = params.get("p", 3)
+def _scenario_cover(params):
+    fld = _field(params, 3, "cover")
+    p, seed = fld.p, params["seed"]
     d = _count(params, "d", 1, 1, "cover")
     n = _count(params, "n", 1, 1, "cover")
     n_dim = _count(params, "N", 1, 1, "cover")
@@ -278,20 +291,20 @@ def _scenario_cover(params, seed):
     }, assertions
 
 
-def _scenario_normalform(params, seed):
-    fld = _field(params)
-    r = _count(params, "r", 5, 3, "normalform")
+def _scenario_normalform(params):
+    fld = _field(params, 3, "normalform")
+    r = _count(params, "r", 5, 3, "normalform", MAX_ORDER)
     nvars = _count(params, "n", 2, 1, "normalform")
     poly_text = params.get("poly")
     point_text = params.get("point")
     names = [f"x{i+1}" for i in range(nvars)]
-    if poly_text:
+    if poly_text is not None:
         f = _parsed("--poly", parse_poly, poly_text, fld, names)
     else:
         from random import Random
-        rng = Random(seed)
+        rng = Random(params["seed"])
         f = _random_nondegenerate(fld, nvars, r, rng)
-    if point_text:
+    if point_text is not None:
         shift = [_parsed("--point", fld.parse_element, c)
                  for c in point_text.split(",")]
         if len(shift) != nvars:
@@ -301,7 +314,8 @@ def _scenario_normalform(params, seed):
                 for i in range(nvars)]
         f = f.subs(subs)
     # normal_form's preconditions fail as invalid input of the flag that set f
-    res = _parsed("--point" if point_text else "--poly", normalform.normal_form, f, r)
+    res = _parsed("--poly" if point_text is None else "--point",
+                  normalform.normal_form, f, r)
     work = f if res.extension_degree == 1 else f.map_coefficients(
         res.fld, res.embed)
     assertions = [
@@ -350,8 +364,8 @@ def _random_nondegenerate(fld, nvars, r, rng):
     return f
 
 
-def _scenario_desing(params, seed):
-    p = params.get("p", 5)
+def _scenario_desing(params):
+    p = _prime(params, 5)
     nv = _count(params, "n", 2, 2, "desing")
     rep = desing.desingularize(p, nv)
     ledger = desing.pullback_ledger(rep)
@@ -389,8 +403,8 @@ def _scenario_desing(params, seed):
             "ledger": ledger["identity"]}, assertions
 
 
-def _scenario_adjunction(params, seed):
-    p = params.get("p", 3)
+def _scenario_adjunction(params):
+    p = _prime(params, 3)
     d = _count(params, "d", 1, 1, "adjunction")
     n = _count(params, "n", 5, 1, "adjunction")
     k = _count(params, "k", 4, 0, "adjunction")
@@ -422,9 +436,9 @@ def _scenario_adjunction(params, seed):
             "criterion": crit["criterion"]}, assertions
 
 
-def _scenario_isotriviality(params, seed):
-    p = params.get("p", 5)
-    fld = FF(p, params.get("m", 1))
+def _scenario_isotriviality(params):
+    fld = _field(params, 5, "isotriviality")
+    p = fld.p
     if p < 5:
         raise InvalidInput(f"argument --p: isotriviality needs p >= 5 for "
                            f"j-invariants, got {p}")
@@ -448,15 +462,15 @@ def _scenario_isotriviality(params, seed):
             "pgl_mismatch_index": mismatch.mismatch_index}, assertions
 
 
-def _scenario_vojta(params, seed):
-    p = params.get("p", 3)
+def _scenario_vojta(params):
+    fld = _field(params, 3, "vojta-demo")
+    p = fld.p
     d = _count(params, "d", 1, 1, "vojta-demo")
     n = _count(params, "n", 5, 1, "vojta-demo")
     m_max = _count(params, "M", 10, 1, "vojta-demo")
-    fld = FF(p, params.get("m", 1))
     bundle = covers.make_vojta_bundle(p, d, n, fld,
                                       seed=params.get("bundle_seed", 1))
-    rep = heights.vojta_violation_demo(bundle, m_max, seed=seed)
+    rep = heights.vojta_violation_demo(bundle, m_max, seed=params["seed"])
     hs = [e.canonical_height for e in rep.entries]
     pairs_present = {(v.A, v.c) for v in rep.violations}
     assertions = [
@@ -480,28 +494,42 @@ def _scenario_vojta(params, seed):
             "avoidance_set_size": rep.avoidance_set_size}, assertions
 
 
+# Each scenario and the parameters it reads: its command takes exactly these
+# flags (and --out, --format), and `run_scenario` refuses any other
+# parameter.  "seed" is for the scenarios that draw at random.
 _SCENARIOS = {
-    "height": _scenario_height,
-    "northcott-demo": _scenario_northcott,
-    "northcott-example1": _scenario_example1,
-    "northcott-example2": _scenario_example2,
-    "northcott-example3": _scenario_example3,
-    "cover": _scenario_cover,
-    "normalform": _scenario_normalform,
-    "desing": _scenario_desing,
-    "adjunction": _scenario_adjunction,
-    "isotriviality": _scenario_isotriviality,
-    "vojta-demo": _scenario_vojta,
+    "height": (_scenario_height, ("p", "m", "coords")),
+    "northcott-demo": (_scenario_northcott, ("p", "m", "N")),
+    "cover": (_scenario_cover, ("p", "m", "d", "n", "N", "seed")),
+    "normalform": (_scenario_normalform,
+                   ("p", "m", "n", "r", "poly", "point", "seed")),
+    "desing": (_scenario_desing, ("p", "n")),
+    "adjunction": (_scenario_adjunction, ("p", "d", "n", "k")),
+    "isotriviality": (_scenario_isotriviality, ("p", "m")),
+    "vojta-demo": (_scenario_vojta,
+                   ("p", "m", "d", "n", "M", "bundle_seed", "seed")),
 }
 
 
 def run_scenario(name, params=None, seed=0):
-    """Run a registered scenario; deterministic given (params, seed)."""
+    """Run a registered scenario; deterministic given (params, seed).
+
+    ValueError for a parameter the scenario does not read, and for a
+    nonzero seed of a scenario that draws nothing at random."""
     if name not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
+    run, keys = _SCENARIOS[name]
     params = dict(params or {})
-    outputs, assertions = _SCENARIOS[name](params, seed)
+    settable = [key for key in keys if key != "seed"]
+    for key in params:
+        if key not in settable:
+            raise ValueError(f"scenario {name!r} reads no parameter {key!r}; "
+                             f"it reads {', '.join(settable)}")
+    if seed and "seed" not in keys:
+        raise ValueError(f"scenario {name!r} draws nothing at random, "
+                         f"got seed {seed}")
+    outputs, assertions = run(dict(params, seed=seed))
     return ScenarioReport(scenario=name, params=params, seed=seed,
                           outputs=outputs, assertions=assertions)
 
@@ -516,29 +544,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _int_where(accept, need):
-    """Argument type: an integer for which accept(value) holds; `need`
-    names that condition in the error message."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not an integer") from None
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
-        return value
-    return parse
-
-
-def _poly_texts(text):
-    """Comma-separated polynomial texts, each without an empty term."""
-    try:
-        for part in text.split(","):
-            split_terms(part)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+# parameter -> (flag type, help); the scenario entry checks each value
+_FLAGS = {
+    "p": (int, "characteristic, an odd prime"),
+    "m": (int, "field extension degree (q = p^m)"),
+    "n": (int, "twist exponent, or number of variables (normalform, desing)"),
+    "d": (int, "polarization degree"),
+    "N": (int, "dimension of the projective space P^N"),
+    "r": (int, "truncation order"),
+    "k": (int, "number of blow-ups"),
+    "M": (int, "maximum section degree"),
+    "coords": (str, "comma-separated coordinate polynomials in t"),
+    "poly": (str, "polynomial in x1..xn"),
+    "point": (str, "critical point, comma-separated coordinates"),
+    "bundle_seed": (int, "seed of the bundle search"),
+    "seed": (int, "seed of the random choices"),
+}
 
 
 def _build_parser():
@@ -546,60 +567,26 @@ def _build_parser():
         prog="charpgeom",
         description="exact positive-characteristic geometry scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", default=None,
-                        type=_int_where(lambda v: v != 2 and is_prime(v),
-                                        "an odd prime"),
-                        help="characteristic, an odd prime")
-    common.add_argument("--m", default=None,
-                        type=_int_where(lambda v: v >= 1, "at least 1"),
-                        help="field extension degree (q = p^m)")
-    common.add_argument("--n", type=int, default=None, help="twist exponent")
-    common.add_argument("--d", type=int, default=None, help="polarization degree")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=str, default=None,
-                        help="write the report to this path")
-    common.add_argument("--format", dest="fmt", default="text",
-                        choices=["text", "json-like-structured"])
-    sub.add_parser("height", parents=[common]).add_argument(
-        "--coords", type=_poly_texts, default=None,
-        help="comma-separated coordinate polynomials in t")
-    sub.add_parser("northcott-demo", parents=[common]).add_argument(
-        "--N", dest="N", type=int, default=None)
-    sub.add_parser("cover", parents=[common]).add_argument(
-        "--N", dest="N", type=int, default=None)
-    nf = sub.add_parser("normalform", parents=[common])
-    nf.add_argument("--r", default=None,
-                    type=_int_where(lambda v: 1 <= v <= MAX_ORDER,
-                                    f"in 1..{MAX_ORDER}"),
-                    help="truncation order")
-    nf.add_argument("--poly", type=_poly_texts, default=None,
-                    help="polynomial in x1..xn")
-    nf.add_argument("--point", type=str, default=None,
-                    help="critical point, comma-separated coordinates")
-    sub.add_parser("desing", parents=[common])
-    adj = sub.add_parser("adjunction", parents=[common])
-    adj.add_argument("--k", type=int, default=None, help="number of blow-ups")
-    sub.add_parser("isotriviality", parents=[common])
-    vd = sub.add_parser("vojta-demo", parents=[common])
-    vd.add_argument("--M", dest="M", default=None,
-                    type=_int_where(lambda v: v >= 1, "at least 1"),
-                    help="maximum section degree")
-    vd.add_argument("--bundle-seed", dest="bundle_seed", type=int, default=None)
+    for name, (_, keys) in _SCENARIOS.items():
+        command = sub.add_parser(name)
+        for key in keys:
+            kind, text = _FLAGS[key]
+            command.add_argument("--" + key.replace("_", "-"), type=kind,
+                                 help=text)
+        command.add_argument("--out", help="write the report to this path")
+        command.add_argument("--format", dest="fmt", default="text",
+                             choices=["text", "json-like-structured"])
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = {}
-    for key in ("p", "m", "n", "d", "N", "r", "M", "k", "coords", "poly",
-                "point", "bundle_seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in _SCENARIOS[args.command][1]
+              if getattr(args, key) is not None}
+    seed = params.pop("seed", 0)
     try:
-        report = run_scenario(args.command, params, seed=args.seed)
+        report = run_scenario(args.command, params, seed=seed)
     except InvalidInput as exc:
         parser.exit(2, f"charpgeom {args.command}: error: {exc}\n")
     if args.fmt == "json-like-structured":
@@ -612,4 +599,3 @@ def main(argv=None):
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1
-

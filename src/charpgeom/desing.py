@@ -67,9 +67,9 @@ def _variable_names(n):
     return ("z",) + tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def local_model(p, n, fld=None):
-    """The hypersurface z^p - (x_1^2 + ... + x_n^2) over F_p (or fld)."""
-    fld = fld or FF(p)
+def local_model(p, n):
+    """The hypersurface z^p - (x_1^2 + ... + x_n^2) over F_p."""
+    fld = FF(p)
     terms = {(p,) + (0,) * n: fld.one}
     for i in range(1, n + 1):
         terms[(0,) * i + (2,) + (0,) * (n - i)] = -fld.one
@@ -160,7 +160,7 @@ def smoothness_certificate(equation):
                                     "searched fields", "basis": res.basis}
 
 
-def desingularize(p, n, fld=None):
+def desingularize(p, n):
     """Resolve z^p = sum x_i^2 by (p-1)/2 blow-ups at singular origins.
 
     Follows the z-chart recursion z^(p-2k) = sum w^2, certifying every
@@ -172,10 +172,7 @@ def desingularize(p, n, fld=None):
         raise ValueError("need n >= 2 base variables")
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime")
-    fld = fld or FF(p)
-    if isinstance(fld, FiniteField) and fld.p != p:
-        raise ValueError("the local model z^p = sum x^2 needs char(field) = p")
-    eq = local_model(p, n, fld)
+    eq = local_model(p, n)
     names = _variable_names(n)
     steps = []
     mults = []
@@ -232,7 +229,7 @@ def pullback_ledger(report):
     """
     p, n = report.p, report.n
     fld = report.final_equation.domain
-    eq = local_model(p, n, fld)
+    eq = local_model(p, n)
     checks = []
     for k, charts in enumerate(report.steps):
         for ch in charts:

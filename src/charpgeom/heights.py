@@ -206,6 +206,10 @@ def density_check(points, N, D, fld=None):
     """
     if isinstance(points, PointFamily):
         points = points.points
+    for pt in points:
+        if len(pt.coords) != N + 1:
+            raise ValueError(f"density in P^{N} needs points with {N + 1} "
+                             f"coordinates, got {len(pt.coords)}")
     monos = sorted(monomials_of_degree(N + 1, D), reverse=True)
     if not points and fld is None:
         raise ValueError("empty family needs an explicit field")

@@ -106,7 +106,11 @@ def adjunction_class(p, d, n, k=0):
     return direct
 
 
-def general_type_threshold(p, d, n_max=64):
+# Largest n the general-type threshold search tries.
+GENERAL_TYPE_N_MAX = 64
+
+
+def general_type_threshold(p, d):
     """Least n for which the sufficient general-type criterion certifies.
 
     Criterion: the xi-coefficient p-2 and the H-coefficient d*n*(p+1) - 3 of
@@ -114,7 +118,7 @@ def general_type_threshold(p, d, n_max=64):
     exceptional part is nonnegative (it is 0 here).  Returns (n, report).
     """
     _check_params(p, d, 1)
-    for n in range(1, n_max + 1):
+    for n in range(1, GENERAL_TYPE_N_MAX + 1):
         cls = adjunction_class(p, d, n)
         if cls.xi >= 1 and cls.h >= 1:
             report = {
@@ -125,7 +129,8 @@ def general_type_threshold(p, d, n_max=64):
                 "h_coefficient": cls.h,
             }
             return n, report
-    raise AssertionError(f"no n <= {n_max} certifies general type (impossible for p>=3)")
+    raise AssertionError(f"no n <= {GENERAL_TYPE_N_MAX} certifies general type "
+                         "(impossible for p>=3)")
 
 
 def _check_params(p, d, n):

@@ -11,6 +11,7 @@ import pytest
 
 import charpgeom
 from charpgeom.algebra import monomials
+from charpgeom import cli
 from charpgeom.cli import run_scenario, main, FORMAT_VERSION
 
 
@@ -30,11 +31,11 @@ def test_reports_are_versioned_and_pass():
 
 
 def test_byte_identical_reports():
-    kwargs = {"params": {"p": 3, "N": 2}, "seed": 7}
+    kwargs = {"params": {"p": 3, "N": 1}, "seed": 7}
     texts = set()
     blobs = set()
     for _ in range(3):
-        rep = run_scenario("northcott-example1", **kwargs)
+        rep = run_scenario("cover", **kwargs)
         texts.add(rep.to_text())
         blobs.add(json.dumps(rep.to_structured(), sort_keys=True))
     assert len(texts) == 1 and len(blobs) == 1
@@ -48,9 +49,9 @@ def test_desing_scenario_counts():
 
 
 def test_example1_scenario_values():
-    rep = run_scenario("northcott-example1", {"p": 3, "N": 2})
-    assert rep.outputs["count"] == 13
-    assert rep.outputs["max_height"] == 0
+    rep = run_scenario("northcott-demo", {"p": 3, "N": 2})
+    assert rep.outputs["example1"]["count"] == 13
+    assert rep.outputs["example1"]["max_height"] == 0
     assert rep.passed
 
 
@@ -210,6 +211,12 @@ def test_cli_rejects_an_extension_too_large_to_embed(capsys):
 def test_scenario_entry_rejects_invalid_counts():
     with pytest.raises(ValueError, match="M >= 1"):
         run_scenario("vojta-demo", {"M": 0})
+    # every bound is checked where the scenario starts, not by the parser
+    for name, params, flag in [("adjunction", {"p": 9}, "--p"),
+                               ("height", {"m": 0}, "--m"),
+                               ("normalform", {"r": 40}, "--r")]:
+        with pytest.raises(cli.InvalidInput, match=f"^argument {flag}:"):
+            run_scenario(name, params)
 
 
 def test_cli_accepts_signed_coordinates(capsys):
@@ -236,3 +243,65 @@ def test_cli_takes_exponents_above_the_packed_key_bound(argv, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "charpgeom normalform: error: argument --poly: monomial degree 40000 "
         f"exceeds the packed-key bound MAX_DEGREE = {monomials.MAX_DEGREE}"]
+
+
+class _Reads(dict):
+    """A params dict that records every key a scenario looks up."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("name", sorted(cli._SCENARIOS))
+def test_each_scenario_reads_exactly_its_declared_parameters(name):
+    # a default run reads every key the declaration lists (seed too, for
+    # the scenarios that draw at random) and no other
+    run, keys = cli._SCENARIOS[name]
+    params = _Reads(seed=0)
+    outputs, assertions = run(params)
+    assert all(a.passed for a in assertions)
+    assert params.read == set(keys)
+    assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("argv", [
+    ["desing", "--p", "5", "--m", "2"],
+    ["height", "--seed", "3"],
+    ["isotriviality", "--n", "3"],
+    ["normalform", "--poly="],
+    ["normalform", "--point="],
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    # an empty --poly or --point is given, not absent: parsed, and refused
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_scenario_entry_refuses_parameters_it_does_not_read():
+    with pytest.raises(ValueError, match="reads no parameter 'bogus'"):
+        run_scenario("desing", {"p": 5, "bogus": 1})
+    with pytest.raises(ValueError, match="reads no parameter 'm'"):
+        run_scenario("desing", {"p": 5, "m": 2})
+    with pytest.raises(ValueError, match="reads no parameter 'seed'"):
+        run_scenario("cover", {"seed": 3})
+    with pytest.raises(ValueError, match="draws nothing at random"):
+        run_scenario("height", seed=3)
+    assert run_scenario("height", seed=0).passed
+

@@ -131,8 +131,6 @@ class TestDesingularize:
             desingularize(4, 2)
         with pytest.raises(ValueError):
             desingularize(3, 1)
-        with pytest.raises(ValueError):
-            desingularize(3, 2, fld=FF(5))   # char must equal p
 
 
 class TestLedgerAndOverlaps:

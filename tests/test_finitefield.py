@@ -234,7 +234,7 @@ def test_elements_defer_to_polynomial_operands(p, m):
         assert c - f == -(f - c)
     assert c / RatFunc(u) == RatFunc(UPoly.const(fld, c), u)
     with pytest.raises(TypeError):
-        c * Jet.variable(fld, 2, 0, 3)
+        c * Jet.from_poly(MultiPoly.var(fld, 2, 0), 3)
     with pytest.raises(TypeError):
         c + "1"
 

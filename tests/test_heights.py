@@ -184,6 +184,16 @@ class TestDensity:
         verdict = heights.density_check([], 2, 1, fld=fld)
         assert not verdict.dense and verdict.vanishing_form is not None
 
+    def test_points_of_another_projective_space_rejected(self):
+        # five points of P^2 checked in P^1 would be judged by their
+        # projection to the first two coordinates
+        fld = FF(3)
+        pts = [heights.normalize(fld, c) for c in
+               ([0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 2, 1])]
+        with pytest.raises(ValueError, match="2 coordinates, got 3"):
+            heights.density_check(pts, 1, 1)
+        assert heights.density_check(pts, 2, 1).dense
+
 
 class TestExample1:
     @pytest.mark.parametrize("N,q,count", [(1, 3, 4), (2, 3, 13), (2, 5, 31)])

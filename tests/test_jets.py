@@ -31,7 +31,7 @@ def test_identity_plus_perturbation():
     # f = x, phi = (x + y^2), r = 3 -> x + y^2
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
-    phi = [Jet.from_poly(x + y ** 2, 3), Jet.variable(fld, 2, 1, 3)]
+    phi = [Jet.from_poly(x + y ** 2, 3), Jet.from_poly(y, 3)]
     res = jet_compose(x, phi, 3)
     assert res == Jet.from_poly(x + y ** 2, 3)
 
@@ -40,7 +40,7 @@ def test_square_composition_drops_high_degree():
     # f = x^2, phi = (x + y^2), r = 4 -> x^2 + 2xy^2 (y^4 dropped)
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
-    phi = [Jet.from_poly(x + y ** 2, 4), Jet.variable(fld, 2, 1, 4)]
+    phi = [Jet.from_poly(x + y ** 2, 4), Jet.from_poly(y, 4)]
     res = jet_compose(x ** 2, phi, 4)
     assert res == Jet.from_poly(x ** 2 + x * y ** 2 * 2, 4)
     # sanity against the naive oracle
@@ -51,7 +51,7 @@ def test_identity_substitution_truncates():
     fld = FF(7)
     rng = random.Random(1)
     f = rand_mpoly(fld, 2, rng, max_deg=6)
-    ident = [Jet.variable(fld, 2, i, 4) for i in range(2)]
+    ident = [Jet.from_poly(MultiPoly.var(fld, 2, i), 4) for i in range(2)]
     assert jet_compose(f, ident, 4) == Jet.from_poly(f, 4)
 
 
@@ -73,9 +73,9 @@ def test_composition_depends_only_on_truncations():
         g1 = rand_mpoly(fld, 2, rng, max_deg=3, no_const=True)
         tail = rand_mpoly(fld, 2, rng, max_deg=3) * x ** 3 * y ** 3  # degree >= 6
         r = 5
-        a = jet_compose(f, [Jet.from_poly(g1, r), Jet.variable(fld, 2, 1, r)], r)
+        a = jet_compose(f, [Jet.from_poly(g1, r), Jet.from_poly(y, r)], r)
         b = jet_compose(f, [Jet.from_poly(g1 + tail, r),
-                            Jet.variable(fld, 2, 1, r)], r)
+                            Jet.from_poly(y, r)], r)
         assert a == b
 
 
@@ -155,7 +155,7 @@ def test_constant_term_violation_rejected():
     x, y = MultiPoly.variables(fld, 2)
     bad = Jet.from_poly(x + 1, 4)
     with pytest.raises(ValueError):
-        jet_compose(x, [bad, Jet.variable(fld, 2, 1, 4)], 4)
+        jet_compose(x, [bad, Jet.from_poly(y, 4)], 4)
 
 
 def test_substitution_below_the_target_order_rejected():
@@ -163,13 +163,13 @@ def test_substitution_below_the_target_order_rejected():
     # at order 4, so order-2 jets cannot give an order-4 composite
     fld = FF(5)
     x, y = MultiPoly.variables(fld, 2)
-    low = [Jet.variable(fld, 2, i, 2) for i in range(2)]
+    low = [Jet.from_poly(MultiPoly.var(fld, 2, i), 2) for i in range(2)]
     with pytest.raises(ValueError, match="order"):
         jet_compose(x * y, low, 4)
-    bent = [Jet.from_poly(x + x ** 2, 4), Jet.variable(fld, 2, 1, 4)]
+    bent = [Jet.from_poly(x + x ** 2, 4), Jet.from_poly(y, 4)]
     assert jet_compose(x * y, bent, 4).to_poly() == x ** 2 * y + x * y
     # higher-order jets are truncated to the target order
-    high = [Jet.from_poly(x + x ** 2, 6), Jet.variable(fld, 2, 1, 6)]
+    high = [Jet.from_poly(x + x ** 2, 6), Jet.from_poly(y, 6)]
     assert jet_compose(x * y, high, 2) == Jet(fld, 2, 2)
     assert jet_compose(x * y, high, 4) == jet_compose(x * y, bent, 4)
     assert jet_compose(x * y, low, 2) == Jet.from_poly(x * y, 2)
@@ -190,33 +190,35 @@ def test_arithmetic_across_fields_raises():
     # p, and over F_{p^m} one field's Zech-log codes would read as the
     # other's
     x5 = MultiPoly.var(FF(5), 2, 0)
-    jet7 = Jet.variable(FF(7), 2, 0, 4)
+    jet7 = Jet.from_poly(MultiPoly.var(FF(7), 2, 0), 4)
     with pytest.raises(ValueError, match="mismatch"):
         jet7 + 4 * x5
     with pytest.raises(ValueError, match="mismatch"):
-        jet7 * Jet.variable(FF(5), 2, 1, 4)
+        jet7 * Jet.from_poly(MultiPoly.var(FF(5), 2, 1), 4)
     with pytest.raises(ValueError):
         jet7.scale(FF(5).elem(3))
     with pytest.raises(ValueError):
         jet7 + FF(5).elem(3)
-    jet9, jet25 = Jet.variable(FF(3, 2), 1, 0, 4), Jet.variable(FF(5, 2), 1, 0, 4)
+    jet9, jet25 = (Jet.from_poly(MultiPoly.var(FF(q, 2), 1, 0), 4)
+                   for q in (3, 5))
     with pytest.raises(ValueError, match="mismatch"):
         jet9 * jet25
     with pytest.raises(ValueError, match="mismatch"):
         jet9 - jet25
     with pytest.raises(ValueError, match="mismatch"):
-        jet7 + Jet.variable(FF(7), 3, 0, 4)
+        jet7 + Jet.from_poly(MultiPoly.var(FF(7), 3, 0), 4)
 
 
 def test_compose_with_phis_over_another_field_raises():
     x, y = MultiPoly.variables(FF(3, 2), 2)
-    phis25 = [Jet.variable(FF(5, 2), 2, i, 4) for i in range(2)]
+    phis25 = [Jet.from_poly(MultiPoly.var(FF(5, 2), 2, i), 4)
+              for i in range(2)]
     with pytest.raises(ValueError, match="domain"):
         jet_compose(x * y + x, phis25, 4)
     with pytest.raises(ValueError, match="domain"):
         jet_compose(Jet.from_poly(x * y, 4), phis25, 4)
     # the phis must also share one number of variables
-    mixed = [Jet.variable(FF(3, 2), 2, 0, 4), Jet.variable(FF(3, 2), 3, 0, 4)]
+    mixed = [Jet.from_poly(MultiPoly.var(FF(3, 2), n, 0), 4) for n in (2, 3)]
     with pytest.raises(ValueError, match="number of variables"):
         jet_compose(x * y, mixed, 4)
 
@@ -238,7 +240,7 @@ def test_malformed_exponent_tuples_raise_at_any_degree():
 
 
 def test_truncation_checks_the_order():
-    jet = Jet.variable(FF(5), 2, 0, 4)
+    jet = Jet.from_poly(MultiPoly.var(FF(5), 2, 0), 4)
     assert jet.truncate(1).is_zero() and jet.truncate(1).order == 1
     for order in (0, 33):
         with pytest.raises(ValueError, match="order"):

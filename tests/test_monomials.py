@@ -145,7 +145,7 @@ def test_derived_jets_share_the_ring():
     assert jet.ring is shared
     assert jet.truncate(2).ring is shared
     assert (jet * jet - jet).ring is shared
-    assert Jet.variable(fld, 2, 1, 3).ring is shared
+    assert Jet.from_poly(MultiPoly.var(fld, 2, 1), 3).ring is shared
 
 
 @pytest.mark.parametrize("domain", [FF(5), FF(3, 2), FF(7, 2),

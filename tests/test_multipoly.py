@@ -152,6 +152,16 @@ def test_subs_against_evaluation():
                 (g1.evaluate(pt), g2.evaluate(pt)))
 
 
+def test_evaluation_needs_one_coordinate_per_variable():
+    fld = FF(5)
+    x1, x2 = MultiPoly.variables(fld, 2)
+    one = fld.one
+    assert (x1 * x2).evaluate((one, one)) == one
+    for point in [(one,), (one, one, one)]:
+        with pytest.raises(ValueError, match="one coordinate per variable"):
+            (x1 * x2).evaluate(point)
+
+
 def test_text_encoding_round_trip_and_generator_coeffs():
     fld = FF(3, 2)
     x1, x2 = MultiPoly.variables(fld, 2)

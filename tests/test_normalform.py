@@ -96,7 +96,7 @@ class TestNormalForm:
         assert len(corr) == 1 and corr[0].degree == 3
         half = fld.elem(2).inverse()
         assert corr[0].jets == [
-            Jet.variable(fld, 2, 0, 4),
+            Jet.from_poly(MultiPoly.var(fld, 2, 0), 4),
             Jet.from_poly(y + MultiPoly.monomial(fld, 2, (2, 0), -half), 4)]
         # recompose at order 5: residual is -1/4 x^4
         re5 = _recompose_at_order(f, res, 5)
@@ -131,7 +131,8 @@ class TestNormalForm:
                 continue
             for i, jet in enumerate(step.jets):
                 low = jet.truncate(step.degree - 1)
-                ident = Jet.variable(res.fld, 2, i, step.degree - 1)
+                ident = Jet.from_poly(MultiPoly.var(res.fld, 2, i),
+                                      step.degree - 1)
                 assert low == ident
 
     def test_linear_part_is_diagonalization_matrix(self):

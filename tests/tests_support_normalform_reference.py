@@ -66,7 +66,7 @@ def _step_jets(fld, n, order, step):
         return jets
     jets = []
     for i in range(n):
-        base = Jet.variable(fld, n, i, order)
+        base = Jet.from_poly(MultiPoly.var(fld, n, i), order)
         corr = step.corrections.get(i)
         if corr is not None:
             base = base + Jet.from_poly(corr, order)
