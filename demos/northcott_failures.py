@@ -19,7 +19,7 @@ from charpgeom import heights
 print("=" * 72)
 print("Family 1: constant points of P^2")
 for q in (3, 5):
-    fam = heights.example1_constant_points(2, FF(q), density_degree=2)
+    fam = heights.example1_constant_points(2, FF(q))
     verdict = fam.extras["density"]
     print(f"  q = {q}: {len(fam.points)} points, all of height 0; "
           f"density at degree 2: {verdict}")

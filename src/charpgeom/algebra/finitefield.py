@@ -189,7 +189,7 @@ PRIME_TABLE_MAX = 1 << 16
 
 @functools.lru_cache(maxsize=None)
 def FF(p, m=1):
-    """Cached constructor for F_{p^m} with the deterministic default modulus."""
+    """Cached constructor for F_{p^m}."""
     return FiniteField(p, m)
 
 
@@ -198,9 +198,10 @@ class TooLargeToEmbed(ValueError):
 
 
 class FiniteField:
-    """The field F_{p^m}, p an odd prime, in a fixed polynomial basis."""
+    """The field F_{p^m}, p an odd prime, in the polynomial basis of the
+    deterministic modulus `_find_modulus(p, m)`."""
 
-    def __init__(self, p, m=1, modulus=None):
+    def __init__(self, p, m=1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if p == 2:
@@ -211,11 +212,7 @@ class FiniteField:
         self.m = m
         self.order = p ** m
         self.prime = p if m == 1 else None      # p when elements are residues
-        self.modulus = tuple(_find_modulus(p, m)) if modulus is None else tuple(modulus)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if m > 1 and not _is_irreducible(list(self.modulus), p):
-            raise ValueError("modulus is reducible")
+        self.modulus = _find_modulus(p, m)
         # over F_p, the canonical element of each residue 0..p-1: prime-field
         # kernels that compute on ints map their results back through it
         # (None for extension fields and for p beyond the table bound)
@@ -303,10 +300,6 @@ class FiniteField:
         return tuple(res[:m])
 
     # -- field-level operations ----------------------------------------------
-
-    def frobenius(self, a):
-        """a^p, the arithmetic Frobenius."""
-        return a ** self.p
 
     def generator(self):
         """A fixed generator of the multiplicative group (smallest in order).

@@ -79,9 +79,6 @@ class Jet:
         c = self.packed.get(0)
         return self.domain.zero if c is None else self.ring.element(c)
 
-    def min_degree(self):
-        return min(self.packed) >> self.ring.top if self.packed else None
-
     def coefficient(self, exps):
         c = self.packed.get(self.ring.monomial(exps))
         return self.domain.zero if c is None else self.ring.element(c)

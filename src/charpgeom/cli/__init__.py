@@ -544,11 +544,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-# parameter -> (flag type, help); the scenario entry checks each value
+# parameter -> (flag type, help), the help a dict by command for a flag
+# whose meaning differs between commands; the scenario entry checks each value
 _FLAGS = {
     "p": (int, "characteristic, an odd prime"),
     "m": (int, "field extension degree (q = p^m)"),
-    "n": (int, "twist exponent, or number of variables (normalform, desing)"),
+    "n": (int, {**dict.fromkeys(("cover", "adjunction", "vojta-demo"),
+                                "twist exponent: the cover's section has "
+                                "degree n*d*p"),
+                "normalform": "number of variables x1..xn",
+                "desing": "number of variables of z^p = x1^2 + ... + xn^2"}),
     "d": (int, "polarization degree"),
     "N": (int, "dimension of the projective space P^N"),
     "r": (int, "truncation order"),
@@ -571,6 +576,8 @@ def _build_parser():
         command = sub.add_parser(name)
         for key in keys:
             kind, text = _FLAGS[key]
+            if isinstance(text, dict):
+                text = text[name]
             command.add_argument("--" + key.replace("_", "-"), type=kind,
                                  help=text)
         command.add_argument("--out", help="write the report to this path")

@@ -90,7 +90,7 @@ class Cover:
         return self.charts[0].f.domain
 
 
-def build_cover(charts, p, params=None):
+def build_cover(charts, p):
     """Assemble and verify a covering datum.
 
     Checks: char(k) = p (this is the genuinely inseparable regime); every
@@ -101,12 +101,12 @@ def build_cover(charts, p, params=None):
     if not charts:
         raise ValueError("no charts")
     _check_sections([ch.f for ch in charts], p)
-    return _verified_cover(charts, p, params)
+    return _verified_cover(charts, p, {})
 
 
 def _verified_cover(charts, p, params):
     """`build_cover` on charts whose sections passed `_check_sections`."""
-    cover = Cover(charts=list(charts), p=p, params=params or {})
+    cover = Cover(charts=list(charts), p=p, params=params)
     bad = verify_cocycle(cover)
     if bad:
         raise ValueError(f"cocycle inconsistency on overlaps {bad}")
@@ -506,24 +506,29 @@ def genericity_sample(N, d, n, p, fld, trials, seed=0):
                             bad=bad, unknown=unknown, failures=failures)
 
 
-def monic_univariate_census(fld, deg=3):
-    """Exhaustive classification of monic degree-`deg` affine sections.
+def monic_univariate_census(fld):
+    """Exhaustive classification of the monic cubic affine sections.
 
-    Enumerates all monic f = x^deg + ... over F_q and classifies each with
-    the exact closure criterion on the affine chart: degenerate exactly when
-    f' and f'' share a root, i.e. when Res(f', f'') = 0.  (Chartwise gradient
-    criteria only glue when char(k) = p; the census follows the affine-chart
-    criterion the resultant oracle encodes, which is also the degree-regime
-    convention of `genericity_sample` run per chart.)  Returns
-    (good_count, bad_count, bad_list).
+    Enumerates all monic f = x^3 + c_2 x^2 + c_1 x + c_0 over F_q and
+    classifies each with the exact closure criterion on the affine chart:
+    degenerate exactly when f' and f'' share a root, i.e. when
+    Res(f', f'') = 0.  (Chartwise gradient criteria only glue when
+    char(k) = p; the census follows the affine-chart criterion the resultant
+    oracle encodes, which is also the degree-regime convention of
+    `genericity_sample` run per chart.)  Returns (good_count, bad_count,
+    bad_list), bad_list holding the `from_index` numbers (c_0, c_1, c_2)
+    of each bad cubic; raises RuntimeError when a classification exhausts MAX_PAIRS, since an
+    "unknown" verdict is neither good nor bad.
     """
     good = bad = 0
     bad_list = []
-    for coeffs in itertools.product(range(fld.order), repeat=deg):
-        # f0 = x^deg + c_{deg-1} x^{deg-1} + ... + c_0
-        terms = {(deg,): fld.one}
+    for coeffs in itertools.product(range(fld.order), repeat=3):
+        terms = {(3,): fld.one}
         terms.update(((i,), fld.from_index(c)) for i, c in enumerate(coeffs))
         verdict, _ = classify_section([MultiPoly(fld, 1, terms)])
+        if verdict == "unknown":
+            raise RuntimeError(f"pair budget of {MAX_PAIRS} exhausted on the "
+                               f"cubic with coefficients {coeffs}")
         if verdict == "good":
             good += 1
         else:

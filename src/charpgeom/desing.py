@@ -20,7 +20,7 @@ Both discrepancies are resolved in favor of the verified factorization.
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra.finitefield import FF, FiniteField
+from .algebra.finitefield import FF, FiniteField, is_prime
 from .algebra.multipoly import MultiPoly, RatExpr
 from .algebra.groebner import groebner_membership_one
 from .covers import common_zeros
@@ -170,7 +170,7 @@ def desingularize(p, n):
     """
     if n < 2:
         raise ValueError("need n >= 2 base variables")
-    if p < 3 or p % 2 == 0:
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     eq = local_model(p, n)
     names = _variable_names(n)

@@ -194,7 +194,7 @@ class DensityVerdict:
         return f"non-dense: a degree-{self.degree} form vanishes on the family"
 
 
-def density_check(points, N, D, fld=None):
+def density_check(points, N, D):
     """No degree-<=D hypersurface over k(t) contains the family?
 
     Builds the evaluation matrix of all degree-D monomials in N+1 variables
@@ -203,22 +203,19 @@ def density_check(points, N, D, fld=None):
     is equivalent to degree-<=D vanishing, so checking D alone suffices.
     Returns either a full-rank verdict or a nonzero vanishing form (which the
     caller can re-verify pointwise; see DensityVerdict.vanishing_form).
+    ValueError for an empty family, whose field is unknown, and for a point
+    without N+1 coordinates.
     """
     if isinstance(points, PointFamily):
         points = points.points
+    if not points:
+        raise ValueError("density of an empty family is undefined")
     for pt in points:
         if len(pt.coords) != N + 1:
             raise ValueError(f"density in P^{N} needs points with {N + 1} "
                              f"coordinates, got {len(pt.coords)}")
     monos = sorted(monomials_of_degree(N + 1, D), reverse=True)
-    if not points and fld is None:
-        raise ValueError("empty family needs an explicit field")
-    dom = RatFuncField(points[0].field if points else fld)
-    if not points:
-        # degenerate input: every form vanishes on the empty family
-        form = MultiPoly(dom, N + 1, {monos[0]: dom.one})
-        return DensityVerdict(dense=False, rank=0, n_monomials=len(monos),
-                              degree=D, vanishing_form=form)
+    dom = RatFuncField(points[0].field)
     rows = []
     for pt in points:
         coords = [RatFunc(c) for c in pt.coords]
@@ -254,21 +251,25 @@ def all_projective_points(fld, N):
     return pts
 
 
-def example1_constant_points(N, fld, density_degree=2):
+# The degree at which Example 1 checks its family for density: conics.
+DENSITY_DEGREE = 2
+
+
+def example1_constant_points(N, fld):
     """All of P^N(F_q) as constant points of P^N(k(t)): heights all zero.
 
     The family has (q^(N+1)-1)/(q-1) points of height exactly 0, unbounded in
     number as q grows, and no degree-<=D hypersurface contains it once q is
     large relative to D (a nonzero degree-D form vanishes on at most
-    D*q^(N-1) + |P^(N-2)| points of P^N(F_q)); the verdict at the requested
-    degree is computed exactly, not inferred from the bound.
+    D*q^(N-1) + |P^(N-2)| points of P^N(F_q)); the verdict at D =
+    DENSITY_DEGREE is computed exactly, not inferred from the bound.
     """
     pts = [ProjPoint(fld, tuple(UPoly.const(fld, c) for c in cs))
            for cs in all_projective_points(fld, N)]
     heights = [weil_height(pt) for pt in pts]
     discs = [DiscriminantRecord(1, Fraction(-2), "K-rational, B = P^1")
              for _ in pts]
-    verdict = density_check(pts, N, density_degree)
+    verdict = density_check(pts, N, DENSITY_DEGREE)
     q = fld.order
     count = (q ** (N + 1) - 1) // (q - 1)
     fam = PointFamily(
@@ -280,8 +281,8 @@ def example1_constant_points(N, fld, density_degree=2):
             "count": count,
             "density": verdict,
             "density_note": (
-                f"a nonzero degree-{density_degree} form vanishes on at most "
-                f"{density_degree}*q^{N-1} + |P^{N-2}(F_q)| points, so the family "
+                f"a nonzero degree-{DENSITY_DEGREE} form vanishes on at most "
+                f"{DENSITY_DEGREE}*q^{N-1} + |P^{N-2}(F_q)| points, so the family "
                 f"is dense at this degree for all large q; verdict above is exact"),
         },
     )
@@ -491,60 +492,51 @@ def p1_point(fld, a, b):
         return (fld.one, fld.zero)
     raise ValueError("(0, 0) is not a point of P^1")
 
-def p1_infinity(fld):
-    return (fld.one, fld.zero)
-
 
 class Section:
-    """Section of P^1 x P^1 -> P^1: a coprime pair of polynomials in t.
+    """Polynomial section t -> (g(t) : 1) of P^1 x P^1 -> P^1.
 
-    Represents g = (g0 : g1) of morphism degree m = max(deg g0, deg g1); the
-    value at infinity is read off the degree-m (homogenized) coefficients.
+    Its morphism degree is m = max(deg g, 0).  At infinity the homogenized
+    pair (g_m : 0) is read off the degree-m coefficient, which is (1 : 0)
+    for a monic g of degree m >= 1 and (g : 1) for a constant g.
     """
 
-    def __init__(self, g0, g1):
-        self.g0 = g0
-        self.g1 = g1
-        self.fld = g0.field
-        if g0.is_zero() and g1.is_zero():
-            raise ValueError("zero section")
-        g = g0.gcd(g1)
-        if g.degree() > 0:
-            raise ValueError("section pair is not coprime")
-        self.degree = max(g0.degree(), g1.degree(), 0)
+    def __init__(self, g):
+        self.g = g
+        self.fld = g.field
+        self.degree = max(g.degree(), 0)
 
     def value(self, pt):
         """Value at a P^1 point (pair normalized as in p1_point)."""
         if pt[1]:
-            tau = pt[0] / pt[1]
-            return p1_point(self.fld, self.g0.evaluate(tau), self.g1.evaluate(tau))
+            return (self.g.evaluate(pt[0] / pt[1]), self.fld.one)
         m = self.degree
-        return p1_point(self.fld, self.g0[m], self.g1[m])
+        return p1_point(self.fld, self.g[m], 0 if m else 1)
 
     def avoids(self, w_pairs):
         return all(self.value(b) != q for b, q in w_pairs)
 
     def as_ratfunc(self):
-        if self.g1.is_zero():
-            raise ZeroDivisionError("section is the constant infinity")
-        return RatFunc(self.g0, self.g1)
+        return RatFunc(self.g)
 
     def __repr__(self):
-        return f"({self.g0.format()} : {self.g1.format()})"
+        return f"({self.g.format()} : 1)"
 
 
-def sections_avoiding(w_pairs, m, fld, count=1, seed=0, polynomial=False,
-                      max_tries=20000):
-    """Sections of degree m whose graphs avoid every (b, q) in w_pairs.
+# Seeded draws over one field before `sections_avoiding` enlarges it.
+SECTION_TRIES = 20000
 
-    Seeded search over coefficient vectors; when the field is too small the
-    search restarts over the quadratic extension (reported via the returned
-    field).  With polynomial=True the section is a monic polynomial of exact
-    degree m over the original field (denominator 1), the shape the height
-    demonstrations use.  Returns (sections, fld_used, enlarged).
+
+def sections_avoiding(w_pairs, m, fld, seed=0):
+    """A polynomial section of degree m whose graph avoids every (b, q) in
+    w_pairs: a constant for m = 0, a monic polynomial of degree m otherwise.
+
+    Seeded search over the coefficients; after SECTION_TRIES draws the
+    search restarts over the quadratic extension, with the avoidance set
+    embedded.  Returns (section, fld_used, enlarged).
 
     Counting guarantee: for m = 0 a constant section exists as soon as
-    |P^1(F_q)| > #{q-values in W}; each enlargement squares q, so the search
+    |F_q| > #{q-values in W}; each enlargement squares q, so the search
     terminates.
     """
     rng = Random(seed)
@@ -552,35 +544,14 @@ def sections_avoiding(w_pairs, m, fld, count=1, seed=0, polynomial=False,
     current = fld
     pairs = list(w_pairs)
     while True:
-        found = []
-        for _ in range(max_tries):
-            if polynomial:
-                if m == 0:
-                    coeffs = [current.from_index(rng.randrange(current.order))]
-                else:
-                    coeffs = [current.from_index(rng.randrange(current.order))
-                              for _ in range(m)] + [current.one]
-                g0 = UPoly(current, coeffs)
-                g1 = UPoly.const(current, 1)
-            else:
-                g0 = UPoly(current, [current.from_index(rng.randrange(current.order))
-                                     for _ in range(m + 1)])
-                g1 = UPoly(current, [current.from_index(rng.randrange(current.order))
-                                     for _ in range(m + 1)])
-                if g0.is_zero() and g1.is_zero():
-                    continue
-                if max(g0.degree(), g1.degree(), 0) != m:
-                    continue
-            try:
-                sec = Section(g0, g1)
-            except ValueError:
-                continue
-            if sec.degree != m:
-                continue
+        for _ in range(SECTION_TRIES):
+            coeffs = [current.from_index(rng.randrange(current.order))
+                      for _ in range(max(m, 1))]
+            if m:
+                coeffs.append(current.one)
+            sec = Section(UPoly(current, coeffs))
             if sec.avoids(pairs):
-                found.append(sec)
-                if len(found) == count:
-                    return found, current, enlarged
+                return sec, current, enlarged
         # enlarge the constant field and re-embed the avoidance set
         big, embed = current.extension(2)
         pairs = [((embed(b[0]), embed(b[1])), (embed(q[0]), embed(q[1])))
@@ -677,20 +648,18 @@ def vojta_violation_demo(lift_bundle, max_degree, seed=0):
     kcls = picard.adjunction_class(p, d, n)
     w_pairs = lift_bundle.avoidance_pairs()
     # the fiber parameter must stay finite, so search affine constants only
-    const_secs, _, enlarged = sections_avoiding(w_pairs, 0, fld, seed=seed,
-                                                polynomial=True)
+    const_sec, _, enlarged = sections_avoiding(w_pairs, 0, fld, seed=seed)
     if enlarged:
         raise ValueError("base field too small for the avoidance set; "
                          "rebuild the bundle over the larger field")
-    u2 = const_secs[0].as_ratfunc()
+    u2 = const_sec.as_ratfunc()
     entries = []
     for m in range(1, max_degree + 1):
-        secs, _, enlarged = sections_avoiding(w_pairs, m, fld, seed=seed + m,
-                                              polynomial=True)
+        sec, _, enlarged = sections_avoiding(w_pairs, m, fld, seed=seed + m)
         if enlarged:
             raise ValueError("avoidance search enlarged the field; rebuild "
                              "the bundle over the larger field")
-        u1 = secs[0].as_ratfunc()
+        u1 = sec.as_ratfunc()
         lifted = lift_bundle.lift([u1, u2])
         base = normalize(fld, [RatFunc.const(fld, 1)] + lifted.base_coords,
                          varname="s")
@@ -698,7 +667,7 @@ def vojta_violation_demo(lift_bundle, max_degree, seed=0):
         xi_deg = xi_degree_of_fiber_coordinate(lifted.z, n * d * h_base)
         h_can = (p - 2) * xi_deg + kcls.h * h_base
         entries.append(VojtaFamilyEntry(
-            m=m, section=secs[0], base_point=base, z=lifted.z,
+            m=m, section=sec, base_point=base, z=lifted.z,
             base_height=h_base, xi_degree=xi_deg, canonical_height=h_can,
             discriminant=Fraction(-2)))
     slopes = [entries[i + 1].canonical_height - entries[i].canonical_height

@@ -25,7 +25,7 @@ position) and constancy of the j-invariant for plane cubics over k(t).
 import itertools
 from dataclasses import dataclass
 
-from .algebra.finitefield import FiniteField
+from .algebra.finitefield import FiniteField, is_prime
 from .algebra.unipoly import RatFunc, UPoly
 from .algebra.linalg import det, inverse, mat_mul, mat_vec, solve
 
@@ -134,8 +134,8 @@ def general_type_threshold(p, d):
 
 
 def _check_params(p, d, n):
-    if p < 3 or p % 2 == 0:
-        raise ValueError("covering exponent p must be an odd prime >= 3")
+    if p == 2 or not is_prime(p):
+        raise ValueError("covering exponent p must be an odd prime")
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
 

@@ -108,7 +108,7 @@ def test_acceptance_2_normal_form():
 def test_acceptance_3_heights_northcott():
     for q in (3, 5):
         fld = FF(q)
-        fam = heights.example1_constant_points(2, fld, density_degree=2)
+        fam = heights.example1_constant_points(2, fld)
         assert len(fam.points) == q * q + q + 1
         assert all(h == 0 for h in fam.heights)
         assert fam.verify()
@@ -253,7 +253,7 @@ def test_acceptance_8_genericity():
             fld, fld.elem(3), ea * 2, eb, fld.elem(6), ea * 2)
         if res == fld.zero:
             oracle_bad.add((c, b, a))    # census coefficient order (low->high)
-    good, bad, bad_list = covers.monic_univariate_census(fld, 3)
+    good, bad, bad_list = covers.monic_univariate_census(fld)
     assert good + bad == 343
     assert set(bad_list) == oracle_bad
     assert bad == len(oracle_bad) == 49      # fraction exactly 1/7

@@ -305,3 +305,17 @@ def test_scenario_entry_refuses_parameters_it_does_not_read():
         run_scenario("height", seed=3)
     assert run_scenario("height", seed=0).passed
 
+
+
+@pytest.mark.parametrize("command,text", [
+    ("desing", "number of variables of z^p = x1^2 + ... + xn^2"),
+    ("normalform", "number of variables x1..xn"),
+    ("cover", "twist exponent: the cover's section has degree n*d*p"),
+], ids=["desing", "normalform", "cover"])
+def test_each_command_describes_its_own_n(command, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--n N {text}" in out
+    assert "twist exponent, or number of variables" not in out

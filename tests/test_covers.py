@@ -203,6 +203,16 @@ class TestGenericity:
         assert covers.classify_section(charts) == expected
         assert len(calls) == 5 * len(charts)
 
+    def test_census_raises_on_an_exhausted_budget(self, monkeypatch):
+        # an exhausted pair budget is the "unknown" verdict, neither good
+        # nor bad, so the census cannot count it
+        monkeypatch.setattr(covers, "MAX_PAIRS", 0)
+        fld = FF(5)
+        x = MultiPoly.var(fld, 1, 0)
+        assert covers.classify_section([x ** 3 + x])[0] == "unknown"
+        with pytest.raises(RuntimeError, match="pair budget"):
+            covers.monic_univariate_census(fld)
+
     def test_fraction_exact_classification(self):
         fld = FF(7)
         rep = covers.genericity_sample(1, 1, 1, 3, fld, trials=30, seed=1)
@@ -740,9 +750,8 @@ class TestVojtaBundle:
         # base-field singular points produce avoidance values
         assert len(pairs) >= 1
         # lifting through an avoiding section keeps the cover equation exact
-        secs, _, _ = heights.sections_avoiding(pairs, 2, fld, seed=3,
-                                               polynomial=True)
-        lp = bundle.lift([secs[0].as_ratfunc(), RatFunc(UPoly.const(fld, 1))])
+        sec, _, _ = heights.sections_avoiding(pairs, 2, fld, seed=3)
+        lp = bundle.lift([sec.as_ratfunc(), RatFunc(UPoly.const(fld, 1))])
         assert lp.z ** 3 == _eval_cover(bundle, lp)
 
 

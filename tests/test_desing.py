@@ -131,6 +131,9 @@ class TestDesingularize:
             desingularize(4, 2)
         with pytest.raises(ValueError):
             desingularize(3, 1)
+        # odd but not prime: refused at the entry, before any field is built
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            desingularize(9, 2)
 
 
 class TestLedgerAndOverlaps:

@@ -52,7 +52,8 @@ def test_frobenius_and_pth_root(fld):
     @settings(max_examples=150, deadline=None)
     @given(elements(fld), elements(fld))
     def check(a, b):
-        frob = fld.frobenius
+        def frob(a):
+            return a ** fld.p
         assert frob(a + b) == frob(a) + frob(b)
         assert frob(a * b) == frob(a) * frob(b)
         assert pth_root(frob(a)) == a and frob(pth_root(a)) == a

@@ -162,7 +162,7 @@ class TestFunctoriality:
 class TestDensity:
     def test_thirteen_points_no_conic(self):
         fld = FF(3)
-        fam = heights.example1_constant_points(2, fld, density_degree=2)
+        fam = heights.example1_constant_points(2, fld)
         verdict = fam.extras["density"]
         assert verdict.dense and verdict.rank == 6 == verdict.n_monomials
 
@@ -179,10 +179,9 @@ class TestDensity:
             value = form.evaluate([RatFunc(c) for c in pt.coords])
             assert value.is_zero()
 
-    def test_empty_family_degenerate_witness(self):
-        fld = FF(3)
-        verdict = heights.density_check([], 2, 1, fld=fld)
-        assert not verdict.dense and verdict.vanishing_form is not None
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="empty family"):
+            heights.density_check([], 2, 1)
 
     def test_points_of_another_projective_space_rejected(self):
         # five points of P^2 checked in P^1 would be judged by their
@@ -198,7 +197,7 @@ class TestDensity:
 class TestExample1:
     @pytest.mark.parametrize("N,q,count", [(1, 3, 4), (2, 3, 13), (2, 5, 31)])
     def test_counts_and_heights(self, N, q, count):
-        fam = heights.example1_constant_points(N, FF(q), density_degree=2)
+        fam = heights.example1_constant_points(N, FF(q))
         assert len(fam.points) == count
         assert all(h == 0 for h in fam.heights)
         assert fam.verify()
@@ -331,52 +330,66 @@ class TestExample3:
         assert len(fam.extras["records"]) == 1
 
 
+def _infinity(fld):
+    return heights.p1_point(fld, 1, 0)
+
+
 class TestSectionsAvoiding:
     def test_empty_avoidance_constants(self):
-        secs, fld_used, enlarged = heights.sections_avoiding([], 0, F5)
-        assert not enlarged and secs[0].degree == 0
+        sec, fld_used, enlarged = heights.sections_avoiding([], 0, F5)
+        assert not enlarged and fld_used is F5 and sec.degree == 0
 
     def test_identity_avoids_zero_infinity(self):
-        w = [(heights.p1_point(F5, 0, 1), heights.p1_infinity(F5))]
-        g = heights.Section(UPoly.x(F5), UPoly.const(F5, 1))
+        w = [(heights.p1_point(F5, 0, 1), _infinity(F5))]
+        g = heights.Section(UPoly.x(F5))
         assert g.avoids(w)
+
+    def test_value_at_infinity(self):
+        # (g_m : 0) for a section of degree m >= 1, (g : 1) for a constant
+        inf = _infinity(F5)
+        for coeffs in ([1, 1], [3, 0, 2], [0, 0, 0, 1]):
+            sec = heights.Section(UPoly.from_ints(F5, coeffs))
+            assert sec.degree == len(coeffs) - 1 and sec.value(inf) == inf
+        for c in range(5):
+            sec = heights.Section(UPoly.from_ints(F5, [c]))
+            assert sec.degree == 0
+            assert sec.value(inf) == heights.p1_point(F5, c, 1)
 
     def test_linear_sections_over_f5(self):
         w = [(heights.p1_point(F5, 0, 1), heights.p1_point(F5, 0, 1)),
              (heights.p1_point(F5, 1, 1), heights.p1_point(F5, 1, 1))]
-        secs, _, enlarged = heights.sections_avoiding(w, 1, F5, count=4, seed=7)
-        assert not enlarged
-        for sec in secs:
-            assert sec.degree == 1
+        for seed in range(7, 11):
+            sec, _, enlarged = heights.sections_avoiding(w, 1, F5, seed=seed)
+            assert not enlarged
+            assert sec.degree == 1 and sec.g[1] == F5.one
             assert sec.avoids(w)
         # the specific section g(b) = b + 2 avoids both pairs
-        g = heights.Section(UPoly.x(F5) + 2, UPoly.const(F5, 1))
+        g = heights.Section(UPoly.x(F5) + 2)
         assert g.avoids(w)
         # exhaustive count over affine polynomial sections g = a*t + b:
         # b != 0 and a + b != 1 leaves 4*4 = 16 of the 25
         count = 0
         for a in range(5):
             for b in range(5):
-                gg = heights.Section(UPoly.from_ints(F5, [b, a]),
-                                     UPoly.const(F5, 1))
+                gg = heights.Section(UPoly.from_ints(F5, [b, a]))
                 if gg.avoids(w):
                     count += 1
         assert count == 16
 
-    def test_field_enlargement_when_saturated(self):
+    def test_field_enlargement_when_saturated(self, monkeypatch):
         # forbid every constant value of F_3: only an extension constant works
+        monkeypatch.setattr(heights, "SECTION_TRIES", 200)
         fld = FF(3)
         w = [(heights.p1_point(fld, i, 1), heights.p1_point(fld, i, 1))
              for i in range(3)]
-        w += [(heights.p1_point(fld, i, 1), heights.p1_infinity(fld))
+        w += [(heights.p1_point(fld, i, 1), _infinity(fld))
               for i in range(3)]
-        w += [(heights.p1_infinity(fld), heights.p1_point(fld, i, 1))
+        w += [(_infinity(fld), heights.p1_point(fld, i, 1))
               for i in range(3)]
-        w += [(heights.p1_infinity(fld), heights.p1_infinity(fld))]
-        secs, fld_used, enlarged = heights.sections_avoiding(
-            w, 0, fld, seed=0, max_tries=200)
+        w += [(_infinity(fld), _infinity(fld))]
+        sec, fld_used, enlarged = heights.sections_avoiding(w, 0, fld, seed=0)
         assert enlarged and fld_used.order == 9
-        assert secs[0].avoids([
+        assert sec.avoids([
             ((e0, e1), (q0, q1)) for (e0, e1), (q0, q1) in [
                 (pair[0], pair[1]) for pair in _embed_pairs(fld, fld_used, w)]])
 

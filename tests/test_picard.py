@@ -23,6 +23,15 @@ class TestClasses:
         assert cls4.exc == (2, 2, 2, 2)
         assert picard.canonical_of_ambient(3, 1, 3).h == 0   # nd = 3 cancels
 
+    def test_odd_composite_exponent_rejected(self):
+        # 9 is odd and >= 3 but not prime
+        for call in (picard.adjunction_class, picard.class_of_cover,
+                     picard.canonical_of_ambient):
+            with pytest.raises(ValueError, match="odd prime"):
+                call(9, 1, 5)
+        with pytest.raises(ValueError, match="odd prime"):
+            picard.general_type_threshold(9, 1)
+
     def test_adjunction_values(self):
         cls = picard.adjunction_class(3, 1, 1)
         assert (cls.xi, cls.h) == (1, 1)
