@@ -20,11 +20,12 @@ decided exactly by cross-multiplication.
 """
 
 import itertools
+import operator
 import re
 
 from . import monomials
 from .linalg import det
-from .monomials import _check_degree
+from .monomials import MAX_DEGREE, _check_degree
 from .powers import power, substitute
 
 
@@ -434,41 +435,48 @@ class RatExpr:
 
     def subs(self, exprs):
         """Substitute monomial fractions a x^u / (b x^v) for the variables:
-        exact, unreduced, by exponent arithmetic.  A term c x^e goes to
+        exact, unreduced, on keys and codes.  A term c x^e goes to
         c prod (a_i/b_i)^e_i times x to the power sum e_i (u_i - v_i),
-        maybe negative; one shift by the least exponent of each variable,
-        over numerator and denominator, clears both.  ValueError for an
-        entry that is not a quotient of two monomials."""
-        n = self.num.n
-        if len(exprs) != n:
+        maybe negative: a key with signed fields.  One shift by the least
+        exponent of each variable, over numerator and denominator, clears
+        both.  ValueError for an entry that is not a quotient of two
+        monomials, or when the degrees could exceed MAX_DEGREE."""
+        if len(exprs) != self.num.n:
             raise ValueError("substitution needs one expression per variable")
-        domain, m = self.num.domain, exprs[0].num.n
-        maps = []
-        for r in exprs:
-            num, den = r.num.terms, r.den.terms
+        ring = monomials.ring(self.num.domain, exprs[0].num.n)
+        shifts, powers = [], []
+        top = max(self.num.total_degree(), self.den.total_degree())
+        for i, r in enumerate(exprs):
+            num, den = r.num.packed_in(ring), r.den.packed_in(ring)
             if len(num) != 1 or len(den) != 1:
                 raise ValueError(f"substitution needs quotients of monomials, not {r!r}")
             (u, a), = num.items()
             (v, b), = den.items()
-            maps.append((tuple(x - y for x, y in zip(u, v)),
-                         None if a == b else a / b))
+            shifts.append((u & ring.low_mask) - (v & ring.low_mask))
+            if a != b:
+                powers.append((i, list(itertools.accumulate(
+                    [ring.times(a, ring.inverse(b))] * top, ring.times,
+                    initial=ring.one))))
+        reach = max(max(r.num.total_degree(), r.den.total_degree()) for r in exprs)
+        _check_degree(2 * top * reach * ring.n)
+        exponents, times, plus = self.num.ring.exponents, ring.times, ring.plus
 
         def laurent(poly):
-            out, zero = {}, domain.zero
-            for e, c in poly.terms.items():
-                exps = [0] * m
-                for k, (shift, ratio) in zip(e, maps):
-                    if k:
-                        exps = [x + k * y for x, y in zip(exps, shift)]
-                        if ratio is not None:
-                            c = c * ratio ** k
-                exps = tuple(exps)
-                out[exps] = out.get(exps, zero) + c
+            out = {}
+            for k, c in poly.packed.items():
+                e = exponents(k)
+                for i, pows in powers:
+                    c = times(c, pows[e[i]])
+                x = sum(map(operator.mul, e, shifts))
+                out[x] = plus(out[x], c) if x in out else c
             return out
         num, den = laurent(self.num), laurent(self.den)
-        low = [min(col) for col in zip(*num, *den)] or [0] * m
-        return RatExpr(*(MultiPoly(domain, m, {
-            tuple(x - y for x, y in zip(e, low)): c for e, c in part.items()})
+        # with the guard bits added, each field holds its exponent + 2^15
+        fields, mask = [x + ring.guard for x in itertools.chain(num, den)], 2 * MAX_DEGREE + 1
+        least = sum(min((x >> s & mask for x in fields), default=0) << s
+                    for s in ring.shifts) - ring.guard
+        return RatExpr(*(MultiPoly.from_packed(ring, {
+            ring.key(x - least): c for x, c in part.items() if c})
             for part in (num, den)))
 
     def __repr__(self):

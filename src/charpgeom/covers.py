@@ -22,10 +22,10 @@ elements on untabled fields); only the points found become field elements.
 
 The Vojta bundle search screens each seeded form before it builds a cover:
 first the checks that need no overlap, then the sweeps of the form's charts
-over F_q and F_{q^2}.  Only the first form with no degenerate singular point
-found has its cover built and its cocycle verified.  The bundle's
-nondegeneracy is still a searched outcome over those two fields, never a
-closure certificate.
+over F_q and F_{q^2}, which stop at the form's first degenerate singular
+point.  Only the first form with none has its cover built and its cocycle
+verified.  The bundle's nondegeneracy is still a searched outcome over
+those two fields, never a closure certificate.
 
 Frobenius factorization rewrites z with z^p = h(x) as z = sum b_I T^I over
 K' = k(s), s^p = t, using perfectness of k; the certificate is the exact
@@ -85,10 +85,6 @@ class Cover:
     p: int
     params: dict = dc_field(default_factory=dict)
 
-    @property
-    def domain(self):
-        return self.charts[0].f.domain
-
 
 def build_cover(charts, p):
     """Assemble and verify a covering datum.
@@ -137,15 +133,9 @@ class NonReducedCover(ValueError):
 
 def verify_cocycle(cover):
     """Return the list of overlaps (i, j) where f_i != g_ij^p * (f_j o map)."""
-    bad = []
-    for ch in cover.charts:
-        for j, (g, coord_map) in ch.transitions.items():
-            other = cover.charts[j]
-            lhs = RatExpr(ch.f)
-            rhs = (g ** cover.p) * RatExpr(other.f).subs(list(coord_map))
-            if not lhs == rhs:
-                bad.append((ch.index, j))
-    return bad
+    return [(ch.index, j) for ch in cover.charts
+            for j, (g, coord_map) in ch.transitions.items()
+            if not RatExpr(ch.f) == g ** cover.p * RatExpr(cover.charts[j].f).subs(coord_map)]
 
 
 def cover_of_projective_space(N, d, n, p, form):
@@ -207,21 +197,15 @@ def differential_of_section(cover):
     failures = []
     for ch in cover.charts:
         for j, (g, coord_map) in ch.transitions.items():
-            other = cover.charts[j]
             gp = g ** cover.p
-            grads_j = diffs[other.index]
             # d(f_j)/dx_k pulled back to this chart, independent of l
-            pulled = [RatExpr(g_k).subs(list(coord_map)) for g_k in grads_j]
+            pulled = [RatExpr(g_k).subs(coord_map) for g_k in diffs[cover.charts[j].index]]
             for l in range(ch.f.n):
-                lhs = RatExpr(diffs[ch.index][l])
                 rhs = RatExpr(MultiPoly.zero(ch.f.domain, ch.f.n))
-                for kvar in range(other.f.n):
-                    dphi = coord_map[kvar].derivative(l)
-                    if dphi.is_zero():
-                        continue
-                    rhs = rhs + pulled[kvar] * dphi
-                rhs = gp * rhs
-                if not lhs == rhs:
+                for pull, phi in zip(pulled, coord_map):
+                    if not (dphi := phi.derivative(l)).is_zero():
+                        rhs = rhs + pull * dphi
+                if not RatExpr(diffs[ch.index][l]) == gp * rhs:
                     failures.append((ch.index, j, l))
     if failures:
         raise AssertionError(f"differential compatibility failed: {failures}")
@@ -244,35 +228,48 @@ class SingularPointRecord:
 def singular_points(cover, ext=1):
     """All gradient zeros over the search field F_{q^ext}, chart by chart,
     of a Cover or of the chart sections f_0, f_1, ... of one, in chart
-    order (`make_vojta_bundle` sweeps a form's charts before it builds a
-    cover).
+    order: the records of `_singular_records`.
 
     Exhaustive over the stated field; `gradient_completeness` says what
     lies beyond it.  Each section is packed once into the sweep's codes,
-    where its gradient, the sweep and the Hessian at each point found are
-    computed; only the records hold field elements."""
+    where its gradient, the sweep and the Hessian at each point found (its
+    last row and column off the sweep's univariates) are computed; only
+    the records hold field elements."""
+    return list(_singular_records(cover, ext))
+
+
+def _singular_records(cover, ext):
+    """The records of `singular_points`, one at a time: a chart is packed
+    and swept only once the records before it are read.  The Hessian's
+    last row and column are the derivatives of the univariates the sweep
+    collapsed the gradient to at the point's prefix (d/dx_n commutes with
+    substituting it), so only the second partials in the other n - 1
+    variables are built and collapsed."""
     sections = [ch.f for ch in cover.charts] if isinstance(cover, Cover) else cover
     domain = sections[0].domain
     if not isinstance(domain, FiniteField):
         raise TypeError("singular-point search needs constant coefficients")
     search, embed = domain.extension(ext)
-    records = []
     for index, f in enumerate(sections):
         sweep = _Sweep(search, f.n)
-        grads = sweep.gradient(sweep.pack(f, embed))
-        hess = None
-        for idx in sweep.zeros(grads):
-            if hess is None:
-                hess = [sweep.gradient(g) for g in grads]
+        ring, packed = sweep.ring, sweep.pack(f, embed)
+        grads = [sweep.partial(packed, i) for i in range(f.n)]
+        block = None
+        for idx, univariates in sweep.zeros(grads):
+            if block is None:
+                block = [[sweep.partial(g, j) for j in range(f.n - 1)] for g in grads[:-1]]
+            x, prefix = sweep.codes[idx[-1]], idx[:-1]
+            last = [ring.horner(list(map(ring.times, u[1:], sweep.ints[1:])), x)
+                    for u in univariates]
+            mat = [[ring.horner(sweep.collapse(h, prefix), x) for h in row] + [c]
+                   for row, c in zip(block, last)]
             # two determinant algorithms on one evaluated matrix: the
             # report's Hessian determinant cross-checks the verdict
-            mat = [[sweep.ring.element(sweep.evaluate(h, idx)) for h in row]
-                   for row in hess]
-            records.append(SingularPointRecord(
+            mat = [list(map(ring.element, row)) for row in mat + [last]]
+            yield SingularPointRecord(
                 chart_index=index, point=sweep.point(idx),
                 hessian_det=cofactor_det(mat),
-                degenerate=not det(mat, search), fld=search))
-    return records
+                degenerate=not det(mat, search), fld=search)
 
 
 def common_zeros(polys):
@@ -280,7 +277,8 @@ def common_zeros(polys):
     variables over a finite field, exhaustively and in `itertools.product`
     order (see `_Sweep`)."""
     sweep = _Sweep(polys[0].domain, polys[0].n)
-    return map(sweep.point, sweep.zeros([sweep.pack(g) for g in polys]))
+    return (sweep.point(idx)
+            for idx, _ in sweep.zeros([sweep.pack(g) for g in polys]))
 
 
 class _Sweep:
@@ -294,7 +292,8 @@ class _Sweep:
     polynomial to the codes of a univariate in the last one, only once a
     point reaches it, and evaluates that by the kernel's Horner, which
     makes exhaustive searches over quadratic extensions cheap even for
-    high-degree sections."""
+    high-degree sections.  Each zero comes with those univariates, whose
+    derivatives give the Hessian's last row and column."""
 
     def __init__(self, search, n):
         self.ring = ring = monomials.ring(search, n)
@@ -310,9 +309,11 @@ class _Sweep:
 
     def pack(self, poly, embed=None):
         """A polynomial over the search field, or over a subfield through
-        `embed`, in codes."""
-        packed = {e: self.ring.coeff(c if embed is None else embed(c))
-                  for e, c in poly.terms.items()}
+        `embed`, in codes: its packed terms through one table from its
+        ring's codes to the sweep's."""
+        element, coeff, embed = poly.ring.element, self.ring.coeff, embed or (lambda a: a)
+        table = {c: coeff(embed(element(c))) for c in set(poly.packed.values())}
+        packed = {poly.ring.exponents(k): table[c] for k, c in poly.packed.items()}
         top = max((k for e in packed for k in e[:-1]), default=0)
         for row, a in zip(self.pows, self.codes):
             while len(row) <= top:
@@ -322,13 +323,13 @@ class _Sweep:
             self.ints.append(self.ring.coeff(self.search.elem(len(self.ints))))
         return packed
 
-    def gradient(self, packed):
-        """The partial derivatives of a packed polynomial, each exponent
-        brought down as a field element, so multiples of p drop out."""
+    def partial(self, packed, i):
+        """The partial derivative in variable i of a packed polynomial, the
+        exponent brought down as a field element, so multiples of p drop
+        out."""
         ints, times = self.ints, self.ring.times
-        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: times(c, ints[e[i]])
-                 for e, c in packed.items() if ints[e[i]]}
-                for i in range(self.n)]
+        return {e[:i] + (e[i] - 1,) + e[i + 1:]: times(c, ints[e[i]])
+                for e, c in packed.items() if ints[e[i]]}
 
     def point(self, idx):
         return tuple(self.elems[i] for i in idx)
@@ -344,13 +345,11 @@ class _Sweep:
             coeffs[e[-1]] = plus(coeffs[e[-1]], c)
         return coeffs
 
-    def evaluate(self, packed, idx):
-        """The code of a packed polynomial's value at a point."""
-        return self.ring.horner(self.collapse(packed, idx[:-1]), self.codes[idx[-1]])
-
     def zeros(self, packed):
         """Index tuples of the common zeros of packed polynomials, in
-        `itertools.product` order."""
+        `itertools.product` order, each with the univariates the
+        polynomials collapse to at its prefix (read them before the next
+        zero)."""
         last, horner = list(enumerate(self.codes)), self.ring.horner
         for prefix in itertools.product(range(len(self.codes)), repeat=self.n - 1):
             collapsed = []
@@ -361,7 +360,7 @@ class _Sweep:
                     if horner(collapsed[k], b):
                         break
                 else:
-                    yield prefix + (j,)
+                    yield prefix + (j,), collapsed
 
 
 def gradient_completeness(cover, records):
@@ -432,26 +431,26 @@ def classify_section(chart_sections):
 
 
 def random_homogeneous_form(fld, nvars, deg, rng):
-    terms = {}
-    for e in monomials_of_degree(nvars, deg):
-        c = rng.randrange(fld.order)
-        if c:
-            terms[e] = fld.from_index(c)
-    if not terms:
-        e = next(iter(monomials_of_degree(nvars, deg)))
-        terms[e] = fld.one
-    return MultiPoly(fld, nvars, terms)
+    monos = list(monomials_of_degree(nvars, deg))
+    terms = {e: fld.from_index(c) for e in monos if (c := rng.randrange(fld.order))}
+    return MultiPoly(fld, nvars, terms or {monos[0]: fld.one})
 
 
 def dehomogenize_charts(form, N):
     """The form on the N + 1 standard charts: X_i = 1 on chart i, which
-    drops exponent i from every term of a homogeneous form."""
-    if not form.is_homogeneous():
-        raise ValueError("dehomogenizing needs a homogeneous form")
-    terms = form.terms
-    return [MultiPoly(form.domain, N, {e[:i] + e[i + 1:]: c
-                                       for e, c in terms.items()})
-            for i in range(N + 1)]
+    drops exponent i from every term of a homogeneous form.  On packed
+    keys, the exponent fields above field i shift down by one field, and
+    `Ring.key` rebuilds the partial sums above them."""
+    if not form.is_homogeneous() or form.n != N + 1:
+        raise ValueError(f"dehomogenizing needs a homogeneous form in {N + 1} variables")
+    ring, low = monomials.ring(form.domain, N), form.ring.low_mask
+    charts = []
+    for shift in form.ring.shifts:
+        below, above = (1 << shift) - 1, shift + monomials.FIELD_BITS
+        charts.append(MultiPoly.from_packed(ring, {
+            ring.key((k & below) | ((k & low) >> above << shift)): c
+            for k, c in form.packed.items()}))
+    return charts
 
 
 @dataclass
@@ -794,23 +793,21 @@ def make_vojta_bundle(p, d, n, fld, seed=0):
     Screens the forms of `seeded_covers`, in its draw order, before any
     cover is built: the checks that need no overlap first (a zero or
     non-homogeneous form, a p-th-power section), then the exhaustive sweeps
-    of the form's charts for singular points over F_q and then F_{q^2}; a
-    found degenerate point rejects the form.  Only the first form that
-    passes has its cover built and its cocycle verified, and a form whose
-    cover fails verification is skipped like any other, so no unverified
-    cover is returned.  Acceptance is the AND of these filters, so the
-    order finds the bundle that verifying every cover first would find.
-    This is a searched outcome: no closure certificate on
-    (grad f, det Hess f) is attempted.
+    of the form's charts for singular points over F_q and then F_{q^2},
+    read record by record: the first degenerate point rejects the form,
+    and no chart after it is swept.  Only the first form that passes has
+    its cover built and its cocycle verified; a form whose cover fails
+    verification is skipped like any other.  Acceptance is the AND of
+    these filters, so the order finds the bundle, and the records, that
+    verifying and sweeping every cover first would find.  This is a
+    searched outcome: no closure certificate on (grad f, det Hess f) is
+    attempted.
     """
     if fld.p != p:
         raise ValueError("the Frobenius lifting needs char(k) = p")
     for form, sections in _seeded_sections(fld, 2, d, n, p, seed):
-        recs1 = singular_points(sections, ext=1)
-        if any(r.degenerate for r in recs1):
-            continue
-        recs2 = singular_points(sections, ext=2)
-        if any(r.degenerate for r in recs2):
+        recs1 = _clean_records(sections, 1)
+        if recs1 is None or (recs2 := _clean_records(sections, 2)) is None:
             continue
         try:
             cover = _projective_cover(2, d, n, p, form, sections)
@@ -824,3 +821,14 @@ def make_vojta_bundle(p, d, n, fld, seed=0):
             p=p, d=d, n=n, fld=fld, form=form, cover=cover,
             f0=f0, fact=fact, singular_records=recs2,
             singular_records_base=recs1)
+
+
+def _clean_records(sections, ext):
+    """The singular records of the sections over F_{q^ext}; None at the
+    first degenerate one, where the sweep stops."""
+    records = []
+    for rec in _singular_records(sections, ext):
+        if rec.degenerate:
+            return None
+        records.append(rec)
+    return records

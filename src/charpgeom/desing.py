@@ -76,13 +76,14 @@ def local_model(p, n):
     return MultiPoly(fld, n + 1, terms)
 
 
-def blowup_step(equation, step_index=0, names=None):
+def blowup_step(equation, step_index, names):
     """Blow up the chart origin; emit the n+1 charts with factored transforms.
 
     The center must be singular (equation and gradient vanish at the origin);
     otherwise this raises.  Each chart's total transform is factored as
     (exceptional)^mu * strict by exact exponent extraction, and the identity
-    is re-verified by multiplication before the chart is returned.
+    is re-verified by multiplication before the chart is returned.  The
+    charts carry `step_index`; `names` name the variables of chart 0.
     """
     fld = equation.domain
     nv = equation.n
@@ -91,20 +92,10 @@ def blowup_step(equation, step_index=0, names=None):
         raise ValueError("center is not on the hypersurface")
     if any(g.constant_term() != fld.zero for g in equation.gradient()):
         raise ValueError("center is not a singular point")
-    if names is None:
-        names = tuple(f"y{i}" for i in range(nv))
-    charts = []
+    charts, new = [], MultiPoly.variables(fld, nv)
     for i in range(nv):
         # chart i: old_var_i = new_i, old_var_j = new_j * new_i  (j != i)
-        subs = []
-        for j in range(nv):
-            if j == i:
-                subs.append(MultiPoly.var(fld, nv, i))
-            else:
-                e = [0] * nv
-                e[j] = 1
-                e[i] += 1
-                subs.append(MultiPoly.monomial(fld, nv, tuple(e), 1))
+        subs = [new[i] if j == i else new[j] * new[i] for j in range(nv)]
         total = equation.subs(subs)
         if total.is_zero():
             raise AssertionError("total transform vanished")
@@ -115,16 +106,10 @@ def blowup_step(equation, step_index=0, names=None):
         check = strict * MultiPoly.var(fld, nv, i, mu)
         if check != total:
             raise AssertionError("exceptional factorization failed to re-verify")
-        if i == 0:
-            chart_names = names
-            label = names[0]
-        else:
-            chart_names = tuple(
-                "v" if j == 0 else (names[i] if j == i else f"u{j}")
-                for j in range(nv))
-            label = names[i]
+        chart_names = names if i == 0 else tuple(
+            "v" if j == 0 else (names[i] if j == i else f"u{j}") for j in range(nv))
         charts.append(BlowupChart(
-            label=label, names=chart_names, strict=strict,
+            label=names[i], names=chart_names, strict=strict,
             exceptional_index=i, multiplicity=mu, step_index=step_index,
             substitution=subs))
     return charts
@@ -182,7 +167,7 @@ def desingularize(p, n):
         zexp = eq.degree_in(0)
         if zexp == 1:
             break                      # z = sum w^2: smooth, stop
-        charts = blowup_step(eq, step_index=k, names=names)
+        charts = blowup_step(eq, k, names)
         zchart = charts[0]
         for ch in charts:
             if ch is zchart and ch.strict.degree_in(0) != 1:
@@ -264,22 +249,14 @@ def chart_overlap_consistency(charts):
     zchart = charts[0]
     fld = zchart.strict.domain
     nv = zchart.strict.n
+    w, one = MultiPoly.variables(fld, nv), MultiPoly.const(fld, nv, 1)
     results = []
     for ch in charts[1:]:
         i = ch.exceptional_index
-        subs = []
-        wi = RatExpr(MultiPoly.var(fld, nv, i))
-        for j in range(nv):
-            if j == 0:
-                subs.append(RatExpr(MultiPoly.const(fld, nv, 1),
-                                    MultiPoly.var(fld, nv, i)))       # v = 1/w_i
-            elif j == i:
-                subs.append(RatExpr(MultiPoly.var(fld, nv, i)
-                                    * MultiPoly.var(fld, nv, 0)))     # x_i = w_i z
-            else:
-                subs.append(RatExpr(MultiPoly.var(fld, nv, j),
-                                    MultiPoly.var(fld, nv, i)))       # u_j = w_j/w_i
-        lhs = RatExpr(ch.strict).subs(subs) * (wi * wi)
+        # v = 1/w_i, x_i = w_i z, u_j = w_j/w_i
+        subs = [RatExpr(one, w[i]) if j == 0 else RatExpr(w[i] * w[0]) if j == i
+                else RatExpr(w[j], w[i]) for j in range(nv)]
+        lhs = RatExpr(ch.strict).subs(subs) * RatExpr(w[i] * w[i])
         rhs = RatExpr(zchart.strict)
         ok = lhs == rhs
         results.append({"chart": ch.label, "ok": ok})

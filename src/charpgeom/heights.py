@@ -531,25 +531,26 @@ def sections_avoiding(w_pairs, m, fld, seed=0):
     """A polynomial section of degree m whose graph avoids every (b, q) in
     w_pairs: a constant for m = 0, a monic polynomial of degree m otherwise.
 
-    Seeded search over the coefficients; after SECTION_TRIES draws the
-    search restarts over the quadratic extension, with the avoidance set
-    embedded.  Returns (section, fld_used, enlarged).
+    Seeded search over the coefficients; after SECTION_TRIES draws, or
+    once the failed draws equal the field's q^max(m, 1) candidates and a
+    test of each finds none that avoids, the search restarts over the
+    quadratic extension, with the avoidance set embedded.  Returns
+    (section, fld_used, enlarged).
 
     Counting guarantee: for m = 0 a constant section exists as soon as
     |F_q| > #{q-values in W}; each enlargement squares q, so the search
     terminates.
     """
-    rng = Random(seed)
-    enlarged = False
-    current = fld
-    pairs = list(w_pairs)
+    rng, enlarged, current, pairs = Random(seed), False, fld, list(w_pairs)
+    width = max(m, 1)
     while True:
-        for _ in range(SECTION_TRIES):
-            coeffs = [current.from_index(rng.randrange(current.order))
-                      for _ in range(max(m, 1))]
-            if m:
-                coeffs.append(current.one)
-            sec = Section(UPoly(current, coeffs))
+        candidates = current.order ** width
+        for tries in range(SECTION_TRIES):
+            if tries == candidates and not any(
+                    _section(current, digits, m).avoids(pairs)
+                    for digits in itertools.product(range(current.order), repeat=width)):
+                break
+            sec = _section(current, [rng.randrange(current.order) for _ in range(width)], m)
             if sec.avoids(pairs):
                 return sec, current, enlarged
         # enlarge the constant field and re-embed the avoidance set
@@ -558,6 +559,11 @@ def sections_avoiding(w_pairs, m, fld, seed=0):
                  for b, q in pairs]
         current = big
         enlarged = True
+
+
+def _section(fld, digits, m):
+    """Coefficients `from_index(digits)`, low to high, then a 1 for m > 0."""
+    return Section(UPoly(fld, [fld.from_index(i) for i in digits] + [fld.one] * (m > 0)))
 
 
 # -- the Vojta-violation pipeline ---------------------------------------------------------

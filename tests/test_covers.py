@@ -788,10 +788,13 @@ class TestScreenedSearch:
     """`make_vojta_bundle` sweeps a form's charts before it builds a cover;
     the accepted bundle is the one that verifying every cover first finds."""
 
-    @pytest.mark.parametrize("p,n,seed", [(3, 5, s) for s in range(1, 7)]
-                             + [(5, 3, 1)])
-    def test_same_bundle_as_verifying_every_cover_first(self, p, n, seed):
-        fld = FF(p)
+    CASES = ([(3, 1, 5, s) for s in range(1, 7)]
+             + [(5, 1, 3, 1), (7, 1, 2, 1), (3, 2, 5, 1)])
+
+    @pytest.mark.parametrize("p,m,n,seed", CASES, ids=[
+        f"{p}-{n}-{s}" if m == 1 else f"{p}^{m}-{n}-{s}" for p, m, n, s in CASES])
+    def test_same_bundle_as_verifying_every_cover_first(self, p, m, n, seed):
+        fld = FF(p, m)
         bundle = covers.make_vojta_bundle(p, 1, n, fld, seed=seed)
         cover, recs1, recs2 = next(
             _clean_covers_verified_first(fld, p, 1, n, seed))
@@ -831,6 +834,43 @@ class TestScreenedSearch:
             next(covers.seeded_covers(fld, 2, 1, 5, 3, seed=1))
         drawn = counts["random_homogeneous_form"]
         assert drawn >= 1 and counts == dict.fromkeys(counts, drawn)
+
+    def test_a_rejected_form_builds_no_record_past_its_first_degenerate_one(
+            self, monkeypatch):
+        fld = FF(3)
+        expected, packs, rejected = [], [], 0
+        for _, sections in covers._seeded_sections(fld, 2, 1, 5, 3, 1):
+            for ext in (1, 2):
+                recs = covers.singular_points(sections, ext)
+                bad = next((k for k, r in enumerate(recs) if r.degenerate), None)
+                if bad is not None:
+                    expected += recs[:bad + 1]
+                    packs.append(recs[bad].chart_index + 1)
+                    rejected += 1
+                    break
+                expected += recs
+                packs.append(len(sections))
+            else:
+                break
+        assert rejected == 3 and len(packs) == 5
+        built, packed = [], []
+        record, pack = covers.SingularPointRecord, covers._Sweep.pack
+
+        def recording(*args, **kwargs):
+            built.append(record(*args, **kwargs))
+            return built[-1]
+
+        def counted(sweep, poly, embed=None):
+            packed.append(sweep)
+            return pack(sweep, poly, embed)
+        monkeypatch.setattr(covers, "SingularPointRecord", recording)
+        monkeypatch.setattr(covers._Sweep, "pack", counted)
+        bundle = covers.make_vojta_bundle(3, 1, 5, fld, seed=1)
+        assert _record_tuples(built) == _record_tuples(expected)
+        assert built[-len(bundle.singular_records):] == bundle.singular_records
+        # one sweep per chart swept: charts past the first degenerate point
+        # of a rejected form are never packed
+        assert len(packed) == sum(packs)
 
     def test_a_failed_cocycle_check_is_never_returned(self, monkeypatch):
         fld = FF(3)

@@ -13,7 +13,7 @@ from charpgeom.desing import (
 
 class TestBlowupStep:
     def test_p3_z_chart_smooth(self):
-        charts = blowup_step(local_model(3, 2), names=("z", "x1", "x2"))
+        charts = blowup_step(local_model(3, 2), 0, ("z", "x1", "x2"))
         zc = charts[0]
         fld = zc.strict.domain
         z, w1, w2 = MultiPoly.variables(fld, 3)
@@ -21,7 +21,7 @@ class TestBlowupStep:
         assert zc.multiplicity == 2
 
     def test_p5_z_chart_still_singular(self):
-        charts = blowup_step(local_model(5, 2), names=("z", "x1", "x2"))
+        charts = blowup_step(local_model(5, 2), 0, ("z", "x1", "x2"))
         zc = charts[0]
         fld = zc.strict.domain
         z, w1, w2 = MultiPoly.variables(fld, 3)
@@ -31,7 +31,7 @@ class TestBlowupStep:
     def test_p5_x_chart_certified_smooth(self):
         # substituting z = v x1 into z^5 - x1^2 - x2^2 factors off x1^2 and
         # leaves v^5 x1^3 - 1 - u^2, which the Jacobian criterion certifies
-        charts = blowup_step(local_model(5, 2), names=("z", "x1", "x2"))
+        charts = blowup_step(local_model(5, 2), 0, ("z", "x1", "x2"))
         xc = charts[1]
         fld = xc.strict.domain
         v, x1, u2 = MultiPoly.variables(fld, 3)
@@ -45,9 +45,10 @@ class TestBlowupStep:
         fld = FF(3)
         x = MultiPoly.var(fld, 2, 0)
         with pytest.raises(ValueError):
-            blowup_step(x + MultiPoly.var(fld, 2, 1) ** 2)   # gradient(0) != 0
+            # gradient(0) != 0
+            blowup_step(x + MultiPoly.var(fld, 2, 1) ** 2, 0, ("x", "y"))
         with pytest.raises(ValueError):
-            blowup_step(x ** 2 + 1)                          # not on the surface
+            blowup_step(x ** 2 + 1, 0, ("x", "y"))     # not on the surface
 
 
 class TestSmoothnessCertificate:

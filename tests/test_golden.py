@@ -31,6 +31,11 @@ GOLDEN = {
     "isotriviality.json": ["isotriviality", "--p", "5"],
     # over F_9: UPoly and the sweeps on Zech-log codes
     "vojta-demo-m2.json": ["vojta-demo", "--m", "2", "--M", "4"],
+    # the bundle search's choice of form at p = 5 and p = 7
+    "vojta-demo-p5.json": ["vojta-demo", "--p", "5", "--d", "1", "--n", "3",
+                           "--M", "6"],
+    "vojta-demo-p7.json": ["vojta-demo", "--p", "7", "--d", "1", "--n", "2",
+                           "--M", "6"],
     "northcott-demo-m2.json": ["northcott-demo", "--p", "3", "--m", "2"],
     # seeded random inputs with correction steps, over F_25 and over F_7
     "normalform-p5-r6.json": ["normalform", "--p", "5", "--r", "6",

@@ -376,9 +376,8 @@ class TestSectionsAvoiding:
                     count += 1
         assert count == 16
 
-    def test_field_enlargement_when_saturated(self, monkeypatch):
+    def test_field_enlargement_when_saturated(self):
         # forbid every constant value of F_3: only an extension constant works
-        monkeypatch.setattr(heights, "SECTION_TRIES", 200)
         fld = FF(3)
         w = [(heights.p1_point(fld, i, 1), heights.p1_point(fld, i, 1))
              for i in range(3)]
@@ -392,6 +391,48 @@ class TestSectionsAvoiding:
         assert sec.avoids([
             ((e0, e1), (q0, q1)) for (e0, e1), (q0, q1) in [
                 (pair[0], pair[1]) for pair in _embed_pairs(fld, fld_used, w)]])
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_a_saturated_field_is_left_after_one_pass_over_its_candidates(
+            self, m, monkeypatch):
+        # every constant of F_3, or every t + c, takes a forbidden value at
+        # b = 0: three failed draws, three candidates tested, then F_9
+        fld = FF(3)
+        zero = heights.p1_point(fld, 0, 1)
+        w = [(zero, heights.p1_point(fld, i, 1)) for i in range(3)]
+        tested, avoids = [], heights.Section.avoids
+
+        def counted(sec, pairs):
+            tested.append(sec.fld.order)
+            return avoids(sec, pairs)
+        monkeypatch.setattr(heights.Section, "avoids", counted)
+        sec, fld_used, enlarged = heights.sections_avoiding(w, m, fld, seed=0)
+        assert enlarged and fld_used.order == 9 and sec.degree == m
+        assert tested.count(3) == 6
+
+    def test_candidate_pass_keeps_the_drawn_section(self):
+        # 2 of the 9 monic quadratics over F_3 avoid w: draws that fail 9
+        # times in a row test every candidate, find one, and draw on
+        fld = FF(3)
+        w = [(heights.p1_point(fld, b, 1), heights.p1_point(fld, q, 1))
+             for b, q in [(0, 0), (0, 1), (1, 0)]]
+        avoiders = [g for g in itertools.product(range(3), repeat=2)
+                    if heights.Section(UPoly.from_ints(fld, [*g, 1])).avoids(w)]
+        assert len(avoiders) == 2
+        long_runs, found = 0, set()
+        for seed in range(40):
+            rng, failed = random.Random(seed), 0
+            while True:
+                digits = [rng.randrange(3) for _ in range(2)]
+                if tuple(digits) in avoiders:
+                    break
+                failed += 1
+            sec, fld_used, enlarged = heights.sections_avoiding(w, 2, fld, seed=seed)
+            assert fld_used is fld and not enlarged
+            assert sec.g == UPoly.from_ints(fld, [*digits, 1])
+            long_runs += failed >= 9
+            found.add(tuple(digits))
+        assert long_runs and len(found) == 2
 
 
 def _embed_pairs(small, big, pairs):
